@@ -205,7 +205,6 @@ def _build_parser() -> _Parser:
     evaluate.add_argument("--detectors", help="comma-separated detector kinds")
     evaluate.add_argument("--scorers", help="comma-separated scorer kinds")
     evaluate.add_argument("--temperature", type=float)
-    evaluate.add_argument("--react-percentile", dest="react_percentile", type=float)
     evaluate.add_argument("--dice-percentile", dest="dice_percentile", type=float)
     evaluate.add_argument("--scale-percentile", dest="scale_percentile", type=float)
     evaluate.add_argument("-o", "--out", help="report CSV path")
@@ -257,31 +256,20 @@ def _hyperparams(settings: _Settings) -> Hyperparams:
 
 
 def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
-    overrides = {
-        "react": settings["react_percentile"],
-        "dice": settings["dice_percentile"],
-        "scale": settings["scale_percentile"],
-    }
-    out = []
-    for kind in kinds:
-        if kind not in DETECTOR_KINDS:
-            raise ConfigError(
-                f"unknown detector {kind!r}; expected one of {', '.join(DETECTOR_KINDS)}"
-            )
-        out.append(Detector(kind, overrides.get(kind)))
-    return out
+    # react has no override: it clips at the threshold fitted at train time
+    overrides = {"dice": settings["dice_percentile"], "scale": settings["scale_percentile"]}
+    try:
+        return [Detector(kind, overrides.get(kind)) for kind in kinds]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _scorer_objects(settings: _Settings, kinds: list[str]) -> list[Scorer]:
     temperature = settings["temperature"]
-    out = []
-    for kind in kinds:
-        if kind not in SCORER_KINDS:
-            raise ConfigError(
-                f"unknown scorer {kind!r}; expected one of {', '.join(SCORER_KINDS)}"
-            )
-        out.append(Scorer(kind, temperature))
-    return out
+    try:
+        return [Scorer(kind, temperature) for kind in kinds]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _split_list(text: str) -> list[str]:
@@ -318,6 +306,9 @@ def _cmd_train(settings: _Settings) -> int:
     parent = Path(model_path).resolve().parent
     if not parent.is_dir():
         raise ConfigError(f"model output directory does not exist: {parent}")
+    react_percentile = settings["react_percentile"]
+    if not 0.0 <= react_percentile <= 100.0:
+        raise ConfigError(f"react_percentile must lie in [0, 100], got {react_percentile}")
     num_tasks = settings["tasks"]
     stream = _load_stream(settings, num_tasks)
     hp = _hyperparams(settings)
@@ -336,7 +327,7 @@ def _cmd_train(settings: _Settings) -> int:
     train_stream(model, stream, hp, replay=replay, backupdate=backupdate,
                  buffer_capacity=settings["buffer_capacity"],
                  backupdate_epochs=settings["backupdate_epochs"],
-                 react_percentile=settings["react_percentile"],
+                 react_percentile=react_percentile,
                  epoch_hook=epoch_hook)
     elapsed = time.perf_counter() - started
 
@@ -378,8 +369,13 @@ def _cmd_curve(settings: _Settings) -> int:
         raise ConfigError("model file holds no trained tasks")
     stream = _load_stream(settings, model.trained_tasks)
     steps_text = settings.get("steps")
-    steps = ([int(s) for s in _split_list(steps_text)] if steps_text
-             else list(range(1, model.trained_tasks + 1)))
+    try:
+        steps = ([int(s) for s in _split_list(steps_text)] if steps_text
+                 else list(range(1, model.trained_tasks + 1)))
+    except ValueError:
+        raise ConfigError(
+            f"steps must be comma-separated integers, got {steps_text!r}"
+        ) from None
     for step in steps:
         if not 1 <= step <= model.trained_tasks:
             raise ConfigError(
@@ -392,7 +388,11 @@ def _cmd_curve(settings: _Settings) -> int:
     lines = ["step,rejection_rate,accuracy,retained"]
     for step in steps:
         scores, correct = mixed_scores(model, stream, step, detector, scorer)
-        for point in rejection_curve(scores, correct, grid_step):
+        try:
+            points = rejection_curve(scores, correct, grid_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for point in points:
             lines.append(f"{step},{point.rejection_rate:.6g},"
                          f"{point.accuracy:.6g},{point.retained_count}")
     text = "\n".join(lines) + "\n"

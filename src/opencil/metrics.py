@@ -177,14 +177,9 @@ class ReportRow:
 
 @dataclass
 class EvalReport:
-    """Sweep results, one row per (detector, scorer), detector-major.
-
-    ``curves`` optionally holds rejection curves keyed by
-    (detector, scorer, step) for callers that attach them.
-    """
+    """Sweep results, one row per (detector, scorer), detector-major."""
 
     rows: list[ReportRow] = field(default_factory=list)
-    curves: dict = field(default_factory=dict)
 
     def row(self, detector: str, scorer: str) -> ReportRow:
         for row in self.rows:

@@ -126,11 +126,9 @@ class TrainStats:
     """Everything inference needs about a task's training activations."""
 
     class_means: np.ndarray  # (C, hidden)
-    covariance: np.ndarray  # (hidden, hidden), ridge-regularized
-    covariance_inv: np.ndarray  # (hidden, hidden)
+    covariance_inv: np.ndarray  # (hidden, hidden), of the ridge-regularized covariance
     mean_activations: np.ndarray  # (hidden,)
     react_threshold: float
-    ridge: float
 
 
 @dataclass
@@ -207,20 +205,25 @@ def _saturated_masks(model: ModelState, upto: int | None = None) -> list[np.ndar
     return [hat_mask(e, s) for e in model.adapters.task_embeddings[:upto]]
 
 
-def activations(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
-    """Gated adapter activations for one task over a batch of inputs."""
+def _shared_adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
+    """Ungated ReLU adapter output over a batch; every task gates this one array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.trunk.dim_in:
         raise ModelError(
             f"input dimension mismatch: expected (n, {model.trunk.dim_in}), "
             f"got {x.shape}"
         )
+    pre = model.trunk.apply(x) @ model.adapters.weights + model.adapters.bias
+    return np.maximum(pre, 0.0)
+
+
+def activations(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
+    """Gated adapter activations for one task over a batch of inputs."""
+    relu = _shared_adapter(model, x)
     n_embeddings = len(model.adapters.task_embeddings)
     if not 0 <= task < n_embeddings:
         raise ModelError(f"unknown task {task}; model has {n_embeddings} task(s)")
-    mask = hat_mask(model.adapters.task_embeddings[task], model.adapters.slope_max)
-    pre = model.trunk.apply(x) @ model.adapters.weights + model.adapters.bias
-    return np.maximum(pre, 0.0) * mask
+    return relu * hat_mask(model.adapters.task_embeddings[task], model.adapters.slope_max)
 
 
 def forward_features(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
@@ -401,7 +404,7 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
                         task: int | None = None,
                         ridge_coefficient: float = 1e-4,
                         react_percentile: float = DEFAULT_REACT_PERCENTILE) -> TrainStats:
-    """Class means, tied covariance, mean activations, and clip threshold.
+    """Class means, inverse tied covariance, mean activations, and clip threshold.
 
     The tied covariance is the within-class scatter averaged over all
     task samples plus a ridge scaled to the mean unit variance (the raw
@@ -439,11 +442,9 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
 
     return TrainStats(
         class_means=means,
-        covariance=covariance,
         covariance_inv=covariance_inv,
         mean_activations=z.mean(axis=0),
         react_threshold=percentile(z.ravel(), react_percentile),
-        ridge=ridge,
     )
 
 

@@ -15,6 +15,13 @@ every test sample and splits them into seen (tasks 1..k) and unseen
 (later tasks) populations. The system-level score of a sample is the
 maximum per-head score, the value realized at the task-id argmax.
 
+Every entry point reads one pass, ``_forward``: the shared ReLU adapter
+runs once per call, and each head then gates it with its saturated mask
+and computes its raw logits and class prediction, its Mahalanobis
+coefficient (only when an md scorer is asked for), and each requested
+detector's rectified logits and each scorer's score. The functions below
+only pick the heads, samples and pairs they need from that pass.
+
 Everything here is read-only over the model; per-sample work items are
 independent and safe to parallelize.
 """
@@ -28,7 +35,7 @@ import numpy as np
 from . import metrics
 from .detectors import Detector, _nearest_rank_index, build_dice_mask
 from .errors import ModelError
-from .model import ModelState, activations
+from .model import ModelState, _saturated_masks, _shared_adapter
 from .scorers import Scorer
 
 __all__ = [
@@ -83,12 +90,13 @@ def _as_scorer(scorer) -> Scorer:
     return scorer if isinstance(scorer, Scorer) else Scorer(str(scorer))
 
 
-def _detector_logits_batch(model: ModelState, task: int, z: np.ndarray,
-                           detector: Detector) -> np.ndarray:
+def _rectified_logits(model: ModelState, task: int, z: np.ndarray, raw: np.ndarray,
+                      detector: Detector) -> np.ndarray:
+    """Head logits under the detector; ``raw`` are the unrectified logits."""
     head = model.heads[task]
     kind = detector.kind
     if kind == "base":
-        return z @ head.weights + head.bias
+        return raw
     if kind == "react":
         threshold = model.stats[task].react_threshold
         return np.minimum(z, threshold) @ head.weights + head.bias
@@ -120,19 +128,63 @@ def _strip_ood(head, logits: np.ndarray) -> np.ndarray:
     return logits[..., :-1] if head.ood_logit_present else logits
 
 
-def _scores_batch(model: ModelState, task: int, z: np.ndarray,
-                  detector: Detector, scorer: Scorer) -> np.ndarray:
-    logits = _strip_ood(model.heads[task], _detector_logits_batch(model, task, z, detector))
-    return _scores_from_logits(model, task, logits, z, scorer)
+def _md_coefficient(z: np.ndarray, stats) -> np.ndarray:
+    """1 / (1 + d_min), d_min the squared Mahalanobis distance to the closest mean."""
+    quad = np.full(len(z), np.inf)
+    for mean in stats.class_means:
+        diff = z - mean
+        np.minimum(quad, ((diff @ stats.covariance_inv) * diff).sum(axis=1), out=quad)
+    return 1.0 / (1.0 + quad)
 
 
-def _head_scores_matrix(model: ModelState, x: np.ndarray, detector: Detector,
-                        scorer: Scorer, upto: int) -> np.ndarray:
-    columns = [
-        _scores_batch(model, t, activations(model, t, x), detector, scorer)
-        for t in range(upto)
-    ]
-    return np.column_stack(columns)
+def _score(logits: np.ndarray, scorer: Scorer, coefficient) -> np.ndarray:
+    kind = scorer.kind
+    if kind in ("sm", "smmd"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exps = np.exp(shifted)
+        base = exps.max(axis=1) / exps.sum(axis=1)
+    else:
+        scaled = logits / scorer.temperature
+        m = scaled.max(axis=1)
+        base = scorer.temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))
+    if kind == "smmd":
+        return base * coefficient
+    if kind == "enmd":
+        return base + np.log(coefficient)
+    return base
+
+
+def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=()):
+    """One inference pass of a batch through the first ``upto`` heads.
+
+    Returns ``(classes, scores)``: ``classes[s, t]`` is the global class
+    head t predicts for sample s, and ``scores[i, j]`` the (n, upto)
+    scores under ``detectors[i]`` and ``scorers[j]``. Pairs are indexed
+    by position, since two detectors may share a kind.
+    """
+    if not 1 <= upto <= model.trained_tasks:
+        raise ModelError(f"head count {upto} outside 1..{model.trained_tasks}")
+    relu = _shared_adapter(model, x)
+    classes = np.empty((len(relu), upto), dtype=np.int64)
+    scores = np.empty((len(detectors), len(scorers), len(relu), upto))
+    needs_md = any(s.kind in ("smmd", "enmd") for s in scorers)
+    for t, mask in enumerate(_saturated_masks(model, upto)):
+        head = model.heads[t]
+        z = relu * mask
+        raw = z @ head.weights + head.bias
+        classes[:, t] = _strip_ood(head, raw).argmax(axis=1) + t * model.classes_per_task
+        coefficient = _md_coefficient(z, model.stats[t]) if needs_md else None
+        for i, detector in enumerate(detectors):
+            logits = _strip_ood(head, _rectified_logits(model, t, z, raw, detector))
+            for j, scorer in enumerate(scorers):
+                scores[i, j, :, t] = _score(logits, scorer, coefficient)
+    return classes, scores
+
+
+def _pair_forward(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
+    """``_forward`` for one detector-scorer pair: classes and (n, upto) scores."""
+    classes, scores = _forward(model, x, upto, [_as_detector(detector)], [_as_scorer(scorer)])
+    return classes, scores[0, 0]
 
 
 def head_score(model: ModelState, task: int, detector, scorer, x: np.ndarray) -> float:
@@ -140,19 +192,16 @@ def head_score(model: ModelState, task: int, detector, scorer, x: np.ndarray) ->
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ModelError(f"expected a single input vector, got shape {x.shape}")
-    z = activations(model, task, x[None, :])
-    return float(_scores_batch(model, task, z, _as_detector(detector), _as_scorer(scorer))[0])
+    _, scores = _pair_forward(model, x[None, :], task + 1, detector, scorer)
+    return float(scores[0, task])
 
 
 def predict_task(model: ModelState, detector, scorer, x: np.ndarray,
                  upto: int | None = None) -> int:
     """Head with the highest score; ties break toward the lower task id."""
     upto = model.trained_tasks if upto is None else upto
-    if upto < 1:
-        raise ModelError("task prediction needs at least one trained head")
     x = np.asarray(x, dtype=np.float64)
-    scores = _head_scores_matrix(model, x[None, :], _as_detector(detector),
-                                 _as_scorer(scorer), upto)
+    _, scores = _pair_forward(model, x[None, :], upto, detector, scorer)
     return int(scores[0].argmax())
 
 
@@ -164,22 +213,16 @@ def predict_class(model: ModelState, x: np.ndarray, task: int,
     any OOD logit is excluded. The global class id offsets the local
     argmax by the task's label base.
     """
-    z = activations(model, task, np.asarray(x, dtype=np.float64)[None, :])
-    head = model.heads[task]
-    logits = _strip_ood(head, z @ head.weights + head.bias)
-    local = int(logits[0].argmax())
-    return Prediction(task, task * model.classes_per_task + local, ind_score)
+    classes, _ = _forward(model, np.asarray(x, dtype=np.float64)[None, :], task + 1)
+    return Prediction(task, int(classes[0, task]), ind_score)
 
 
 def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
     """Full open-world prediction: task-id, class, and system score."""
-    detector = _as_detector(detector)
-    scorer = _as_scorer(scorer)
     x = np.asarray(x, dtype=np.float64)
-    scores = _head_scores_matrix(model, x[None, :], detector, scorer,
-                                 model.trained_tasks)[0]
-    task = int(scores.argmax())
-    return predict_class(model, x, task, ind_score=float(scores[task]))
+    classes, scores = _pair_forward(model, x[None, :], model.trained_tasks, detector, scorer)
+    task = int(scores[0].argmax())
+    return Prediction(task, int(classes[0, task]), float(scores[0, task]))
 
 
 def _stack_tests(stream, upto: int | None = None):
@@ -213,20 +256,8 @@ def score_table(model: ModelState, stream, detector, scorer) -> ScoreTable:
     scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
     features, labels, tasks = _stack_tests(stream)
-    scores = _head_scores_matrix(model, features, detector, scorer, model.trained_tasks)
+    _, scores = _pair_forward(model, features, model.trained_tasks, detector, scorer)
     return ScoreTable(scores, labels, tasks, detector.kind, scorer.kind)
-
-
-def _class_predictions_by_head(model: ModelState, features: np.ndarray,
-                               upto: int) -> np.ndarray:
-    """(upto, n) global class predictions of each head over all samples."""
-    rows = []
-    for t in range(upto):
-        z = activations(model, t, features)
-        head = model.heads[t]
-        logits = _strip_ood(head, z @ head.weights + head.bias)
-        rows.append(logits.argmax(axis=1) + t * model.classes_per_task)
-    return np.stack(rows)
 
 
 def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
@@ -245,21 +276,18 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
         raise ModelError(f"step {upto} outside 1..{model.trained_tasks}")
     features, labels, tasks = _stack_tests(stream, upto)
     if oracle_task:
+        classes, _ = _forward(model, features, upto)
         chosen = tasks
     else:
-        scores = _head_scores_matrix(model, features, detector, scorer, upto)
+        classes, scores = _pair_forward(model, features, upto, detector, scorer)
         chosen = scores.argmax(axis=1)
-    by_head = _class_predictions_by_head(model, features, upto)
-    predicted = by_head[chosen, np.arange(len(labels))]
-    correct = predicted == labels
+    correct = classes[np.arange(len(labels)), chosen] == labels
     per_task = tuple(float(correct[tasks == t].mean()) for t in range(upto))
     return ClosedWorldResult(float(correct.mean()), per_task)
 
 
 def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
     """System scores split into seen (tasks 1..upto) and unseen populations."""
-    detector = _as_detector(detector)
-    scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
     if not 1 <= upto <= stream.num_tasks - 1:
         raise ModelError(
@@ -267,7 +295,8 @@ def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
             f"(no unseen classes remain at step {stream.num_tasks}); got {upto}"
         )
     features, _labels, tasks = _stack_tests(stream)
-    system = _head_scores_matrix(model, features, detector, scorer, upto).max(axis=1)
+    _, scores = _pair_forward(model, features, upto, detector, scorer)
+    system = scores.max(axis=1)
     return system[tasks < upto], system[tasks >= upto]
 
 
@@ -278,19 +307,11 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     by the correctness of their closed-world class prediction at this
     step. Feeds the accuracy-rejection curve.
     """
-    detector = _as_detector(detector)
-    scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
-    if not 1 <= upto <= model.trained_tasks:
-        raise ModelError(f"step {upto} outside 1..{model.trained_tasks}")
     features, labels, tasks = _stack_tests(stream)
-    scores = _head_scores_matrix(model, features, detector, scorer, upto)
-    system = scores.max(axis=1)
-    chosen = scores.argmax(axis=1)
-    by_head = _class_predictions_by_head(model, features, upto)
-    predicted = by_head[chosen, np.arange(len(labels))]
-    correct = (predicted == labels) & (tasks < upto)
-    return system, correct
+    classes, scores = _pair_forward(model, features, upto, detector, scorer)
+    predicted = classes[np.arange(len(labels)), scores.argmax(axis=1)]
+    return scores.max(axis=1), (predicted == labels) & (tasks < upto)
 
 
 def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalReport:
@@ -309,52 +330,17 @@ def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalRepo
         )
     detectors = [_as_detector(d) for d in detectors]
     scorers = [_as_scorer(s) for s in scorers]
-
     features, labels, tasks = _stack_tests(stream)
-    acts = [activations(model, t, features) for t in range(num_tasks)]
-    by_head = _class_predictions_by_head(model, features, num_tasks)
-
+    classes, scores = _forward(model, features, num_tasks, detectors, scorers)
     report = metrics.EvalReport()
-    for detector in detectors:
-        logits = [
-            _strip_ood(model.heads[t], _detector_logits_batch(model, t, acts[t], detector))
-            for t in range(num_tasks)
-        ]
-        for scorer in scorers:
-            scores = np.column_stack([
-                _scores_from_logits(model, t, logits[t], acts[t], scorer)
-                for t in range(num_tasks)
-            ])
-            report.rows.append(
-                _sweep_row(model, detector, scorer, scores, by_head,
-                           labels, tasks, num_tasks)
-            )
+    for i, detector in enumerate(detectors):
+        for j, scorer in enumerate(scorers):
+            report.rows.append(_sweep_row(detector, scorer, scores[i, j], classes,
+                                          labels, tasks, num_tasks))
     return report
 
 
-def _scores_from_logits(model: ModelState, task: int, logits: np.ndarray,
-                        z: np.ndarray, scorer: Scorer) -> np.ndarray:
-    kind = scorer.kind
-    if kind in ("sm", "smmd"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exps = np.exp(shifted)
-        base = exps.max(axis=1) / exps.sum(axis=1)
-    else:
-        scaled = logits / scorer.temperature
-        m = scaled.max(axis=1)
-        base = scorer.temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))
-    if kind in ("sm", "en"):
-        return base
-    stats = model.stats[task]
-    quad = np.full(len(z), np.inf)
-    for mean in stats.class_means:
-        diff = z - mean
-        np.minimum(quad, ((diff @ stats.covariance_inv) * diff).sum(axis=1), out=quad)
-    coefficient = 1.0 / (1.0 + quad)
-    return base * coefficient if kind == "smmd" else base + np.log(coefficient)
-
-
-def _sweep_row(model, detector, scorer, scores, by_head, labels, tasks,
+def _sweep_row(detector, scorer, scores, classes, labels, tasks,
                num_tasks) -> metrics.ReportRow:
     sample_index = np.arange(len(labels))
     step_accuracies = []
@@ -362,7 +348,7 @@ def _sweep_row(model, detector, scorer, scores, by_head, labels, tasks,
     for k in range(1, num_tasks + 1):
         seen = tasks < k
         chosen = scores[seen, :k].argmax(axis=1)
-        predicted = by_head[chosen, sample_index[seen]]
+        predicted = classes[sample_index[seen], chosen]
         correct = predicted == labels[seen]
         step_accuracies.append(float(correct.mean()))
         seen_tasks = tasks[seen]

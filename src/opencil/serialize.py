@@ -5,10 +5,14 @@ The file is line-oriented and self-describing: a versioned header, then
 whose rows follow in row-major order, closed by an ``end`` sentinel.
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so save -> load -> save reproduces the file byte for
-byte.
+byte. Version 2 dropped the covariance and ridge records of version 1,
+which inference never read; version 1 files still load, and their extra
+records are ignored. A non-finite value in any record fails the load.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,7 +20,7 @@ from .errors import ModelIOError
 from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams
 
 FORMAT_NAME = "opencil-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 __all__ = ["save_model", "load_model"]
 
@@ -67,11 +71,9 @@ def save_model(model: ModelState, path: str) -> None:
         w.array(f"head_bias_{t}", head.bias)
         w.meta(f"head_ood_{t}", 1 if head.ood_logit_present else 0)
         w.array(f"stats_means_{t}", stats.class_means)
-        w.array(f"stats_cov_{t}", stats.covariance)
         w.array(f"stats_covinv_{t}", stats.covariance_inv)
         w.array(f"stats_meanact_{t}", stats.mean_activations)
         w.meta(f"stats_react_{t}", float(stats.react_threshold))
-        w.meta(f"stats_ridge_{t}", float(stats.ridge))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(w.text())
 
@@ -99,10 +101,10 @@ class _Reader:
         header = self.next_line().split()
         if len(header) != 2 or header[0] != FORMAT_NAME:
             self.fail("not a model file (bad header)")
-        if header[1] != str(FORMAT_VERSION):
+        if header[1] not in ("1", str(FORMAT_VERSION)):
             self.fail(
                 f"unsupported model file version {header[1]} "
-                f"(this build reads version {FORMAT_VERSION})"
+                f"(this build reads versions 1 to {FORMAT_VERSION})"
             )
         while True:
             fields = self.next_line().split()
@@ -138,17 +140,21 @@ class _Reader:
                 rows.append([float(v) for v in parts])
             except ValueError:
                 self.fail(f"non-numeric value in array {name!r}")
-        self.arrays[name] = np.asarray(rows, dtype=np.float64).reshape(shape)
+        arr = np.asarray(rows, dtype=np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            self.fail(f"non-finite value in array {name!r}")
+        self.arrays[name] = arr
 
-    def meta_int(self, name: str) -> int:
+    def meta(self, name: str, cast=float):
         if name not in self.metas:
             self.fail(f"missing meta record {name!r}")
-        return int(self.metas[name])
-
-    def meta_float(self, name: str) -> float:
-        if name not in self.metas:
-            self.fail(f"missing meta record {name!r}")
-        return float(self.metas[name])
+        try:
+            value = cast(self.metas[name])
+        except ValueError:
+            self.fail(f"bad value in meta record {name!r}")
+        if not math.isfinite(value):
+            self.fail(f"non-finite value in meta record {name!r}")
+        return value
 
     def array(self, name: str) -> np.ndarray:
         if name not in self.arrays:
@@ -161,31 +167,29 @@ def load_model(path: str) -> ModelState:
     r = _Reader(path)
     r.parse()
 
-    dim_in = r.meta_int("dim_in")
-    projection = r.array("trunk_projection") if r.meta_int("has_projection") else None
+    dim_in = r.meta("dim_in", int)
+    projection = r.array("trunk_projection") if r.meta("has_projection", int) else None
     trunk = TrunkParams(dim_in, projection)
     adapters = AdapterBank(
         weights=r.array("adapter_weights"),
         bias=r.array("adapter_bias"),
         task_embeddings=[],
-        slope_max=r.meta_float("slope_max"),
+        slope_max=r.meta("slope_max"),
     )
-    classes_per_task = r.meta_int("classes_per_task")
+    classes_per_task = r.meta("classes_per_task", int)
     model = ModelState(trunk, adapters,
                        classes_per_task=None if classes_per_task < 0 else classes_per_task)
-    for t in range(r.meta_int("trained_tasks")):
+    for t in range(r.meta("trained_tasks", int)):
         adapters.task_embeddings.append(r.array(f"embedding_{t}"))
         model.heads.append(TaskHead(
             weights=r.array(f"head_weights_{t}"),
             bias=r.array(f"head_bias_{t}"),
-            ood_logit_present=bool(r.meta_int(f"head_ood_{t}")),
+            ood_logit_present=bool(r.meta(f"head_ood_{t}", int)),
         ))
         model.stats.append(TrainStats(
             class_means=r.array(f"stats_means_{t}"),
-            covariance=r.array(f"stats_cov_{t}"),
             covariance_inv=r.array(f"stats_covinv_{t}"),
             mean_activations=r.array(f"stats_meanact_{t}"),
-            react_threshold=r.meta_float(f"stats_react_{t}"),
-            ridge=r.meta_float(f"stats_ridge_{t}"),
+            react_threshold=r.meta(f"stats_react_{t}"),
         ))
     return model

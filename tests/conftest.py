@@ -50,7 +50,7 @@ def manual_model(adapter_weights, adapter_bias, embeddings, heads, stats=None,
 
 
 def manual_stats(class_means, covariance=None, mean_activations=None,
-                 react_threshold=1.0, ridge=1e-4):
+                 react_threshold=1.0):
     class_means = np.asarray(class_means, dtype=np.float64)
     hidden = class_means.shape[1]
     covariance = np.eye(hidden) if covariance is None else np.asarray(covariance, float)
@@ -58,9 +58,7 @@ def manual_stats(class_means, covariance=None, mean_activations=None,
         mean_activations = class_means.mean(axis=0)
     return TrainStats(
         class_means=class_means,
-        covariance=covariance,
         covariance_inv=np.linalg.inv(covariance),
         mean_activations=np.asarray(mean_activations, dtype=np.float64),
         react_threshold=react_threshold,
-        ridge=ridge,
     )

@@ -187,10 +187,10 @@ def test_criterion_06_scorer_identities():
     means = rng.normal(size=(classes, dim))
     basis = rng.normal(size=(dim, dim))
     covariance = basis @ basis.T + dim * np.eye(dim)
-    stats = oc.TrainStats(class_means=means, covariance=covariance,
+    stats = oc.TrainStats(class_means=means,
                           covariance_inv=np.linalg.inv(covariance),
                           mean_activations=means.mean(axis=0),
-                          react_threshold=1.0, ridge=0.0)
+                          react_threshold=1.0)
     worst_maha = 0.0
     for _ in range(50):
         z = rng.normal(size=dim)

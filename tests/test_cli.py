@@ -250,5 +250,40 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--steps", "x"],
+        ["curve", "--grid-step", "7"],
+        ["eval", "--dice-percentile", "150"],
+        ["eval", "--temperature", "0"],
+        ["eval", "--react-percentile", "10"],  # ReAct uses the train-time threshold
+        ["train", "--react-percentile", "150"],
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, argv, data_dir, model_path, tmp_path,
+                                             capsys):
+        model_flag = ["-o", str(tmp_path / "m.txt")] if argv[0] == "train" else \
+            ["--model", str(model_path), "-o", str(tmp_path / "out.csv")]
+        assert main(argv + ["--data", str(data_dir)] + model_flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("record,offset,value", [
+        ("array head_weights_0", 1, "nan"),  # the last value of the first row
+        ("meta stats_react_0", 0, "inf"),
+    ])
+    def test_non_finite_model_value_is_a_runtime_error(self, record, offset, value,
+                                                        data_dir, model_path, tmp_path,
+                                                        capsys):
+        lines = model_path.read_text().splitlines()
+        at = offset + next(i for i, line in enumerate(lines) if line.startswith(record))
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + value
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(oc.ModelIOError, match="non-finite"):
+            oc.load_model(str(bad))
+        assert main(["eval", "--model", str(bad), "--data", str(data_dir),
+                     "--detectors", "base", "--scorers", "en"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_no_command(self, capsys):
         assert main([]) == 1

@@ -11,6 +11,45 @@ from opencil.errors import ModelError, ModelIOError
 from opencil.model import activations, loss_and_grads
 
 
+# a one-task model as version 1 of the file format wrote it
+V1_MODEL = """\
+opencil-model 1
+meta dim_in 2
+meta has_projection 0
+meta hidden_width 2
+meta slope_max 400
+meta trained_tasks 1
+meta classes_per_task 2
+array adapter_weights 2 2
+1 0.5
+-0.5 2
+array adapter_bias 2
+0.25 0
+array embedding_0 2
+6 -6
+array head_weights_0 2 2
+1.5 -1
+0.5 2
+array head_bias_0 2
+0 0.125
+meta head_ood_0 0
+array stats_means_0 2 2
+1 0
+0 2
+array stats_cov_0 2 2
+2 0
+0 4
+array stats_covinv_0 2 2
+0.5 0
+0 0.25
+array stats_meanact_0 2
+0.5 1
+meta stats_react_0 1.5
+meta stats_ridge_0 0.0001
+end
+"""
+
+
 def two_class_task(dim=8, per_class=40, separation=8.0, seed=21):
     spec = oc.SynthSpec(num_classes=2, dim=dim, per_class=per_class,
                         mean_separation=separation, seed=seed)
@@ -200,7 +239,7 @@ class TestTrainTask:
         assert np.array_equal(a.heads[0].weights, b.heads[0].weights)
         assert np.array_equal(a.adapters.task_embeddings[0],
                               b.adapters.task_embeddings[0])
-        assert np.array_equal(a.stats[0].covariance, b.stats[0].covariance)
+        assert np.array_equal(a.stats[0].covariance_inv, b.stats[0].covariance_inv)
 
     def test_parameter_isolation(self, small_stream, small_hp):
         model = oc.new_model(small_stream.tasks[0][0].dim, small_hp)
@@ -257,8 +296,7 @@ class TestComputeTrainStats:
         data = oc.Dataset(np.array([[1.0, 0.5, 0.2, 0.1], [0.0, 1.0, 0.3, 0.9]]),
                           np.array([0, 1]))
         stats = oc.compute_train_stats(model, data, task=0, ridge_coefficient=1e-4)
-        assert np.array_equal(stats.covariance, 1e-4 * np.eye(8))
-        assert stats.ridge == 1e-4
+        assert np.array_equal(stats.covariance_inv, np.linalg.inv(1e-4 * np.eye(8)))
 
     def test_duplicating_samples_preserves_stats(self, small_stream, small_hp,
                                                  small_model):
@@ -268,7 +306,10 @@ class TestComputeTrainStats:
         a = oc.compute_train_stats(small_model, data, task=0)
         b = oc.compute_train_stats(small_model, doubled, task=0)
         np.testing.assert_allclose(a.class_means, b.class_means, atol=1e-12)
-        np.testing.assert_allclose(a.covariance, b.covariance, atol=1e-12)
+        # the inverse's entries reach 1e4, so the bound scales with them
+        scale = np.abs(a.covariance_inv).max()
+        np.testing.assert_allclose(a.covariance_inv, b.covariance_inv, rtol=0,
+                                   atol=1e-12 * scale)
         assert a.react_threshold == b.react_threshold
 
     def test_against_bruteforce_recomputation(self, small_model, small_stream):
@@ -296,7 +337,8 @@ class TestComputeTrainStats:
         expected_cov = tied + ridge * np.eye(hidden)
 
         np.testing.assert_allclose(stats.class_means, np.stack(means), atol=1e-9)
-        np.testing.assert_allclose(stats.covariance, expected_cov, atol=1e-9)
+        np.testing.assert_allclose(stats.covariance_inv @ expected_cov, np.eye(hidden),
+                                   atol=1e-9)
         np.testing.assert_allclose(stats.mean_activations, z.mean(axis=0), atol=1e-9)
         pooled = np.sort(z.ravel())
         assert stats.react_threshold == pooled[math.ceil(0.9 * pooled.size) - 1]
@@ -474,6 +516,19 @@ class TestSerialization:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(ModelIOError, match="truncated"):
             oc.load_model(str(path))
+
+    def test_version_one_file_loads(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        path.write_text(V1_MODEL)
+        model = oc.load_model(str(path))
+        assert np.array_equal(model.stats[0].covariance_inv, [[0.5, 0.0], [0.0, 0.25]])
+        assert model.stats[0].react_threshold == 1.5
+        assert oc.predict(model, "react", "enmd", np.array([1.0, 0.0])).predicted_class == 0
+        # re-saving writes version 2: the covariance and ridge records are gone
+        oc.save_model(model, str(path))
+        v2 = V1_MODEL.replace("opencil-model 1", "opencil-model 2")
+        v2 = v2.replace("array stats_cov_0 2 2\n2 0\n0 4\n", "")
+        assert path.read_text() == v2.replace("meta stats_ridge_0 0.0001\n", "")
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"

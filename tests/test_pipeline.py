@@ -41,18 +41,28 @@ class TestHeadScore:
         assert oc.head_score(model, 0, "base", "sm", x) == pytest.approx(expected,
                                                                          rel=1e-12)
 
-    def test_matches_manual_three_step_composition(self, small_model):
+    def test_matches_manual_three_step_composition(self, small_model, small_stream):
         rng = np.random.default_rng(17)
         x = rng.normal(size=8)
+        features = np.concatenate([test.features for _, test in small_stream.tasks])
+
+        def manual(task, sample, detector, scorer):
+            z = oc.forward_features(small_model, task, sample)
+            stats = small_model.stats[task]
+            logits = detector_logits(small_model.heads[task], z, oc.Detector(detector),
+                                     stats)
+            return score_combined(scorer, logits, z, stats)
+
         for detector in ("base", "react", "dice", "scale"):
             for scorer in ("sm", "smmd", "en", "enmd"):
-                z = oc.forward_features(small_model, 1, x)
-                logits = detector_logits(small_model.heads[1], z,
-                                         oc.Detector(detector),
-                                         small_model.stats[1])
-                expected = score_combined(scorer, logits, z, small_model.stats[1])
-                got = oc.head_score(small_model, 1, detector, scorer, x)
-                assert got == pytest.approx(expected, rel=1e-12), (detector, scorer)
+                table = oc.score_table(small_model, small_stream, detector, scorer)
+                for t in range(small_model.trained_tasks):
+                    got = oc.head_score(small_model, t, detector, scorer, x)
+                    assert got == pytest.approx(manual(t, x, detector, scorer),
+                                                rel=1e-12), (detector, scorer, t)
+                    expected = [manual(t, s, detector, scorer) for s in features]
+                    np.testing.assert_allclose(table.scores[:, t], expected, rtol=1e-10,
+                                               err_msg=f"{detector}/{scorer} head {t}")
 
     def test_deterministic(self, small_model):
         x = np.random.default_rng(2).normal(size=8)
@@ -212,6 +222,14 @@ class TestRunSweep:
                               ["base", "react", "dice"],
                               ["sm", "smmd", "en", "enmd"])
         assert len(report.rows) == 12
+
+        # two detectors of one kind are told apart by position, not by kind
+        pair = [oc.Detector("dice", 10), oc.Detector("dice", 95)]
+        both = oc.run_sweep(small_model, small_stream, pair, ["en"]).rows
+        alone = [oc.run_sweep(small_model, small_stream, [d], ["en"]).rows[0]
+                 for d in pair]
+        assert [vars(r) for r in both] == [vars(r) for r in alone]
+        assert vars(alone[0]) != vars(alone[1])
 
     def test_deterministic(self, small_model, small_stream):
         a = oc.run_sweep(small_model, small_stream, ["base"], ["enmd"]).rows[0]
