@@ -31,7 +31,7 @@ from .model import (
     new_model,
     train_stream,
 )
-from .pipeline import mixed_scores, run_sweep
+from .pipeline import _mixed_steps, run_sweep
 from .scorers import SCORER_KINDS, Scorer
 from .serialize import load_model, save_model
 
@@ -376,6 +376,8 @@ def _cmd_curve(settings: _Settings) -> int:
         raise ConfigError(
             f"steps must be comma-separated integers, got {steps_text!r}"
         ) from None
+    if not steps:
+        raise ConfigError(f"steps must name at least one step, got {steps_text!r}")
     for step in steps:
         if not 1 <= step <= model.trained_tasks:
             raise ConfigError(
@@ -386,8 +388,8 @@ def _cmd_curve(settings: _Settings) -> int:
     grid_step = settings["grid_step"]
 
     lines = ["step,rejection_rate,accuracy,retained"]
-    for step in steps:
-        scores, correct = mixed_scores(model, stream, step, detector, scorer)
+    for step, (scores, correct) in zip(steps, _mixed_steps(model, stream, steps,
+                                                            detector, scorer)):
         try:
             points = rejection_curve(scores, correct, grid_step)
         except ValueError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .detectors import percentile
+from .detectors import build_dice_mask, percentile
 from .errors import ModelError
 from .rng import substream
 
@@ -129,6 +129,56 @@ class TrainStats:
     covariance_inv: np.ndarray  # (hidden, hidden), of the ridge-regularized covariance
     mean_activations: np.ndarray  # (hidden,)
     react_threshold: float
+
+
+# Inference state derived from a head or its statistics is kept on that
+# object as a plain attribute, not a dataclass field, so that ==, repr,
+# dataclasses.replace and the model file never see it and it is freed
+# with the model.
+
+def _whitening(stats: TrainStats) -> tuple[np.ndarray, np.ndarray]:
+    """Factor F with F F^T = covariance_inv, and the class means times F.
+
+    F is the Cholesky factor of the symmetric part of ``covariance_inv``,
+    so (z - mu) covariance_inv (z - mu)^T = ||z F - mu F||^2. Built on
+    first use and kept while ``stats`` holds the same two arrays; nothing
+    in the package writes them in place.
+    """
+    cached = getattr(stats, "_whitened", None)
+    if (cached is not None and cached[0] is stats.covariance_inv
+            and cached[1] is stats.class_means):
+        return cached[2], cached[3]
+    inv = stats.covariance_inv
+    try:
+        factor = np.linalg.cholesky((inv + inv.T) / 2.0)
+    except np.linalg.LinAlgError:
+        raise ModelError("inverse covariance is not positive definite") from None
+    whitened_means = stats.class_means @ factor
+    stats._whitened = (inv, stats.class_means, factor, whitened_means)
+    return factor, whitened_means
+
+
+def _same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and equal bits (so -0.0 differs from 0.0 and NaN equals NaN)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _dice_weights(head: TaskHead, stats: TrainStats, p: float) -> np.ndarray:
+    """Head weights times the DICE keep-mask at percentile ``p``.
+
+    Built once per percentile and rebuilt once the head weights or mean
+    activations differ from those it was built from: ``back_update``
+    rewrites head weights in place, so identity would not notice.
+    """
+    cached = getattr(head, "_dice", None)
+    if (cached is None or not _same_values(cached[0], head.weights)
+            or not _same_values(cached[1], stats.mean_activations)):
+        cached = head._dice = (head.weights.copy(), stats.mean_activations.copy(), {})
+    by_percentile = cached[2]
+    if p not in by_percentile:
+        mask = build_dice_mask(head.weights.T, stats.mean_activations, p)
+        by_percentile[p] = head.weights * mask.T
+    return by_percentile[p]
 
 
 @dataclass
@@ -234,12 +284,15 @@ def forward_features(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
     return activations(model, task, x[None, :])[0]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
                    head_w, head_b, slope):
     """Mean cross-entropy of one batch and its analytic gradients.
 
     ``inputs`` are trunk outputs of shape (n, dim_trunk); the returned
-    dict holds raw gradients before any protective gating.
+    dict holds raw gradients before any protective gating. A diverging
+    batch gives a non-finite loss, which the training loop turns into a
+    ModelError, so numpy's floating-point warnings are silenced here.
     """
     n = len(inputs)
     pre = inputs @ adapter_w + adapter_b

@@ -22,7 +22,23 @@ coefficient (only when an md scorer is asked for), and each requested
 detector's rectified logits and each scorer's score. The functions below
 only pick the heads, samples and pairs they need from that pass.
 
-Everything here is read-only over the model; per-sample work items are
+The Mahalanobis distance is computed in whitened form. With F the
+Cholesky factor of the symmetric part of a head's covariance_inv,
+(z - mu) covariance_inv (z - mu)^T = ||z F - mu F||^2, so a head costs
+one (n, h) x (h, h) product plus a Euclidean distance per class. Two
+derived arrays are built on first use and then reused by every pass:
+
+- F and the whitened class means, kept on the head's ``TrainStats`` and
+  rebuilt when its ``covariance_inv`` or ``class_means`` is a different
+  array (``load_model`` builds them while checking the file);
+- per DICE percentile, the head weights times the DICE keep-mask, kept
+  on the ``TaskHead`` and rebuilt when the head weights or the mean
+  activations differ in value from those they were built from.
+
+Both live and die with the model (see ``model._whitening`` and
+``model._dice_weights``) and are no dataclass field, so equality,
+``dataclasses.replace`` and the model file never see them. Apart from
+them nothing here writes to the model; per-sample work items are
 independent and safe to parallelize.
 """
 
@@ -33,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .detectors import Detector, _nearest_rank_index, build_dice_mask
+from .detectors import Detector, _nearest_rank_index
 from .errors import ModelError
-from .model import ModelState, _saturated_masks, _shared_adapter
+from .model import ModelState, _dice_weights, _saturated_masks, _shared_adapter, _whitening
 from .scorers import Scorer
 
 __all__ = [
@@ -103,9 +119,7 @@ def _rectified_logits(model: ModelState, task: int, z: np.ndarray, raw: np.ndarr
     if kind == "scale":
         return (z * _scale_factors(z, detector.percentile)[:, None]) @ head.weights + head.bias
     if kind == "dice":
-        stats = model.stats[task]
-        mask = build_dice_mask(head.weights.T, stats.mean_activations, detector.percentile)
-        return z @ (head.weights * mask.T) + head.bias
+        return z @ _dice_weights(head, model.stats[task], detector.percentile) + head.bias
     raise ValueError(f"unknown detector {kind!r}")
 
 
@@ -129,11 +143,17 @@ def _strip_ood(head, logits: np.ndarray) -> np.ndarray:
 
 
 def _md_coefficient(z: np.ndarray, stats) -> np.ndarray:
-    """1 / (1 + d_min), d_min the squared Mahalanobis distance to the closest mean."""
+    """1 / (1 + d_min), d_min the squared Mahalanobis distance to the closest mean.
+
+    In whitened coordinates, d_min = min_c ||z F - mu_c F||^2: one product
+    with the head's factor F, then a Euclidean distance per class.
+    """
+    factor, whitened_means = _whitening(stats)
+    w = z @ factor
     quad = np.full(len(z), np.inf)
-    for mean in stats.class_means:
-        diff = z - mean
-        np.minimum(quad, ((diff @ stats.covariance_inv) * diff).sum(axis=1), out=quad)
+    for mean in whitened_means:
+        diff = w - mean
+        np.minimum(quad, np.einsum("ij,ij->i", diff, diff), out=quad)
     return 1.0 / (1.0 + quad)
 
 
@@ -307,11 +327,24 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     by the correctness of their closed-world class prediction at this
     step. Feeds the accuracy-rejection curve.
     """
+    return _mixed_steps(model, stream, [upto], detector, scorer)[0]
+
+
+def _mixed_steps(model: ModelState, stream, steps, detector, scorer):
+    """``mixed_scores`` at every step in ``steps``, from one pass at max(steps) heads.
+
+    Heads are scored independently, so the first k columns of that pass
+    are the scores of a k-head pass.
+    """
     _check_compatible(model, stream)
     features, labels, tasks = _stack_tests(stream)
-    classes, scores = _pair_forward(model, features, upto, detector, scorer)
-    predicted = classes[np.arange(len(labels)), scores.argmax(axis=1)]
-    return scores.max(axis=1), (predicted == labels) & (tasks < upto)
+    classes, scores = _pair_forward(model, features, max(steps), detector, scorer)
+    sample_index = np.arange(len(labels))
+    results = []
+    for k in steps:
+        predicted = classes[sample_index, scores[:, :k].argmax(axis=1)]
+        results.append((scores[:, :k].max(axis=1), (predicted == labels) & (tasks < k)))
+    return results
 
 
 def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalReport:

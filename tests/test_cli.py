@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,18 @@ class TestCurve:
         assert code == 1
         assert "step 9" in capsys.readouterr().err
 
+    def test_steps_together_equal_steps_alone(self, data_dir, model_path, tmp_path):
+        # one pass at the largest step serves every step, byte for byte
+        def curve(steps):
+            out = tmp_path / f"curve-{steps}.csv"
+            assert main(["curve", "--model", str(model_path), "--data", str(data_dir),
+                         "--steps", steps, "--detector", "dice", "--scorer", "enmd",
+                         "-o", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        alone = curve("2")[1:] + curve("1")[1:]
+        assert curve("2,1") == ["step,rejection_rate,accuracy,retained"] + alone
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, data_dir, tmp_path, capsys):
@@ -252,6 +268,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [
         ["curve", "--steps", "x"],
+        ["curve", "--steps", ","],
         ["curve", "--grid-step", "7"],
         ["eval", "--dice-percentile", "150"],
         ["eval", "--temperature", "0"],
@@ -284,6 +301,47 @@ class TestUsage:
         assert main(["eval", "--model", str(bad), "--data", str(data_dir),
                      "--detectors", "base", "--scorers", "en"]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record,edit", [
+        # one class per head instead of two: each row loses its last value
+        ("array head_weights_0", lambda rows: ["array head_weights_0 32 1"]
+         + [row.rsplit(" ", 1)[0] for row in rows[1:]]),
+        # a class mean row dropped
+        ("array stats_means_1", lambda rows: ["array stats_means_1 1 32"] + rows[1:2]),
+        # a negative variance on the diagonal: no Cholesky factor
+        ("array stats_covinv_0", lambda rows: [rows[0], "-1 " + rows[1].split(" ", 1)[1]]
+         + rows[2:]),
+    ])
+    def test_corrupt_model_is_a_runtime_error(self, record, edit, data_dir, model_path,
+                                              tmp_path, capsys):
+        lines = model_path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(record + " "))
+        n_rows = int(lines[at].split()[2])
+        lines[at:at + 1 + n_rows] = edit(lines[at:at + 1 + n_rows])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        name = record.split()[1]
+        with pytest.raises(oc.ModelIOError, match=name):
+            oc.load_model(str(bad))
+        assert main(["eval", "--model", str(bad), "--data", str(data_dir),
+                     "--detectors", "base", "--scorers", "en"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert "Traceback" not in err
+
+    def test_diverging_training_prints_one_error_line(self, data_dir, tmp_path):
+        # a subprocess, so numpy warnings reach stderr as they would for a user
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run(
+            [sys.executable, "-m", "opencil", "train", "--data", str(data_dir),
+             "--tasks", "2", "--epochs", "2", "--lr", "1e6", "--hidden", "16",
+             "-o", str(tmp_path / "m.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: non-finite loss")
+        assert result.stderr.count("\n") == 1
 
     def test_no_command(self, capsys):
         assert main([]) == 1

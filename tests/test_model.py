@@ -542,6 +542,19 @@ class TestSerialization:
         with pytest.raises(ModelIOError, match="header"):
             oc.load_model(str(path))
 
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"opencil-model 2\n\xff\xfe\x00\x81\n")
+        with pytest.raises(ModelIOError, match="UTF-8"):
+            oc.load_model(str(path))
+
+    @pytest.mark.parametrize("shape", ["2 2 2", "-1 2"])
+    def test_bad_array_shape(self, shape, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(f"opencil-model 2\narray x {shape}\n1 1\n1 1\nend\n")
+        with pytest.raises(ModelIOError, match="bad shape"):
+            oc.load_model(str(path))
+
     def test_projection_trunk_round_trip(self, tmp_path):
         hp = oc.Hyperparams(epochs=2, hidden_width=8, seed=3)
         model = oc.new_model(6, hp, trunk_dim=4)

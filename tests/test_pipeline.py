@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opencil as oc
 from conftest import manual_model, manual_stats
+from opencil.data import task_local
 from opencil.detectors import detector_logits
 from opencil.errors import ModelError
-from opencil.model import activations
+from opencil.model import TrainStats, activations
+from opencil.pipeline import _mixed_steps
 from opencil.scorers import score_combined
 
 
@@ -69,6 +74,122 @@ class TestHeadScore:
         a = oc.head_score(small_model, 0, "base", "enmd", x)
         b = oc.head_score(small_model, 0, "base", "enmd", x)
         assert a == b
+
+
+def random_md_model(seed, hidden, classes):
+    """Identity adapter, two fully open heads, random positive-definite covariances.
+
+    Eigenvalues lie in [0.1, 10]; each inverse covariance gets an
+    antisymmetric perturbation of relative size 1e-13, above the ~4e-14
+    that np.linalg.inv leaves.
+    """
+    rng = np.random.default_rng(seed)
+    heads, stats = [], []
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.normal(size=(hidden, hidden)))
+        covariance = (q * np.exp(rng.uniform(np.log(0.1), np.log(10.0), hidden))) @ q.T
+        inv = np.linalg.inv(covariance)
+        skew = rng.normal(size=(hidden, hidden))
+        inv = inv + 1e-13 * np.abs(inv).max() * (skew - skew.T)
+        means = rng.uniform(0.0, 3.0, (classes, hidden))
+        stats.append(dataclasses.replace(manual_stats(means), covariance_inv=inv))
+        heads.append((rng.normal(size=(hidden, classes)), rng.normal(size=classes), False))
+    model = manual_model(np.eye(hidden), np.zeros(hidden), [np.full(hidden, 10.0)] * 2,
+                         heads, stats=stats, classes_per_task=classes)
+    tasks = []
+    for t in range(2):
+        labels = np.arange(4 * classes) % classes + t * classes
+        features = np.abs(stats[t].class_means[labels % classes]
+                          + rng.normal(size=(len(labels), hidden)))
+        data = oc.Dataset(features, labels)
+        tasks.append((data, data))
+    return model, oc.TaskStream(tuple(tasks), classes)
+
+
+class TestWhitenedMahalanobis:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 5))
+    def test_score_table_matches_per_vector_reference(self, seed, hidden, classes):
+        model, stream = random_md_model(seed, hidden, classes)
+        features = np.concatenate([test.features for _, test in stream.tasks])
+        for detector in ("base", "dice"):
+            for scorer in ("smmd", "enmd"):
+                table = oc.score_table(model, stream, detector, scorer)
+                for t in range(2):
+                    stats = model.stats[t]
+                    expected = [
+                        score_combined(scorer, detector_logits(model.heads[t], z,
+                                                               oc.Detector(detector), stats),
+                                       z, stats)
+                        for z in features  # identity adapter, open gates: z = x
+                    ]
+                    np.testing.assert_allclose(table.scores[:, t], expected, rtol=1e-10,
+                                               err_msg=f"{detector}/{scorer} head {t}")
+
+    def test_inverse_covariance_without_cholesky_factor_rejected(self):
+        stats = manual_stats([[1.0, 0.0], [0.0, 1.0]])
+        bad = dataclasses.replace(stats, covariance_inv=np.diag([1.0, -1.0]))
+        model = manual_model(np.eye(2), np.zeros(2), [np.full(2, 10.0)],
+                             [(np.eye(2), np.zeros(2), False)], stats=[bad],
+                             classes_per_task=2)
+        with pytest.raises(ModelError, match="positive definite"):
+            oc.predict(model, "base", "enmd", np.array([1.0, 0.0]))
+        assert oc.predict(model, "base", "en", np.array([1.0, 0.0])).predicted_task == 0
+
+
+def predictions(model, features, pairs=(("dice", "enmd"), ("dice", "sm"), ("base", "smmd"))):
+    return [oc.predict(model, d, s, x) for d, s in pairs for x in features]
+
+
+class TestDerivedStateStaysCurrent:
+    def _assert_matches_fresh_load(self, model, features, tmp_path):
+        path = tmp_path / "model.txt"
+        oc.save_model(model, str(path))
+        assert predictions(model, features) == predictions(oc.load_model(str(path)), features)
+
+    def test_head_weights_edited_in_place(self, small_model, small_stream, tmp_path):
+        model = oc.load_model(_saved(small_model, tmp_path))
+        features = small_stream.tasks[1][1].features[:6]
+        before = predictions(model, features)
+        model.heads[0].weights *= -1.0
+        model.heads[1].weights[:, 0] += 0.5
+        after = predictions(model, features)
+        assert after != before
+        self._assert_matches_fresh_load(model, features, tmp_path)
+
+    def test_statistics_replaced(self, small_model, small_stream, tmp_path):
+        model = oc.load_model(_saved(small_model, tmp_path))
+        features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
+        before = predictions(model, features)
+        stats = model.stats[0]
+        model.stats[0] = dataclasses.replace(
+            stats, covariance_inv=4.0 * stats.covariance_inv,
+            class_means=stats.class_means[::-1].copy(),
+            mean_activations=stats.mean_activations[::-1].copy())
+        stats = model.stats[1]  # new arrays on the same object
+        stats.covariance_inv = 0.25 * stats.covariance_inv
+        stats.class_means = stats.class_means[::-1].copy()
+        assert predictions(model, features) != before
+        self._assert_matches_fresh_load(model, features, tmp_path)
+
+    def test_back_update(self, small_stream, small_hp, tmp_path):
+        model = oc.new_model(8, small_hp)
+        buffer = oc.Buffer.empty(100, 8)
+        for t in range(2):
+            oc.train_task_replay(model, task_local(small_stream.tasks[t][0], t, 2), buffer,
+                                 small_hp)
+            buffer = oc.buffer_update(buffer, small_stream.tasks[t][0], t, small_hp.seed)
+        features = np.concatenate([test.features[:4] for _, test in small_stream.tasks])
+        before = predictions(model, features)
+        oc.back_update(model, buffer, small_hp)
+        assert predictions(model, features) != before
+        self._assert_matches_fresh_load(model, features, tmp_path)
+
+
+def _saved(model, tmp_path):
+    path = tmp_path / "source.txt"
+    oc.save_model(model, str(path))
+    return str(path)
 
 
 class TestPredictTask:
@@ -256,8 +377,22 @@ class TestRunSweep:
         oc.run_sweep(small_model, small_stream,
                      ["base", "react", "dice", "scale"],
                      ["sm", "smmd", "en", "enmd"])
+        x = small_stream.tasks[0][1].features[0]
+        for detector in ("base", "react", "dice", "scale"):
+            oc.predict(small_model, detector, "enmd", x)
+            oc.mixed_scores(small_model, small_stream, 2, detector, "smmd")
         oc.save_model(small_model, str(after))
         assert before.read_bytes() == after.read_bytes()
+
+        # the inference state derived above is in no field, so == and replace miss it
+        for obj in [small_model, *small_model.heads, *small_model.stats]:
+            names = [f.name for f in dataclasses.fields(obj)]
+            twin = type(obj)(**{n: getattr(obj, n) for n in names if not n.startswith("_")})
+            assert all(getattr(obj, n) is getattr(twin, n) for n in names)
+            assert obj == twin and twin == obj
+            copy = dataclasses.replace(obj)
+            assert copy == obj
+            assert set(vars(copy)) == set(names)
 
     def test_partially_trained_model_rejected(self, small_model, small_stream):
         half = oc.TaskStream(small_stream.tasks[:1], small_stream.classes_per_task)
@@ -272,6 +407,16 @@ class TestMixedScores:
         n0 = len(small_stream.tasks[0][1])
         assert not correct[n0:].any()
         assert len(scores) == n0 + len(small_stream.tasks[1][1])
+
+    def test_steps_from_one_pass_equal_separate_passes(self, small_model, small_stream):
+        for detector, scorer in (("dice", "enmd"), ("scale", "sm"), ("base", "smmd")):
+            together = _mixed_steps(small_model, small_stream, [2, 1, 2], detector, scorer)
+            for k, (scores, correct) in zip([2, 1, 2], together):
+                alone = oc.mixed_scores(small_model, small_stream, k, detector, scorer)
+                assert np.array_equal(scores, alone[0])
+                assert np.array_equal(correct, alone[1])
+        with pytest.raises(ModelError, match="head count 3"):
+            _mixed_steps(small_model, small_stream, [1, 3], "base", "en")
 
     def test_rejection_curve_composes(self, small_model, small_stream):
         scores, correct = oc.mixed_scores(small_model, small_stream, 1,
