@@ -370,7 +370,7 @@ def _cmd_curve(settings: _Settings) -> int:
     stream = _load_stream(settings, model.trained_tasks)
     steps_text = settings.get("steps")
     try:
-        steps = ([int(s) for s in _split_list(steps_text)] if steps_text
+        steps = ([int(s) for s in _split_list(steps_text)] if steps_text is not None
                  else list(range(1, model.trained_tasks + 1)))
     except ValueError:
         raise ConfigError(

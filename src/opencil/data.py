@@ -117,6 +117,7 @@ def load_csv(path: str) -> Dataset:
 
     features = []
     labels = []
+    rownums = []
     for rownum, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -138,9 +139,14 @@ def load_csv(path: str) -> Dataset:
             raise DataError(f"non-numeric field at row {rownum}") from None
         labels.append(label)
         features.append(row)
+        rownums.append(rownum)
     if not features:
         raise DataError(f"no data rows in {path}")
-    return _require_dense_classes(Dataset(np.asarray(features), np.asarray(labels)))
+    features = np.asarray(features)
+    non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if non_finite.size:
+        raise DataError(f"non-finite field at row {rownums[non_finite[0]]}")
+    return _require_dense_classes(Dataset(features, np.asarray(labels)))
 
 
 def save_csv(dataset: Dataset, path: str) -> None:

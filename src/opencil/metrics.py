@@ -12,6 +12,8 @@ P(ind > ood) + 0.5 P(ind = ood), and the area under the precision-recall
 curve by step-wise summation over descending score thresholds with the
 in-distribution class positive. The recall-0 endpoint uses the precision
 of the highest-scored point; there is no interpolation to precision 1.
+Both areas and the rejection curve raise ``ValueError`` on empty or
+non-finite scores rather than rank a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def auc(ind_scores, ood_scores) -> float:
     ood = np.asarray(ood_scores, dtype=np.float64).ravel()
     if ind.size == 0 or ood.size == 0:
         raise ValueError("auc needs non-empty score lists")
+    if not (np.isfinite(ind).all() and np.isfinite(ood).all()):
+        raise ValueError("auc needs finite scores")
     ranks = _average_ranks(np.concatenate([ind, ood]))
     u = ranks[: ind.size].sum() - ind.size * (ind.size + 1) / 2.0
     return float(u / (ind.size * ood.size))
@@ -96,6 +100,8 @@ def aupr(ind_scores, ood_scores) -> float:
     ood = np.asarray(ood_scores, dtype=np.float64).ravel()
     if ind.size == 0 or ood.size == 0:
         raise ValueError("aupr needs non-empty score lists")
+    if not (np.isfinite(ind).all() and np.isfinite(ood).all()):
+        raise ValueError("aupr needs finite scores")
     scores = np.concatenate([ind, ood])
     positive = np.concatenate([np.ones(ind.size), np.zeros(ood.size)])
 
@@ -136,6 +142,8 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     correct = np.asarray(correctness_flags, dtype=bool).ravel()
     if scores.size == 0 or scores.size != correct.size:
         raise ValueError("scores and correctness flags must be non-empty and aligned")
+    if not np.isfinite(scores).all():
+        raise ValueError("rejection_curve needs finite scores")
     if not 0 < grid_step <= 100:
         raise ValueError(f"grid_step must lie in (0, 100], got {grid_step}")
     n_points = 100.0 / grid_step

@@ -64,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Knobs of the SGD training loop; all values must be positive."""
+    """Knobs of the SGD training loop; all values must be positive and finite."""
 
     epochs: int = 20
     learning_rate: float = 0.005
@@ -77,8 +77,9 @@ class Hyperparams:
     def __post_init__(self) -> None:
         for name in ("epochs", "learning_rate", "batch_size", "hidden_width",
                      "slope_max", "covariance_ridge"):
-            if not getattr(self, name) > 0:
-                raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ModelError(f"seed must be non-negative, got {self.seed}")
 
@@ -351,7 +352,8 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     head_w = init_rng.normal(0.0, HEAD_INIT_STD, (model.hidden_width, n_logits))
     head_b = np.zeros(n_logits)
 
-    prev_masks = _saturated_masks(model)
+    # 1 - max of the earlier tasks' masks, the same for every batch of this task
+    gate = hat_gradient_gate(np.ones(model.hidden_width), _saturated_masks(model))
     batch_rng = substream(hp.seed, f"batch:task{task}")
     adapter = model.adapters
     n = len(inputs)
@@ -372,8 +374,8 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
                     f"non-finite loss at task {task}, epoch {epoch}, batch {b + 1}"
                 )
             loss_sum += loss * len(idx)
-            adapter.weights -= lr * hat_gradient_gate(grads["adapter_weights"], prev_masks)
-            adapter.bias -= lr * hat_gradient_gate(grads["adapter_bias"], prev_masks)
+            adapter.weights -= lr * (grads["adapter_weights"] * gate)
+            adapter.bias -= lr * (grads["adapter_bias"] * gate)
             compensation = _embedding_compensation(embedding, slope, hp.slope_max)
             embedding -= lr * grads["embedding"] * compensation
             np.clip(embedding, -EMBEDDING_CLAMP, EMBEDDING_CLAMP, out=embedding)

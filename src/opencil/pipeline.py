@@ -184,20 +184,25 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
     """
     if not 1 <= upto <= model.trained_tasks:
         raise ModelError(f"head count {upto} outside 1..{model.trained_tasks}")
-    relu = _shared_adapter(model, x)
-    classes = np.empty((len(relu), upto), dtype=np.int64)
-    scores = np.empty((len(detectors), len(scorers), len(relu), upto))
     needs_md = any(s.kind in ("smmd", "enmd") for s in scorers)
-    for t, mask in enumerate(_saturated_masks(model, upto)):
-        head = model.heads[t]
-        z = relu * mask
-        raw = z @ head.weights + head.bias
-        classes[:, t] = _strip_ood(head, raw).argmax(axis=1) + t * model.classes_per_task
-        coefficient = _md_coefficient(z, model.stats[t]) if needs_md else None
-        for i, detector in enumerate(detectors):
-            logits = _strip_ood(head, _rectified_logits(model, t, z, raw, detector))
-            for j, scorer in enumerate(scorers):
-                scores[i, j, :, t] = _score(logits, scorer, coefficient)
+    # an overflow shows as a non-finite score, which is reported below
+    with np.errstate(all="ignore"):
+        relu = _shared_adapter(model, x)
+        classes = np.empty((len(relu), upto), dtype=np.int64)
+        scores = np.empty((len(detectors), len(scorers), len(relu), upto))
+        for t, mask in enumerate(_saturated_masks(model, upto)):
+            head = model.heads[t]
+            z = relu * mask
+            raw = z @ head.weights + head.bias
+            classes[:, t] = _strip_ood(head, raw).argmax(axis=1) + t * model.classes_per_task
+            coefficient = _md_coefficient(z, model.stats[t]) if needs_md else None
+            for i, detector in enumerate(detectors):
+                logits = _strip_ood(head, _rectified_logits(model, t, z, raw, detector))
+                for j, scorer in enumerate(scorers):
+                    scores[i, j, :, t] = _score(logits, scorer, coefficient)
+    bad = int((~np.isfinite(scores).all(axis=(0, 1, 3))).sum())
+    if bad:
+        raise ModelError(f"non-finite scores for {bad} of {len(relu)} samples")
     return classes, scores
 
 

@@ -40,8 +40,8 @@ class Scorer:
             raise ValueError(
                 f"unknown scorer {self.kind!r}; expected one of {SCORER_KINDS}"
             )
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 def score_sm(logits) -> float:

@@ -2,19 +2,24 @@
 
 The file is line-oriented and self-describing: a versioned header, then
 ``meta <name> <value>`` records and ``array <name> <shape...>`` records
-whose rows follow in row-major order, closed by an ``end`` sentinel.
-Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so save -> load -> save reproduces the file byte for
-byte. Version 2 dropped the covariance and ridge records of version 1,
-which inference never read; version 1 files still load, and their extra
-records are ignored. A non-finite value in any record, an array whose
-shape does not fit the model's sizes, and an inverse covariance without a
-Cholesky factor fail the load. Both directions stream the file line by
-line, so neither holds its whole text in memory.
+whose rows follow in row-major order, one line per row, closed by an
+``end`` sentinel. Version 3 writes each row as one line of standard
+padded base64 holding the row's IEEE-754 float64 values in little-endian
+order; meta values are decimal text with 17 significant digits. Both
+round-trip doubles exactly, so save -> load -> save reproduces the file
+byte for byte. Versions 1 and 2 wrote rows as decimal text; they still
+load, and only the row decoder depends on the version. Version 2 dropped
+the covariance and ridge records of version 1, which inference never
+read; a version 1 file's extra records are ignored. A row that does not
+decode to exactly the array's width, a non-finite value in any record,
+an array whose shape does not fit the model's sizes, and an inverse
+covariance without a Cholesky factor fail the load. Both directions
+stream the file line by line, so neither holds its whole text in memory.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -23,13 +28,9 @@ from .errors import ModelError, ModelIOError
 from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _whitening
 
 FORMAT_NAME = "opencil-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 __all__ = ["save_model", "load_model"]
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 class _Writer:
@@ -43,16 +44,16 @@ class _Writer:
         self.fh.write(text + "\n")
 
     def meta(self, name: str, value) -> None:
-        text = _fmt(value) if isinstance(value, float) else str(int(value))
+        text = f"{value:.17g}" if isinstance(value, float) else str(int(value))
         self.line(f"meta {name} {text}")
 
     def array(self, name: str, arr: np.ndarray) -> None:
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype="<f8")
         shape = " ".join(str(s) for s in arr.shape)
         self.line(f"array {name} {shape}")
         rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
         for row in rows:
-            self.line(" ".join(map(_fmt, row.tolist())))
+            self.line(base64.b64encode(row.tobytes()).decode("ascii"))
 
 
 def save_model(model: ModelState, path: str) -> None:
@@ -84,6 +85,31 @@ def save_model(model: ModelState, path: str) -> None:
         w.line("end")
 
 
+def _decimal_row(line: str, row: np.ndarray) -> None:
+    """Fill ``row`` from a version 1 or 2 row: decimal values split by spaces."""
+    parts = line.split()
+    if len(parts) != len(row):
+        raise ValueError(f"has {len(parts)} values, expected {len(row)}")
+    try:
+        row[:] = np.array(parts, dtype=np.float64)
+    except ValueError:
+        raise ValueError("holds a non-numeric value") from None
+
+
+def _base64_row(line: str, row: np.ndarray) -> None:
+    """Fill ``row`` from a version 3 row: base64 of little-endian float64 values."""
+    try:
+        raw = base64.b64decode(line.rstrip("\n"), validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError("is not base64") from None
+    if len(raw) != row.nbytes:
+        raise ValueError(f"holds {len(raw)} bytes, expected {row.nbytes}")
+    row[:] = np.frombuffer(raw, dtype="<f8")
+
+
+_ROW_DECODERS = {"1": _decimal_row, "2": _decimal_row, str(FORMAT_VERSION): _base64_row}
+
+
 class _Reader:
     """Reads the records of an open model file line by line."""
 
@@ -92,6 +118,7 @@ class _Reader:
         self.path = path
         self.metas: dict[str, str] = {}
         self.arrays: dict[str, np.ndarray] = {}
+        self.decode_row = None  # set from the header's version
 
     def fail(self, why: str):
         raise ModelIOError(f"{self.path}: {why}")
@@ -108,11 +135,12 @@ class _Reader:
         header = self.next_line().split()
         if len(header) != 2 or header[0] != FORMAT_NAME:
             self.fail("not a model file (bad header)")
-        if header[1] not in ("1", str(FORMAT_VERSION)):
+        if header[1] not in _ROW_DECODERS:
             self.fail(
                 f"unsupported model file version {header[1]} "
                 f"(this build reads versions 1 to {FORMAT_VERSION})"
             )
+        self.decode_row = _ROW_DECODERS[header[1]]
         while True:
             fields = self.next_line().split()
             if not fields:
@@ -139,14 +167,16 @@ class _Reader:
         if len(shape) > 2 or min(shape) < 0:
             self.fail(f"bad shape in array record {name!r}")
         rows = np.empty((1, shape[0]) if len(shape) == 1 else shape)
-        for row in rows:
-            parts = self.next_line().split()
-            if len(parts) != len(row):
-                self.fail(f"array {name!r} row has {len(parts)} values, expected {len(row)}")
+        for i, row in enumerate(rows):
+            line = self.next_line()
             try:
-                row[:] = np.array(parts, dtype=np.float64)
-            except ValueError:
-                self.fail(f"non-numeric value in array {name!r}")
+                self.decode_row(line, row)
+            except ValueError as exc:
+                if line.split(maxsplit=1)[:1] in (["end"], ["meta"], ["array"]):
+                    self.fail(f"array {name!r} has {i} rows, expected {len(rows)}")
+                if not line.endswith("\n"):  # the file's last line, so 'end' is missing
+                    self.fail(f"truncated model file (array {name!r} row {i + 1} cut short)")
+                self.fail(f"array {name!r} row {i + 1} {exc}")
         if not np.isfinite(rows).all():
             self.fail(f"non-finite value in array {name!r}")
         self.arrays[name] = rows.reshape(shape)

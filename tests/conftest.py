@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,13 @@ def manual_stats(class_means, covariance=None, mean_activations=None,
         mean_activations=np.asarray(mean_activations, dtype=np.float64),
         react_threshold=react_threshold,
     )
+
+
+def decode_row(line):
+    """Values of one version 3 model-file row: base64 of little-endian doubles."""
+    return np.frombuffer(base64.b64decode(line, validate=True), dtype="<f8").copy()
+
+
+def encode_row(values):
+    """One version 3 model-file row holding ``values``."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")

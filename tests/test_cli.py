@@ -1,14 +1,73 @@
+import contextlib
 import hashlib
+import io
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opencil as oc
+from conftest import decode_row, encode_row
 from opencil.cli import _DEFAULTS, main
+
+
+SIGNALLING_NAN = np.array([0x7FF0000000000001], dtype="<u8").view("<f8")
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _not_a_valid_step(text):  # the test model has two steps
+    try:
+        return not 1 <= int(text.strip()) <= 2
+    except ValueError:
+        return True
+
+
+_TEXT = st.text(max_size=8).filter(_not_a_number)
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "-1e400"])
+_NEGATIVE_OR_ZERO = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+_ABOVE_100 = st.floats(min_value=100.0, exclude_min=True, allow_infinity=False)
+
+
+def _bad_floats(*out_of_range):
+    return st.one_of(_TEXT, _NON_FINITE, *(s.map(repr) for s in out_of_range))
+
+
+def _bad_ints(out_of_range):
+    return st.one_of(_TEXT, st.sampled_from(["1.5", "1e3", "nan"]), out_of_range.map(str))
+
+
+# command, flag and malformed values; the data has 4 classes and the model 2 tasks
+_MALFORMED = {
+    "--steps": ("curve", st.one_of(
+        st.lists(st.text(max_size=6).filter(lambda s: "," not in s and _not_a_valid_step(s)),
+                 min_size=1, max_size=3).map(",".join),
+        st.integers().filter(lambda k: not 1 <= k <= 2).map(str))),
+    "--grid-step": ("curve", _bad_floats(
+        _NEGATIVE_OR_ZERO, _ABOVE_100,
+        st.floats(0.01, 100.0).filter(lambda g: abs(100 / g - round(100 / g)) > 1e-6))),
+    "--dice-percentile": ("eval", _bad_floats(st.floats(max_value=0.0, exclude_max=True,
+                                                        allow_infinity=False), _ABOVE_100)),
+    "--react-percentile": ("train", _bad_floats(st.floats(max_value=0.0, exclude_max=True,
+                                                          allow_infinity=False), _ABOVE_100)),
+    "--temperature": ("eval", _bad_floats(_NEGATIVE_OR_ZERO)),
+    "--tasks": ("train", _bad_ints(st.integers().filter(lambda k: k not in (1, 2, 4)))),
+    "--epochs": ("train", _bad_ints(st.integers(max_value=0))),
+    "--lr": ("train", _bad_floats(_NEGATIVE_OR_ZERO)),
+    "--hidden": ("train", _bad_ints(st.integers(max_value=0))),
+}
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +333,8 @@ class TestUsage:
         ["eval", "--temperature", "0"],
         ["eval", "--react-percentile", "10"],  # ReAct uses the train-time threshold
         ["train", "--react-percentile", "150"],
+        ["curve", "--steps", ""],
+        ["eval", "--temperature", "inf"],
     ])
     def test_bad_flag_value_is_a_usage_error(self, argv, data_dir, model_path, tmp_path,
                                              capsys):
@@ -293,7 +354,12 @@ class TestUsage:
                                                         capsys):
         lines = model_path.read_text().splitlines()
         at = offset + next(i for i, line in enumerate(lines) if line.startswith(record))
-        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + value
+        if record.startswith("array"):
+            row = decode_row(lines[at])
+            row[-1] = float(value)
+            lines[at] = encode_row(row)
+        else:
+            lines[at] = lines[at].rsplit(" ", 1)[0] + " " + value
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(oc.ModelIOError, match="non-finite"):
@@ -305,12 +371,26 @@ class TestUsage:
     @pytest.mark.parametrize("record,edit", [
         # one class per head instead of two: each row loses its last value
         ("array head_weights_0", lambda rows: ["array head_weights_0 32 1"]
-         + [row.rsplit(" ", 1)[0] for row in rows[1:]]),
+         + [encode_row(decode_row(row)[:-1]) for row in rows[1:]]),
         # a class mean row dropped
         ("array stats_means_1", lambda rows: ["array stats_means_1 1 32"] + rows[1:2]),
         # a negative variance on the diagonal: no Cholesky factor
-        ("array stats_covinv_0", lambda rows: [rows[0], "-1 " + rows[1].split(" ", 1)[1]]
-         + rows[2:]),
+        ("array stats_covinv_0", lambda rows: [rows[0], encode_row(
+            np.concatenate([[-1.0], decode_row(rows[1])[1:]]))] + rows[2:]),
+        # a character outside the base64 alphabet
+        ("array head_bias_1", lambda rows: [rows[0], rows[1][:5] + "!" + rows[1][6:]]),
+        # a row cut short by whole base64 groups
+        ("array stats_means_0", lambda rows: [rows[0], rows[1][:-4]] + rows[2:]),
+        # a row of one value where 32 belong, which numpy would broadcast
+        ("array stats_meanact_0", lambda rows: [rows[0], encode_row(decode_row(rows[1])[:1])]),
+        # a row 8 bytes too long
+        ("array adapter_bias", lambda rows: [rows[0],
+                                             encode_row(np.append(decode_row(rows[1]), 0.0))]),
+        # a NaN bit pattern
+        ("array embedding_1", lambda rows: [rows[0], encode_row(
+            np.concatenate([SIGNALLING_NAN, decode_row(rows[1])[1:]]))]),
+        # an array record with no rows before the end sentinel
+        ("array stats_meanact_1", lambda rows: [rows[0], "end"]),
     ])
     def test_corrupt_model_is_a_runtime_error(self, record, edit, data_dir, model_path,
                                               tmp_path, capsys):
@@ -328,6 +408,56 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(sorted(_MALFORMED)).flatmap(
+        lambda flag: st.tuples(st.just(flag), _MALFORMED[flag][1])))
+    def test_malformed_flag_value_gives_one_error_line(self, case, data_dir, model_path):
+        flag, value = case
+        command = _MALFORMED[flag][0]
+        never = model_path.parent / "never-written"
+        rest = {"train": ["--data", str(data_dir), "--tasks", "2", "--epochs", "1",
+                          "--hidden", "4", "-o", str(never)],
+                "eval": ["--model", str(model_path), "--data", str(data_dir),
+                         "-o", str(never)],
+                "curve": ["--model", str(model_path), "--data", str(data_dir),
+                          "-o", str(never)]}[command]
+        if flag in rest:
+            at = rest.index(flag)
+            del rest[at:at + 2]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, flag, value] + rest)
+        assert code in (1, 2)
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert not never.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--detectors", "base", "--scorers", "enmd"],
+        ["curve", "--detector", "base", "--scorer", "enmd"],
+    ])
+    def test_non_finite_scores_are_a_runtime_error(self, argv, data_dir, model_path,
+                                                   tmp_path, capsys):
+        # 1e300 is a finite feature, but its Mahalanobis distance overflows
+        shutil.copy(data_dir / "train.csv", tmp_path / "train.csv")
+        lines = (data_dir / "test.csv").read_text().splitlines()
+        for i in range(1, 6):
+            width = lines[i].count(",")
+            lines[i] = lines[i].split(",")[0] + ",1e300" * width
+        (tmp_path / "test.csv").write_text("\n".join(lines) + "\n")
+        assert main(argv + ["--model", str(model_path), "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite scores for 5 of \d+ samples\n", err)
+
+    def test_non_finite_feature_is_a_runtime_error(self, data_dir, model_path, tmp_path,
+                                                   capsys):
+        shutil.copy(data_dir / "train.csv", tmp_path / "train.csv")
+        lines = (data_dir / "test.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "test.csv").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--model", str(model_path), "--data", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: non-finite field at row 4\n"
 
     def test_diverging_training_prints_one_error_line(self, data_dir, tmp_path):
         # a subprocess, so numpy warnings reach stderr as they would for a user

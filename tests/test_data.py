@@ -46,6 +46,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-numeric field at row 3"):
             oc.load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_field(self, value, tmp_path):
+        path = write(tmp_path / "d.csv", f"label,f0,f1\n0,1.0,2.0\n\n1,2.0,{value}\n")
+        with pytest.raises(DataError, match="non-finite field at row 4"):
+            oc.load_csv(path)
+
     def test_non_numeric_label(self, tmp_path):
         path = write(tmp_path / "d.csv", "label,f0\nx,1.0\n0,2.0\n")
         with pytest.raises(DataError, match="non-numeric label at row 2"):

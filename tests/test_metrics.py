@@ -111,6 +111,14 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([], [1.0])
 
+    @pytest.mark.parametrize("metric", [auc, aupr])
+    @pytest.mark.parametrize("ind,ood", [([np.nan, 1.0], [0.5]), ([1.0], [-np.inf]),
+                                         ([np.inf, 2.0], [0.5, 0.1])])
+    def test_non_finite_rejected(self, metric, ind, ood):
+        # auc([nan, 1.0], [0.5]) used to read 1.0 and aupr 0.833
+        with pytest.raises(ValueError, match="finite"):
+            metric(ind, ood)
+
 
 class TestAupr:
     def test_perfect_separation(self):
@@ -139,6 +147,11 @@ class TestAupr:
 
 
 class TestRejectionCurve:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rejection_curve([1.0, bad, 0.5], [True, False, True])
+
     def test_one_to_four_mixture_endpoint(self):
         # 20 correct in-distribution samples among 100, scores favor them
         scores = np.concatenate([np.full(20, 2.0), np.full(80, 1.0)])

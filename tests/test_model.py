@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opencil as oc
+from conftest import decode_row, encode_row, manual_model, manual_stats
 from opencil.data import task_local
 from opencil.errors import ModelError, ModelIOError
 from opencil.model import activations, loss_and_grads
@@ -48,6 +49,20 @@ meta stats_react_0 1.5
 meta stats_ridge_0 0.0001
 end
 """
+V2_MODEL = (V1_MODEL.replace("opencil-model 1", "opencil-model 2")
+            .replace("array stats_cov_0 2 2\n2 0\n0 4\n", "")
+            .replace("meta stats_ridge_0 0.0001\n", ""))
+
+
+def version_three_text(decimal_text):
+    """A decimal-row model file as version 3 writes it: each row re-encoded."""
+    lines = []
+    for line in decimal_text.splitlines():
+        if line.split()[0] in ("opencil-model", "meta", "array", "end"):
+            lines.append(line)
+        else:
+            lines.append(encode_row([float(v) for v in line.split()]))
+    return "\n".join(lines).replace("opencil-model 2", "opencil-model 3") + "\n"
 
 
 def two_class_task(dim=8, per_class=40, separation=8.0, seed=21):
@@ -473,6 +488,18 @@ class TestBackUpdate:
         after = ind_accuracy()
         assert after >= before - 0.05
 
+    def test_runs_on_a_loaded_model(self, small_stream, small_hp, tmp_path):
+        # back_update writes head weights in place, so loaded arrays must be writable
+        model, buffer = self._trained_replay(small_stream, small_hp)
+        path = tmp_path / "model.txt"
+        oc.save_model(model, str(path))
+        loaded = oc.load_model(str(path))
+        oc.back_update(model, buffer, small_hp)
+        oc.back_update(loaded, buffer, small_hp)
+        for ours, theirs in zip(model.heads, loaded.heads):
+            assert np.array_equal(ours.weights, theirs.weights)
+            assert np.array_equal(ours.bias, theirs.bias)
+
     def test_empty_buffer_rejected(self, small_stream, small_hp):
         model, _ = self._trained_replay(small_stream, small_hp)
         with pytest.raises(ModelError, match="non-empty buffer"):
@@ -524,11 +551,35 @@ class TestSerialization:
         assert np.array_equal(model.stats[0].covariance_inv, [[0.5, 0.0], [0.0, 0.25]])
         assert model.stats[0].react_threshold == 1.5
         assert oc.predict(model, "react", "enmd", np.array([1.0, 0.0])).predicted_class == 0
-        # re-saving writes version 2: the covariance and ridge records are gone
+        # re-saving writes version 3: the covariance and ridge records are gone
         oc.save_model(model, str(path))
-        v2 = V1_MODEL.replace("opencil-model 1", "opencil-model 2")
-        v2 = v2.replace("array stats_cov_0 2 2\n2 0\n0 4\n", "")
-        assert path.read_text() == v2.replace("meta stats_ridge_0 0.0001\n", "")
+        assert path.read_text() == version_three_text(V2_MODEL)
+
+    def test_version_two_file_loads(self, tmp_path):
+        path = tmp_path / "v2.txt"
+        path.write_text(V2_MODEL)
+        model = oc.load_model(str(path))
+        assert np.array_equal(model.heads[0].weights, [[1.5, -1.0], [0.5, 2.0]])
+        oc.save_model(model, str(path))
+        assert path.read_text() == version_three_text(V2_MODEL)
+
+    def test_rows_are_exact_little_endian_doubles(self, tmp_path):
+        # values with long 17-digit decimal forms, plus -0.0 and a subnormal
+        head = np.array([[0.1, -0.0], [1 / 3, 5e-324]])
+        model = manual_model(np.eye(2), [0.0, 0.0], [[6.0, -6.0]],
+                             [(head, [0.0, 0.0], False)],
+                             stats=[manual_stats([[1.0, 0.0], [0.0, 2.0]])],
+                             classes_per_task=2)
+        path = tmp_path / "model.txt"
+        oc.save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        at = lines.index("array head_weights_0 2 2")
+        assert [decode_row(row).tobytes() for row in lines[at + 1:at + 3]] == \
+            [row.astype("<f8").tobytes() for row in head]
+        loaded = oc.load_model(str(path)).heads[0].weights
+        assert loaded.tobytes() == head.tobytes()
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert loaded.flags.writeable
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
