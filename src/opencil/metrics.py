@@ -24,6 +24,8 @@ import numpy as np
 
 from .detectors import percentile
 
+MAX_CURVE_POINTS = 10_000
+
 __all__ = [
     "lca",
     "aia",
@@ -136,7 +138,8 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     above it are retained, so the retained sets are nested as rho grows
     and rho = 0 keeps everything. Unclassifiable (out-of-distribution)
     samples must carry a False correctness flag. Grid points whose
-    retained set is empty are omitted.
+    retained set is empty are omitted. A grid of more than
+    ``MAX_CURVE_POINTS`` points is refused before any point is computed.
     """
     scores = np.asarray(system_scores, dtype=np.float64).ravel()
     correct = np.asarray(correctness_flags, dtype=bool).ravel()
@@ -147,6 +150,8 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     if not 0 < grid_step <= 100:
         raise ValueError(f"grid_step must lie in (0, 100], got {grid_step}")
     n_points = 100.0 / grid_step
+    if n_points > MAX_CURVE_POINTS:
+        raise ValueError(f"grid_step {grid_step} gives more than {MAX_CURVE_POINTS} points")
     if abs(n_points - round(n_points)) > 1e-9:
         raise ValueError(f"grid_step {grid_step} does not divide 100")
 

@@ -15,31 +15,43 @@ every test sample and splits them into seen (tasks 1..k) and unseen
 (later tasks) populations. The system-level score of a sample is the
 maximum per-head score, the value realized at the task-id argmax.
 
-Every entry point reads one pass, ``_forward``: the shared ReLU adapter
-runs once per call, and each head then gates it with its saturated mask
-and computes its raw logits and class prediction, its Mahalanobis
-coefficient (only when an md scorer is asked for), and each requested
-detector's rectified logits and each scorer's score. The functions below
-only pick the heads, samples and pairs they need from that pass.
+Every entry point reads one pass, ``_forward``, over the model's
+inference plan (``_Plan``). The plan folds each head's saturated mask m_t
+into the arrays that read the gated activations z_t = relu * m_t:
 
-The Mahalanobis distance is computed in whitened form. With F the
-Cholesky factor of the symmetric part of a head's covariance_inv,
-(z - mu) covariance_inv (z - mu)^T = ||z F - mu F||^2, so a head costs
-one (n, h) x (h, h) product plus a Euclidean distance per class. Two
-derived arrays are built on first use and then reused by every pass:
+- the class columns of every head as diag(m_t) W_t, side by side in one
+  (h, T*C) array, so one product gives the raw logits of every head;
+- per DICE percentile, diag(m_t) (W_t * keep-mask_t), stacked the same way;
+- for the md scorers, diag(m_t) F_t side by side as (h, T*h), F_t the
+  Cholesky factor of the symmetric part of covariance_inv_t, and the
+  whitened class means mu_c F_t. Since (z - mu) covariance_inv (z - mu)^T
+  = ||z F - mu F||^2, d_min = min_c ||w||^2 - 2 w.mu_c F + ||mu_c F||^2
+  for w = relu (diag(m_t) F_t), with no loop over classes. This part is
+  built only when an md scorer is asked for, so base and en work on a
+  model whose covariance_inv has no Cholesky factor.
 
-- F and the whitened class means, kept on the head's ``TrainStats`` and
-  rebuilt when its ``covariance_inv`` or ``class_means`` is a different
-  array (``load_model`` builds them while checking the file);
-- per DICE percentile, the head weights times the DICE keep-mask, kept
-  on the ``TaskHead`` and rebuilt when the head weights or the mean
-  activations differ in value from those they were built from.
+ReAct clips and SCALE rescales z_t itself, so they form z_t per head; SCALE
+then reuses the folded product, since (s z_t) W_t = s (z_t W_t). Rows are
+processed in chunks, so that no (n, T*h) array over a whole test set is
+built.
 
-Both live and die with the model (see ``model._whitening`` and
-``model._dice_weights``) and are no dataclass field, so equality,
-``dataclasses.replace`` and the model file never see them. Apart from
-them nothing here writes to the model; per-sample work items are
-independent and safe to parallelize.
+BLAS rounds a column of a product differently as the product's width
+changes, yet a head's scores must not depend on how many heads a call
+asks for (``upto``). So the logits always come from the product over all
+T heads, cut to ``upto``. The whitened activations, the costly product,
+come from one matrix-vector product over all T heads for a single row,
+and from one product per head, for the first ``upto`` heads only, for
+more rows.
+
+The plan is built on first use and kept on the model as a plain attribute,
+which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
+sees. On every call the values it was built from (task embeddings and
+``slope_max``, head weights, biases and OOD flags, ``mean_activations``,
+``react_threshold`` and the number of heads) are compared bit for bit with
+a copy, so edits made in place are seen. ``covariance_inv`` and
+``class_means`` are compared by identity: replace them, do not write into
+them. Apart from the plan nothing here writes to the model; per-sample
+work items are independent and safe to parallelize.
 """
 
 from __future__ import annotations
@@ -49,9 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .detectors import Detector, _nearest_rank_index
+from .detectors import Detector, _nearest_rank_index, build_dice_mask
 from .errors import ModelError
-from .model import ModelState, _dice_weights, _saturated_masks, _shared_adapter, _whitening
+from .model import ModelState, _saturated_masks, _shared_adapter, _whitening_factor
 from .scorers import Scorer
 
 __all__ = [
@@ -106,28 +118,117 @@ def _as_scorer(scorer) -> Scorer:
     return scorer if isinstance(scorer, Scorer) else Scorer(str(scorer))
 
 
-def _rectified_logits(model: ModelState, task: int, z: np.ndarray, raw: np.ndarray,
-                      detector: Detector) -> np.ndarray:
-    """Head logits under the detector; ``raw`` are the unrectified logits."""
-    head = model.heads[task]
-    kind = detector.kind
-    if kind == "base":
-        return raw
-    if kind == "react":
-        threshold = model.stats[task].react_threshold
-        return np.minimum(z, threshold) @ head.weights + head.bias
-    if kind == "scale":
-        return (z * _scale_factors(z, detector.percentile)[:, None]) @ head.weights + head.bias
-    if kind == "dice":
-        return z @ _dice_weights(head, model.stats[task], detector.percentile) + head.bias
-    raise ValueError(f"unknown detector {kind!r}")
+# Rows per chunk: enough for an efficient product, few enough that no array
+# over a whole test set times T heads is built.
+_CHUNK_ROWS = 128
+
+
+def _plan_inputs(model: ModelState):
+    """Every value the plan is built from, as bytes compared on each call.
+
+    Comparing bytes is one memcmp per array, far cheaper than the folding it
+    guards, and it sees edits made in place, which identity would not.
+    """
+    heads, stats = model.heads, model.stats
+    arrays = [*model.adapters.task_embeddings, *(h.weights for h in heads),
+              *(h.bias for h in heads), *(s.mean_activations for s in stats)]
+    scalars = [model.adapters.slope_max, model.classes_per_task or 0,
+               *(s.react_threshold for s in stats), *(h.ood_logit_present for h in heads)]
+    return ([a.shape for a in arrays], [a.tobytes() for a in arrays],
+            np.array(scalars, dtype=np.float64).tobytes())
+
+
+def _fold(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """diag(m_t) W_t of every head, side by side: (T, h, k) -> (h, T k)."""
+    return (masks[:, :, None] * weights).transpose(1, 0, 2).reshape(masks.shape[1], -1)
+
+
+class _Plan:
+    """A model's heads with their saturated masks folded in, built once.
+
+    z_t = relu * m_t, so z_t W_t = relu (diag(m_t) W_t): the logits of every
+    head come from one product with ``folded``. Only class columns are kept;
+    a replay head's OOD logit is never scored. The DICE weights and the
+    Mahalanobis arrays are added on first use.
+    """
+
+    def __init__(self, model: ModelState, inputs):
+        tasks, classes = model.trained_tasks, model.classes_per_task
+        if len(model.adapters.task_embeddings) < tasks or len(model.stats) < tasks:
+            raise ModelError(f"model has {tasks} heads but "
+                             f"{len(model.adapters.task_embeddings)} task embeddings and "
+                             f"{len(model.stats)} train statistics")
+        for t, head in enumerate(model.heads):
+            if head.num_classes != classes:
+                raise ModelError(f"head {t} has {head.num_classes} classes; model "
+                                 f"has {classes} per task")
+        self.inputs = inputs
+        self.masks = np.stack(_saturated_masks(model, tasks))  # (T, h)
+        self.weights = np.stack([h.weights[:, :classes] for h in model.heads])  # (T, h, C)
+        self.bias = np.stack([h.bias[:classes] for h in model.heads])  # (T, C)
+        self.folded = _fold(self.masks, self.weights)  # (h, T C)
+        self.thresholds = np.array([s.react_threshold for s in model.stats[:tasks]])
+        self.mean_activations = np.stack([s.mean_activations for s in model.stats[:tasks]])
+        self._dice: dict[float, np.ndarray] = {}
+        self._md_sources: list[np.ndarray] = []
+        self._md = None
+
+    def dice(self, p: float) -> np.ndarray:
+        """diag(m_t) (W_t * DICE keep-mask at percentile p), folded like ``folded``."""
+        if p not in self._dice:
+            masked = np.stack([w * build_dice_mask(w.T, a, p).T
+                               for w, a in zip(self.weights, self.mean_activations)])
+            self._dice[p] = _fold(self.masks, masked)
+        return self._dice[p]
+
+    def mahalanobis(self, stats):
+        """(factors, centers, means, norms) of the whitened class distances.
+
+        With F_t the Cholesky factor of sym(covariance_inv_t), the squared
+        Mahalanobis distance of z_t to class mean mu_c is ||w - mu_c F_t||^2
+        for w = relu (diag(m_t) F_t); ``factors`` holds those folded factors
+        side by side, (h, T h). The whitened means are kept relative to their
+        mean per head (``centers``), as (T, h, C) with squared norms (T, C),
+        so that ||w||^2 - 2 w.mu + ||mu||^2 cancels little. Rebuilt when a
+        head's ``covariance_inv`` or ``class_means`` is a different array.
+        A factor ``load_model`` computed for the same ``covariance_inv`` is
+        taken over rather than computed again.
+        """
+        sources = [a for s in stats[:len(self.masks)] for a in (s.covariance_inv, s.class_means)]
+        if self._md is None or any(a is not b for a, b in zip(sources, self._md_sources)):
+            tasks, hidden = self.masks.shape
+            factors = np.empty((hidden, tasks * hidden))
+            means = []
+            for t, s in enumerate(stats[:tasks]):
+                source, factor = vars(s).pop("_loaded_factor", (None, None))
+                if source is not s.covariance_inv:
+                    factor = _whitening_factor(s.covariance_inv)
+                np.multiply(self.masks[t][:, None], factor,
+                            out=factors[:, t * hidden:(t + 1) * hidden])
+                means.append(s.class_means @ factor)
+            means = np.stack(means)  # (T, C, h)
+            centers = means.mean(axis=1)
+            means -= centers[:, None, :]
+            self._md = (factors, centers, np.ascontiguousarray(means.transpose(0, 2, 1)),
+                        (means * means).sum(axis=2))
+            self._md_sources = sources
+        return self._md
+
+
+def _plan(model: ModelState) -> _Plan:
+    """The model's plan, rebuilt when any value it was built from has changed."""
+    inputs = _plan_inputs(model)
+    plan = getattr(model, "_inference_plan", None)
+    if plan is None or plan.inputs != inputs:
+        plan = model._inference_plan = _Plan(model, inputs)
+    return plan
 
 
 def _scale_factors(z: np.ndarray, p: float) -> np.ndarray:
     """Per-row exp(total / top-percentile mass); all-zero rows stay unscaled."""
     n, width = z.shape
     k = _nearest_rank_index(p, width)
-    thresholds = np.sort(z, axis=1)[:, k - 1]
+    thresholds = np.partition(z, k - 1, axis=1)[:, k - 1]
     totals = z.sum(axis=1)
     tops = np.where(z >= thresholds[:, None], z, 0.0).sum(axis=1)
     ratios = np.ones(n)
@@ -138,35 +239,32 @@ def _scale_factors(z: np.ndarray, p: float) -> np.ndarray:
     return factors
 
 
-def _strip_ood(head, logits: np.ndarray) -> np.ndarray:
-    return logits[..., :-1] if head.ood_logit_present else logits
-
-
-def _md_coefficient(z: np.ndarray, stats) -> np.ndarray:
-    """1 / (1 + d_min), d_min the squared Mahalanobis distance to the closest mean.
-
-    In whitened coordinates, d_min = min_c ||z F - mu_c F||^2: one product
-    with the head's factor F, then a Euclidean distance per class.
-    """
-    factor, whitened_means = _whitening(stats)
-    w = z @ factor
-    quad = np.full(len(z), np.inf)
-    for mean in whitened_means:
-        diff = w - mean
-        np.minimum(quad, np.einsum("ij,ij->i", diff, diff), out=quad)
-    return 1.0 / (1.0 + quad)
+def _md_coefficient(relu: np.ndarray, md, upto: int) -> np.ndarray:
+    """(n, upto) coefficients 1 / (1 + d_min), d_min the squared Mahalanobis
+    distance of each head's activations to its closest class mean."""
+    factors, centers, means, norms = md
+    tasks, hidden, _ = means.shape
+    if len(relu) == 1:  # one matrix-vector product over every head, then cut
+        w = (relu @ factors).reshape(1, tasks, hidden)[:, :upto].transpose(1, 0, 2)
+    else:  # one product per head, and none for heads past upto
+        w = np.matmul(relu, factors.reshape(hidden, tasks, hidden)[:, :upto].transpose(1, 0, 2))
+    w -= centers[:upto, None, :]  # (upto, n, h)
+    nearest = (norms[:upto, None, :] - 2.0 * np.matmul(w, means[:upto])).min(axis=2)
+    d_min = np.maximum(np.einsum("tnh,tnh->tn", w, w) + nearest, 0.0)
+    return (1.0 / (1.0 + d_min)).T
 
 
 def _score(logits: np.ndarray, scorer: Scorer, coefficient) -> np.ndarray:
+    """Scores over the last axis of ``logits``."""
     kind = scorer.kind
     if kind in ("sm", "smmd"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         exps = np.exp(shifted)
-        base = exps.max(axis=1) / exps.sum(axis=1)
+        base = exps.max(axis=-1) / exps.sum(axis=-1)
     else:
         scaled = logits / scorer.temperature
-        m = scaled.max(axis=1)
-        base = scorer.temperature * (m + np.log(np.exp(scaled - m[:, None]).sum(axis=1)))
+        m = scaled.max(axis=-1, keepdims=True)
+        base = scorer.temperature * (m[..., 0] + np.log(np.exp(scaled - m).sum(axis=-1)))
     if kind == "smmd":
         return base * coefficient
     if kind == "enmd":
@@ -182,27 +280,48 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
     scores under ``detectors[i]`` and ``scorers[j]``. Pairs are indexed
     by position, since two detectors may share a kind.
     """
-    if not 1 <= upto <= model.trained_tasks:
-        raise ModelError(f"head count {upto} outside 1..{model.trained_tasks}")
-    needs_md = any(s.kind in ("smmd", "enmd") for s in scorers)
+    tasks = model.trained_tasks
+    if not 1 <= upto <= tasks:
+        raise ModelError(f"head count {upto} outside 1..{tasks}")
+    plan = _plan(model)
+    md = (plan.mahalanobis(model.stats) if any(s.kind in ("smmd", "enmd") for s in scorers)
+          else None)
+    dice = [plan.dice(d.percentile) if d.kind == "dice" else None for d in detectors]
+    offsets = np.arange(upto) * model.classes_per_task
+    bias = plan.bias[:upto]
     # an overflow shows as a non-finite score, which is reported below
     with np.errstate(all="ignore"):
         relu = _shared_adapter(model, x)
-        classes = np.empty((len(relu), upto), dtype=np.int64)
-        scores = np.empty((len(detectors), len(scorers), len(relu), upto))
-        for t, mask in enumerate(_saturated_masks(model, upto)):
-            head = model.heads[t]
-            z = relu * mask
-            raw = z @ head.weights + head.bias
-            classes[:, t] = _strip_ood(head, raw).argmax(axis=1) + t * model.classes_per_task
-            coefficient = _md_coefficient(z, model.stats[t]) if needs_md else None
+        n = len(relu)
+        classes = np.empty((n, upto), dtype=np.int64)
+        scores = np.empty((len(detectors), len(scorers), n, upto))
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            r = relu[rows]
+            products = (r @ plan.folded).reshape(len(r), tasks, -1)[:, :upto]
+            raw = products + bias
+            classes[rows] = raw.argmax(axis=2) + offsets
+            coefficient = _md_coefficient(r, md, upto) if md is not None else None
             for i, detector in enumerate(detectors):
-                logits = _strip_ood(head, _rectified_logits(model, t, z, raw, detector))
+                if detector.kind == "base":
+                    logits = raw
+                elif detector.kind == "dice":
+                    logits = (r @ dice[i]).reshape(len(r), tasks, -1)[:, :upto] + bias
+                else:  # react and scale change z_t itself, so they run per head
+                    logits = np.empty_like(raw)
+                    for t in range(upto):
+                        z = r * plan.masks[t]
+                        if detector.kind == "react":
+                            logits[:, t] = np.minimum(z, plan.thresholds[t]) @ plan.weights[t]
+                        else:  # (s z_t) W_t = s (z_t W_t)
+                            factors = _scale_factors(z, detector.percentile)
+                            logits[:, t] = factors[:, None] * products[:, t]
+                    logits += bias
                 for j, scorer in enumerate(scorers):
-                    scores[i, j, :, t] = _score(logits, scorer, coefficient)
+                    scores[i, j, rows] = _score(logits, scorer, coefficient)
     bad = int((~np.isfinite(scores).all(axis=(0, 1, 3))).sum())
     if bad:
-        raise ModelError(f"non-finite scores for {bad} of {len(relu)} samples")
+        raise ModelError(f"non-finite scores for {bad} of {n} samples")
     return classes, scores
 
 

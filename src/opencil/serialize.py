@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import ModelError, ModelIOError
-from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _whitening
+from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _whitening_factor
 
 FORMAT_NAME = "opencil-model"
 FORMAT_VERSION = 3
@@ -210,8 +210,8 @@ def load_model(path: str) -> ModelState:
 
     Every array must have the shape that ``dim_in``, ``hidden_width``,
     ``classes_per_task`` and the head's OOD flag imply, and every inverse
-    covariance a positive-definite symmetric part; its whitening factor is
-    kept for inference.
+    covariance a positive-definite symmetric part. The whitening factors
+    computed for that check are handed to the inference plan.
     """
     with open(path, "r", encoding="utf-8") as fh:
         r = _Reader(path, fh)
@@ -253,7 +253,9 @@ def load_model(path: str) -> ModelState:
             react_threshold=r.meta(f"stats_react_{t}"),
         )
         try:
-            _whitening(stats)
+            # kept for the inference plan, which takes it over on first md use
+            stats._loaded_factor = (stats.covariance_inv,
+                                    _whitening_factor(stats.covariance_inv))
         except ModelError as exc:
             r.fail(f"array 'stats_covinv_{t}': {exc}")
         model.stats.append(stats)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import opencil as oc
 from conftest import decode_row, encode_row
@@ -49,25 +49,30 @@ def _bad_ints(out_of_range):
     return st.one_of(_TEXT, st.sampled_from(["1.5", "1e3", "nan"]), out_of_range.map(str))
 
 
-# command, flag and malformed values; the data has 4 classes and the model 2 tasks
+# flag: command, config key and malformed values; the data has 4 classes and the model 2 tasks
 _MALFORMED = {
-    "--steps": ("curve", st.one_of(
+    "--steps": ("curve", "steps", st.one_of(
         st.lists(st.text(max_size=6).filter(lambda s: "," not in s and _not_a_valid_step(s)),
                  min_size=1, max_size=3).map(",".join),
         st.integers().filter(lambda k: not 1 <= k <= 2).map(str))),
-    "--grid-step": ("curve", _bad_floats(
+    "--grid-step": ("curve", "grid_step", _bad_floats(
         _NEGATIVE_OR_ZERO, _ABOVE_100,
         st.floats(0.01, 100.0).filter(lambda g: abs(100 / g - round(100 / g)) > 1e-6))),
-    "--dice-percentile": ("eval", _bad_floats(st.floats(max_value=0.0, exclude_max=True,
-                                                        allow_infinity=False), _ABOVE_100)),
-    "--react-percentile": ("train", _bad_floats(st.floats(max_value=0.0, exclude_max=True,
-                                                          allow_infinity=False), _ABOVE_100)),
-    "--temperature": ("eval", _bad_floats(_NEGATIVE_OR_ZERO)),
-    "--tasks": ("train", _bad_ints(st.integers().filter(lambda k: k not in (1, 2, 4)))),
-    "--epochs": ("train", _bad_ints(st.integers(max_value=0))),
-    "--lr": ("train", _bad_floats(_NEGATIVE_OR_ZERO)),
-    "--hidden": ("train", _bad_ints(st.integers(max_value=0))),
+    "--dice-percentile": ("eval", "dice_percentile", _bad_floats(
+        st.floats(max_value=0.0, exclude_max=True, allow_infinity=False), _ABOVE_100)),
+    "--react-percentile": ("train", "react_percentile", _bad_floats(
+        st.floats(max_value=0.0, exclude_max=True, allow_infinity=False), _ABOVE_100)),
+    "--temperature": ("eval", "temperature", _bad_floats(_NEGATIVE_OR_ZERO)),
+    "--tasks": ("train", "tasks", _bad_ints(st.integers().filter(lambda k: k not in (1, 2, 4)))),
+    "--epochs": ("train", "epochs", _bad_ints(st.integers(max_value=0))),
+    "--lr": ("train", "learning_rate", _bad_floats(_NEGATIVE_OR_ZERO)),
+    "--hidden": ("train", "hidden_width", _bad_ints(st.integers(max_value=0))),
 }
+
+
+def _one_config_value(text):
+    """A value that a config line holds unchanged: no comment, no line break."""
+    return "#" not in text and len(f"key={text}".splitlines()) == 1
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +340,7 @@ class TestUsage:
         ["train", "--react-percentile", "150"],
         ["curve", "--steps", ""],
         ["eval", "--temperature", "inf"],
+        ["curve", "--grid-step", "1e-300"],  # 1e302 points
     ])
     def test_bad_flag_value_is_a_usage_error(self, argv, data_dir, model_path, tmp_path,
                                              capsys):
@@ -411,10 +417,13 @@ class TestUsage:
 
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from(sorted(_MALFORMED)).flatmap(
-        lambda flag: st.tuples(st.just(flag), _MALFORMED[flag][1])))
-    def test_malformed_flag_value_gives_one_error_line(self, case, data_dir, model_path):
+        lambda flag: st.tuples(st.just(flag), _MALFORMED[flag][2])),
+        via_config=st.booleans())
+    def test_malformed_flag_value_gives_one_error_line(self, case, via_config, data_dir,
+                                                       model_path):
         flag, value = case
-        command = _MALFORMED[flag][0]
+        command, key, _ = _MALFORMED[flag]
+        assume(not via_config or _one_config_value(value))
         never = model_path.parent / "never-written"
         rest = {"train": ["--data", str(data_dir), "--tasks", "2", "--epochs", "1",
                           "--hidden", "4", "-o", str(never)],
@@ -425,9 +434,15 @@ class TestUsage:
         if flag in rest:
             at = rest.index(flag)
             del rest[at:at + 2]
+        if via_config:
+            config = model_path.parent / "malformed.cfg"
+            config.write_text(f"{key}={value}\n", encoding="utf-8")
+            argv = [command, "--config", str(config)] + rest
+        else:
+            argv = [command, flag, value] + rest
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, flag, value] + rest)
+            code = main(argv)
         assert code in (1, 2)
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()

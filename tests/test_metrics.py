@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opencil import metrics
 from opencil.metrics import CurvePoint, af, aia, auc, aupr, lca, rejection_curve
 
 
@@ -208,6 +209,20 @@ class TestRejectionCurve:
     def test_bad_grid_step(self):
         with pytest.raises(ValueError, match="divide"):
             rejection_curve([1.0, 2.0], [True, False], 33.0)
+
+    @pytest.mark.parametrize("grid_step", [1e-300, 5e-324, 100 / 10_001, 0.001])
+    def test_oversized_grid_refused_before_any_point(self, grid_step, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(metrics, "percentile", no_point)
+        with pytest.raises(ValueError, match="more than 10000 points"):
+            rejection_curve([1.0, 2.0], [True, False], grid_step)
+
+    def test_largest_grid_accepted(self):
+        points = rejection_curve([1.0, 2.0], [True, False], 100 / metrics.MAX_CURVE_POINTS)
+        assert len(points) == metrics.MAX_CURVE_POINTS
+        assert (points[0].retained_count, points[-1].retained_count) == (2, 1)
 
     def test_misaligned_inputs(self):
         with pytest.raises(ValueError):

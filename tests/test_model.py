@@ -541,7 +541,7 @@ class TestSerialization:
         oc.save_model(small_model, str(path))
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ModelIOError, match="truncated"):
+        with pytest.raises(ModelIOError, match=": truncated model file"):
             oc.load_model(str(path))
 
     def test_version_one_file_loads(self, tmp_path):

@@ -10,7 +10,7 @@ from opencil.data import task_local
 from opencil.detectors import detector_logits
 from opencil.errors import ModelError
 from opencil.model import TrainStats, activations
-from opencil.pipeline import _mixed_steps
+from opencil.pipeline import _forward, _mixed_steps
 from opencil.scorers import score_combined
 
 
@@ -137,15 +137,100 @@ class TestWhitenedMahalanobis:
         assert oc.predict(model, "base", "en", np.array([1.0, 0.0])).predicted_task == 0
 
 
+def random_plan_model(seed, hidden, classes, tasks):
+    """A random model whose masks are fractional or saturated per unit, with
+    replay heads (an OOD logit) mixed in and random positive-definite covariances."""
+    rng = np.random.default_rng(seed)
+    dim = 3
+    embeddings, heads, stats = [], [], []
+    for _ in range(tasks):
+        # slope 400: |e| <= 0.02 gives masks in (3e-4, 1 - 3e-4), 6 gives 0 or 1
+        embeddings.append(np.where(rng.random(hidden) < 0.7, rng.uniform(-0.02, 0.02, hidden),
+                                   rng.choice([-6.0, 6.0], hidden)))
+        ood = bool(rng.random() < 0.5)
+        width = classes + ood
+        heads.append((rng.normal(size=(hidden, width)), rng.normal(size=width), ood))
+        q, _ = np.linalg.qr(rng.normal(size=(hidden, hidden)))
+        covariance = (q * np.exp(rng.uniform(np.log(0.1), np.log(10.0), hidden))) @ q.T
+        stats.append(manual_stats(rng.uniform(0.0, 2.0, (classes, hidden)), covariance,
+                                  mean_activations=rng.uniform(0.0, 2.0, hidden),
+                                  react_threshold=float(rng.uniform(0.1, 2.0))))
+    model = manual_model(rng.normal(size=(dim, hidden)), rng.normal(size=hidden), embeddings,
+                         heads, stats=stats, classes_per_task=classes)
+    return model, rng.normal(size=(6, dim))
+
+
+class TestPlanMatchesPerHeadReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4), st.integers(1, 3),
+           st.data())
+    def test_every_pair_matches(self, seed, hidden, classes, tasks, data):
+        model, features = random_plan_model(seed, hidden, classes, tasks)
+        upto = data.draw(st.integers(1, tasks), label="upto")
+        features = features[:data.draw(st.integers(1, len(features)), label="rows")]
+        p = st.floats(0.0, 100.0)
+        detectors = [oc.Detector("base"), oc.Detector("react"),
+                     oc.Detector("dice", data.draw(p)), oc.Detector("dice", data.draw(p)),
+                     oc.Detector("scale", data.draw(p)), oc.Detector("scale", data.draw(p))]
+        temperature = data.draw(st.floats(0.5, 2.0), label="temperature")
+        scorers = [oc.Scorer(kind, temperature) for kind in ("sm", "smmd", "en", "enmd")]
+        classes_by_head, scores = _forward(model, features, upto, detectors, scorers)
+        for t in range(upto):
+            head, stats = model.heads[t], model.stats[t]
+            z = activations(model, t, features)
+            raw = (z @ head.weights + head.bias)[:, :classes]
+            assert np.array_equal(classes_by_head[:, t], raw.argmax(axis=1) + t * classes)
+            for i, detector in enumerate(detectors):
+                logits = [detector_logits(head, row, detector, stats)[:classes] for row in z]
+                for j, scorer in enumerate(scorers):
+                    expected = [score_combined(scorer.kind, lg, row, stats, temperature)
+                                for lg, row in zip(logits, z)]
+                    np.testing.assert_allclose(scores[i, j, :, t], expected, rtol=1e-10,
+                                               err_msg=f"{detector}/{scorer.kind} head {t}")
+
+
 def predictions(model, features, pairs=(("dice", "enmd"), ("dice", "sm"), ("base", "smmd"))):
     return [oc.predict(model, d, s, x) for d, s in pairs for x in features]
 
 
 class TestDerivedStateStaysCurrent:
-    def _assert_matches_fresh_load(self, model, features, tmp_path):
+    def _assert_matches_fresh_load(self, model, features, tmp_path, **pairs):
         path = tmp_path / "model.txt"
         oc.save_model(model, str(path))
-        assert predictions(model, features) == predictions(oc.load_model(str(path)), features)
+        assert predictions(model, features, **pairs) == \
+            predictions(oc.load_model(str(path)), features, **pairs)
+
+    @pytest.mark.parametrize("edit", ["embedding", "head_bias", "slope_max"])
+    def test_gate_or_bias_edited_in_place(self, edit, small_model, small_stream, tmp_path):
+        model = oc.load_model(_saved(small_model, tmp_path))
+        features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
+        before = predictions(model, features)
+        if edit == "embedding":
+            np.negative(model.adapters.task_embeddings[0], out=model.adapters.task_embeddings[0])
+        elif edit == "head_bias":
+            model.heads[1].bias[0] += 5.0
+        else:
+            model.adapters.slope_max = 0.5  # fractional masks
+        assert predictions(model, features) != before
+        self._assert_matches_fresh_load(model, features, tmp_path)
+
+    def test_react_threshold_changed(self, small_model, small_stream, tmp_path):
+        model = oc.load_model(_saved(small_model, tmp_path))
+        features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
+        pairs = {"pairs": (("react", "en"), ("react", "smmd"))}
+        before = predictions(model, features, **pairs)
+        model.stats[0].react_threshold *= 0.1
+        assert predictions(model, features, **pairs) != before
+        self._assert_matches_fresh_load(model, features, tmp_path, **pairs)
+
+    def test_one_more_task_trained_after_predict(self, small_stream, small_hp, tmp_path):
+        model = oc.new_model(8, small_hp)
+        oc.train_task(model, task_local(small_stream.tasks[0][0], 0, 2), small_hp)
+        features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
+        before = predictions(model, features)
+        oc.train_task(model, task_local(small_stream.tasks[1][0], 1, 2), small_hp)
+        assert predictions(model, features) != before
+        self._assert_matches_fresh_load(model, features, tmp_path)
 
     def test_head_weights_edited_in_place(self, small_model, small_stream, tmp_path):
         model = oc.load_model(_saved(small_model, tmp_path))
@@ -170,6 +255,16 @@ class TestDerivedStateStaysCurrent:
         stats.covariance_inv = 0.25 * stats.covariance_inv
         stats.class_means = stats.class_means[::-1].copy()
         assert predictions(model, features) != before
+        self._assert_matches_fresh_load(model, features, tmp_path)
+
+    def test_covariance_replaced_before_first_use(self, small_model, small_stream, tmp_path):
+        # load_model hands its whitening factors to the plan: a replaced
+        # covariance_inv must not be scored with the factor of the old one
+        model = oc.load_model(_saved(small_model, tmp_path))
+        features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
+        model.stats[1].covariance_inv = 0.25 * model.stats[1].covariance_inv
+        assert predictions(model, features) != \
+            predictions(oc.load_model(_saved(small_model, tmp_path)), features)
         self._assert_matches_fresh_load(model, features, tmp_path)
 
     def test_back_update(self, small_stream, small_hp, tmp_path):
