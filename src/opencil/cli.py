@@ -233,14 +233,19 @@ def _require(settings: _Settings, key: str):
     return value
 
 
-def _load_stream(settings: _Settings, num_tasks: int):
+def _load_stream(settings: _Settings, num_tasks: int, splits=("train", "test")):
+    """The task stream of the data directory's ``<split>.csv`` files.
+
+    ``eval`` and ``curve`` score only the test split, so they read it alone
+    and it stands in for the train side of every task as well.
+    """
     data_dir = Path(_require(settings, "data"))
-    train_path = data_dir / "train.csv"
-    test_path = data_dir / "test.csv"
-    for p in (train_path, test_path):
+    paths = [data_dir / f"{split}.csv" for split in splits]
+    for p in paths:
         if not p.exists():
             raise ConfigError(f"dataset file not found: {p}")
-    return split_tasks(load_csv(str(train_path)), load_csv(str(test_path)), num_tasks)
+    datasets = [load_csv(str(p)) for p in paths]
+    return split_tasks(datasets[0], datasets[-1], num_tasks)
 
 
 def _hyperparams(settings: _Settings) -> Hyperparams:
@@ -342,7 +347,7 @@ def _cmd_eval(settings: _Settings) -> int:
     model = load_model(_require(settings, "model"))
     if model.trained_tasks == 0 or model.classes_per_task is None:
         raise ConfigError("model file holds no trained tasks")
-    stream = _load_stream(settings, model.trained_tasks)
+    stream = _load_stream(settings, model.trained_tasks, ("test",))
     detectors = _detector_objects(settings, _split_list(settings["detectors"]))
     scorers = _scorer_objects(settings, _split_list(settings["scorers"]))
 
@@ -367,7 +372,7 @@ def _cmd_curve(settings: _Settings) -> int:
     model = load_model(_require(settings, "model"))
     if model.trained_tasks == 0 or model.classes_per_task is None:
         raise ConfigError("model file holds no trained tasks")
-    stream = _load_stream(settings, model.trained_tasks)
+    stream = _load_stream(settings, model.trained_tasks, ("test",))
     steps_text = settings.get("steps")
     try:
         steps = ([int(s) for s in _split_list(steps_text)] if steps_text is not None

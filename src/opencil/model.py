@@ -127,9 +127,14 @@ class TrainStats:
     """Everything inference needs about a task's training activations."""
 
     class_means: np.ndarray  # (C, hidden)
-    covariance_inv: np.ndarray  # (hidden, hidden), of the ridge-regularized covariance
+    whitening_factor: np.ndarray  # (hidden, hidden) lower F, F F^T = covariance_inv
     mean_activations: np.ndarray  # (hidden,)
     react_threshold: float
+
+    @property
+    def covariance_inv(self) -> np.ndarray:
+        """F F^T, the inverse of the ridge-regularized covariance; derived, read-only."""
+        return self.whitening_factor @ self.whitening_factor.T
 
 
 def _whitening_factor(covariance_inv: np.ndarray) -> np.ndarray:
@@ -420,12 +425,14 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
                         task: int | None = None,
                         ridge_coefficient: float = 1e-4,
                         react_percentile: float = DEFAULT_REACT_PERCENTILE) -> TrainStats:
-    """Class means, inverse tied covariance, mean activations, and clip threshold.
+    """Class means, whitening factor, mean activations, and clip threshold.
 
     The tied covariance is the within-class scatter averaged over all
     task samples plus a ridge scaled to the mean unit variance (the raw
-    coefficient when the scatter is exactly zero). The clip threshold is
-    the nearest-rank percentile of all pooled scalar activations.
+    coefficient when the scatter is exactly zero). The whitening factor is
+    the lower Cholesky factor of its inverse, the only form inference
+    reads. The clip threshold is the nearest-rank percentile of all pooled
+    scalar activations.
     """
     task = model.trained_tasks - 1 if task is None else task
     if not 0 <= task < model.trained_tasks:
@@ -458,7 +465,7 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
 
     return TrainStats(
         class_means=means,
-        covariance_inv=covariance_inv,
+        whitening_factor=_whitening_factor(covariance_inv),
         mean_activations=z.mean(axis=0),
         react_threshold=percentile(z.ravel(), react_percentile),
     )

@@ -23,12 +23,11 @@ into the arrays that read the gated activations z_t = relu * m_t:
   (h, T*C) array, so one product gives the raw logits of every head;
 - per DICE percentile, diag(m_t) (W_t * keep-mask_t), stacked the same way;
 - for the md scorers, diag(m_t) F_t side by side as (h, T*h), F_t the
-  Cholesky factor of the symmetric part of covariance_inv_t, and the
-  whitened class means mu_c F_t. Since (z - mu) covariance_inv (z - mu)^T
-  = ||z F - mu F||^2, d_min = min_c ||w||^2 - 2 w.mu_c F + ||mu_c F||^2
-  for w = relu (diag(m_t) F_t), with no loop over classes. This part is
-  built only when an md scorer is asked for, so base and en work on a
-  model whose covariance_inv has no Cholesky factor.
+  task's stored ``whitening_factor``, and the whitened class means
+  mu_c F_t. Since (z - mu) covariance_inv (z - mu)^T = ||z F - mu F||^2
+  for covariance_inv = F F^T, d_min = min_c ||w||^2 - 2 w.mu_c F +
+  ||mu_c F||^2 for w = relu (diag(m_t) F_t), with no loop over classes.
+  This part is built only when an md scorer is asked for.
 
 ReAct clips and SCALE rescales z_t itself, so they form z_t per head; SCALE
 then reuses the folded product, since (s z_t) W_t = s (z_t W_t). Rows are
@@ -48,7 +47,7 @@ which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
 sees. On every call the values it was built from (task embeddings and
 ``slope_max``, head weights, biases and OOD flags, ``mean_activations``,
 ``react_threshold`` and the number of heads) are compared bit for bit with
-a copy, so edits made in place are seen. ``covariance_inv`` and
+a copy, so edits made in place are seen. ``whitening_factor`` and
 ``class_means`` are compared by identity: replace them, do not write into
 them. Apart from the plan nothing here writes to the model; per-sample
 work items are independent and safe to parallelize.
@@ -63,7 +62,7 @@ import numpy as np
 from . import metrics
 from .detectors import Detector, _nearest_rank_index, build_dice_mask
 from .errors import ModelError
-from .model import ModelState, _saturated_masks, _shared_adapter, _whitening_factor
+from .model import ModelState, _saturated_masks, _shared_adapter
 from .scorers import Scorer
 
 __all__ = [
@@ -184,28 +183,23 @@ class _Plan:
     def mahalanobis(self, stats):
         """(factors, centers, means, norms) of the whitened class distances.
 
-        With F_t the Cholesky factor of sym(covariance_inv_t), the squared
-        Mahalanobis distance of z_t to class mean mu_c is ||w - mu_c F_t||^2
-        for w = relu (diag(m_t) F_t); ``factors`` holds those folded factors
+        With F_t the task's ``whitening_factor``, the squared Mahalanobis
+        distance of z_t to class mean mu_c is ||w - mu_c F_t||^2 for
+        w = relu (diag(m_t) F_t); ``factors`` holds those folded factors
         side by side, (h, T h). The whitened means are kept relative to their
         mean per head (``centers``), as (T, h, C) with squared norms (T, C),
         so that ||w||^2 - 2 w.mu + ||mu||^2 cancels little. Rebuilt when a
-        head's ``covariance_inv`` or ``class_means`` is a different array.
-        A factor ``load_model`` computed for the same ``covariance_inv`` is
-        taken over rather than computed again.
+        head's ``whitening_factor`` or ``class_means`` is a different array.
         """
-        sources = [a for s in stats[:len(self.masks)] for a in (s.covariance_inv, s.class_means)]
+        sources = [a for s in stats[:len(self.masks)] for a in (s.whitening_factor, s.class_means)]
         if self._md is None or any(a is not b for a, b in zip(sources, self._md_sources)):
             tasks, hidden = self.masks.shape
             factors = np.empty((hidden, tasks * hidden))
             means = []
             for t, s in enumerate(stats[:tasks]):
-                source, factor = vars(s).pop("_loaded_factor", (None, None))
-                if source is not s.covariance_inv:
-                    factor = _whitening_factor(s.covariance_inv)
-                np.multiply(self.masks[t][:, None], factor,
+                np.multiply(self.masks[t][:, None], s.whitening_factor,
                             out=factors[:, t * hidden:(t + 1) * hidden])
-                means.append(s.class_means @ factor)
+                means.append(s.class_means @ s.whitening_factor)
             means = np.stack(means)  # (T, C, h)
             centers = means.mean(axis=1)
             means -= centers[:, None, :]

@@ -3,24 +3,40 @@
 The file is line-oriented and self-describing: a versioned header, then
 ``meta <name> <value>`` records and ``array <name> <shape...>`` records
 whose rows follow in row-major order, one line per row, closed by an
-``end`` sentinel. Version 3 writes each row as one line of standard
+``end`` sentinel. Version 4 writes each row as one line of standard
 padded base64 holding the row's IEEE-754 float64 values in little-endian
-order; meta values are decimal text with 17 significant digits. Both
-round-trip doubles exactly, so save -> load -> save reproduces the file
-byte for byte. Versions 1 and 2 wrote rows as decimal text; they still
-load, and only the row decoder depends on the version. Version 2 dropped
-the covariance and ridge records of version 1, which inference never
-read; a version 1 file's extra records are ignored. A row that does not
-decode to exactly the array's width, a non-finite value in any record,
-an array whose shape does not fit the model's sizes, and an inverse
-covariance without a Cholesky factor fail the load. Both directions
-stream the file line by line, so neither holds its whole text in memory.
+order, and follows each array's rows with a ``crc32 <name> <hex>`` record,
+the CRC-32 of all the array's little-endian bytes. The checksum catches
+accidental corruption, not deliberate edits. Meta values are decimal text
+with 17 significant digits. Both round-trip doubles exactly, so save ->
+load -> save reproduces the file byte for byte.
+
+A task's Mahalanobis statistics are its whitening factor F, the lower
+Cholesky factor of the inverse tied covariance, stored as the packed lower
+triangle in row-major order (``stats_factor_<t>``, h(h+1)/2 values). Load
+checks that F's diagonal is positive instead of factorising anything.
+
+Versions 1 to 3 still load. They store the full inverse covariance
+(``stats_covinv_<t>``), which load converts to F once, and carry no
+checksums. Versions 1 and 2 wrote rows as decimal text; version 1's
+covariance and ridge records, which inference never read, are ignored.
+
+A declared shape the rest of the file cannot hold, a row that does not
+decode to exactly the array's width, a non-finite value in any record, a
+missing or mismatched checksum, an array whose shape does not fit the
+model's sizes, a factor with a diagonal entry that is not positive, and
+an old-version inverse covariance without a Cholesky factor fail the
+load. Both directions stream the file line by line, so neither holds its
+whole text in memory.
 """
 
 from __future__ import annotations
 
 import base64
 import math
+import os
+import stat
+import zlib
 
 import numpy as np
 
@@ -28,7 +44,7 @@ from .errors import ModelError, ModelIOError
 from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _whitening_factor
 
 FORMAT_NAME = "opencil-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 __all__ = ["save_model", "load_model"]
 
@@ -48,16 +64,28 @@ class _Writer:
         self.line(f"meta {name} {text}")
 
     def array(self, name: str, arr: np.ndarray) -> None:
-        arr = np.asarray(arr, dtype="<f8")
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         shape = " ".join(str(s) for s in arr.shape)
         self.line(f"array {name} {shape}")
         rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
         for row in rows:
             self.line(base64.b64encode(row.tobytes()).decode("ascii"))
+        self.line(f"crc32 {name} {zlib.crc32(arr):08x}")
 
 
 def save_model(model: ModelState, path: str) -> None:
-    """Write every weight and statistic of the model to ``path``."""
+    """Write every weight and statistic of the model to ``path``.
+
+    Only the lower triangle of a whitening factor is stored, so a factor
+    with any other entry fails before the file is opened.
+    """
+    hidden = model.hidden_width
+    for t, stats in enumerate(model.stats[:model.trained_tasks]):
+        factor = stats.whitening_factor
+        if factor.shape != (hidden, hidden) or np.triu(factor, 1).any():
+            raise ModelError(f"whitening factor of task {t} is not a lower-triangular "
+                             f"{hidden} x {hidden} array")
+    lower = np.tril_indices(hidden)
     with open(path, "w", encoding="utf-8") as fh:
         w = _Writer(fh)
         w.meta("dim_in", model.trunk.dim_in)
@@ -79,7 +107,7 @@ def save_model(model: ModelState, path: str) -> None:
             w.array(f"head_bias_{t}", head.bias)
             w.meta(f"head_ood_{t}", 1 if head.ood_logit_present else 0)
             w.array(f"stats_means_{t}", stats.class_means)
-            w.array(f"stats_covinv_{t}", stats.covariance_inv)
+            w.array(f"stats_factor_{t}", stats.whitening_factor[lower])
             w.array(f"stats_meanact_{t}", stats.mean_activations)
             w.meta(f"stats_react_{t}", float(stats.react_threshold))
         w.line("end")
@@ -107,7 +135,7 @@ def _base64_row(line: str, row: np.ndarray) -> None:
     row[:] = np.frombuffer(raw, dtype="<f8")
 
 
-_ROW_DECODERS = {"1": _decimal_row, "2": _decimal_row, str(FORMAT_VERSION): _base64_row}
+_ROW_DECODERS = {"1": _decimal_row, "2": _decimal_row, "3": _base64_row, "4": _base64_row}
 
 
 class _Reader:
@@ -116,20 +144,26 @@ class _Reader:
     def __init__(self, path: str, fh) -> None:
         self.lines = iter(fh)
         self.path = path
+        # characters not read yet, never fewer than the bytes left; a pipe's are unknown
+        info = os.fstat(fh.fileno())
+        self.unread = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
         self.metas: dict[str, str] = {}
         self.arrays: dict[str, np.ndarray] = {}
-        self.decode_row = None  # set from the header's version
+        self.version = 0  # set from the header, as is the row decoder
+        self.decode_row = None
 
     def fail(self, why: str):
         raise ModelIOError(f"{self.path}: {why}")
 
     def next_line(self) -> str:
         try:
-            return next(self.lines)
+            line = next(self.lines)
         except StopIteration:
             self.fail("truncated model file (missing 'end')")
         except UnicodeDecodeError:
             self.fail("not a model file (not UTF-8 text)")
+        self.unread -= len(line)
+        return line
 
     def parse(self) -> None:
         header = self.next_line().split()
@@ -140,6 +174,7 @@ class _Reader:
                 f"unsupported model file version {header[1]} "
                 f"(this build reads versions 1 to {FORMAT_VERSION})"
             )
+        self.version = int(header[1])
         self.decode_row = _ROW_DECODERS[header[1]]
         while True:
             fields = self.next_line().split()
@@ -166,19 +201,31 @@ class _Reader:
             self.fail(f"bad shape in array record {name!r}")
         if len(shape) > 2 or min(shape) < 0:
             self.fail(f"bad shape in array record {name!r}")
-        rows = np.empty((1, shape[0]) if len(shape) == 1 else shape)
+        n_rows, width = (1, shape[0]) if len(shape) == 1 else shape
+        # a row is one line of at least two characters a value (one for an
+        # empty row), so this refuses a size the file cannot hold unallocated
+        if n_rows * max(1, 2 * width) > self.unread:
+            self.fail(f"array {name!r} of shape {' '.join(fields[2:])} does not fit in "
+                      f"the rest of the file (bad shape, or truncated model file)")
+        rows = np.empty((n_rows, width))
         for i, row in enumerate(rows):
             line = self.next_line()
             try:
                 self.decode_row(line, row)
             except ValueError as exc:
-                if line.split(maxsplit=1)[:1] in (["end"], ["meta"], ["array"]):
+                if line.split(maxsplit=1)[:1] in (["end"], ["meta"], ["array"], ["crc32"]):
                     self.fail(f"array {name!r} has {i} rows, expected {len(rows)}")
                 if not line.endswith("\n"):  # the file's last line, so 'end' is missing
                     self.fail(f"truncated model file (array {name!r} row {i + 1} cut short)")
                 self.fail(f"array {name!r} row {i + 1} {exc}")
         if not np.isfinite(rows).all():
             self.fail(f"non-finite value in array {name!r}")
+        if self.version >= 4:
+            crc = self.next_line().split()
+            if len(crc) != 3 or crc[:2] != ["crc32", name]:
+                self.fail(f"array {name!r} has no checksum record")
+            if crc[2] != f"{zlib.crc32(rows.astype('<f8', copy=False)):08x}":
+                self.fail(f"array {name!r} does not match its checksum")
         self.arrays[name] = rows.reshape(shape)
 
     def meta(self, name: str, cast=float):
@@ -209,9 +256,9 @@ def load_model(path: str) -> ModelState:
     """Rebuild a model from a file written by :func:`save_model`.
 
     Every array must have the shape that ``dim_in``, ``hidden_width``,
-    ``classes_per_task`` and the head's OOD flag imply, and every inverse
-    covariance a positive-definite symmetric part. The whitening factors
-    computed for that check are handed to the inference plan.
+    ``classes_per_task`` and the head's OOD flag imply, and every whitening
+    factor a positive diagonal. The inverse covariances of a version 1 to 3
+    file are factorised here, once, and must have a Cholesky factor.
     """
     with open(path, "r", encoding="utf-8") as fh:
         r = _Reader(path, fh)
@@ -237,6 +284,7 @@ def load_model(path: str) -> ModelState:
     )
     model = ModelState(trunk, adapters,
                        classes_per_task=None if classes_per_task < 0 else classes_per_task)
+    lower = np.tril_indices(hidden)
     for t in range(trained_tasks):
         adapters.task_embeddings.append(r.array(f"embedding_{t}", (hidden,)))
         ood = bool(r.meta(f"head_ood_{t}", int))
@@ -246,17 +294,26 @@ def load_model(path: str) -> ModelState:
             bias=r.array(f"head_bias_{t}", (logits,)),
             ood_logit_present=ood,
         ))
-        stats = TrainStats(
+        model.stats.append(TrainStats(
             class_means=r.array(f"stats_means_{t}", (classes_per_task, hidden)),
-            covariance_inv=r.array(f"stats_covinv_{t}", (hidden, hidden)),
+            whitening_factor=_read_factor(r, t, hidden, lower),
             mean_activations=r.array(f"stats_meanact_{t}", (hidden,)),
             react_threshold=r.meta(f"stats_react_{t}"),
-        )
-        try:
-            # kept for the inference plan, which takes it over on first md use
-            stats._loaded_factor = (stats.covariance_inv,
-                                    _whitening_factor(stats.covariance_inv))
-        except ModelError as exc:
-            r.fail(f"array 'stats_covinv_{t}': {exc}")
-        model.stats.append(stats)
+        ))
     return model
+
+
+def _read_factor(r: _Reader, task: int, hidden: int, lower) -> np.ndarray:
+    """One task's whitening factor; ``lower`` indexes its lower triangle."""
+    if r.version < 4:
+        name = f"stats_covinv_{task}"
+        try:
+            return _whitening_factor(r.array(name, (hidden, hidden)))
+        except ModelError as exc:
+            r.fail(f"array {name!r}: {exc}")
+    name = f"stats_factor_{task}"
+    factor = np.zeros((hidden, hidden))
+    factor[lower] = r.array(name, (len(lower[0]),))
+    if not (np.diagonal(factor) > 0).all():
+        r.fail(f"array {name!r} is not a whitening factor (a diagonal entry is not positive)")
+    return factor

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import opencil as oc
-from opencil.model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams
+from opencil.model import (AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams,
+                           _whitening_factor)
 
 
 @pytest.fixture(scope="session")
@@ -60,17 +61,17 @@ def manual_stats(class_means, covariance=None, mean_activations=None,
         mean_activations = class_means.mean(axis=0)
     return TrainStats(
         class_means=class_means,
-        covariance_inv=np.linalg.inv(covariance),
+        whitening_factor=_whitening_factor(np.linalg.inv(covariance)),
         mean_activations=np.asarray(mean_activations, dtype=np.float64),
         react_threshold=react_threshold,
     )
 
 
 def decode_row(line):
-    """Values of one version 3 model-file row: base64 of little-endian doubles."""
+    """Values of one model-file row (version 3 on): base64 of little-endian doubles."""
     return np.frombuffer(base64.b64decode(line, validate=True), dtype="<f8").copy()
 
 
 def encode_row(values):
-    """One version 3 model-file row holding ``values``."""
+    """One model-file row (version 3 on) holding ``values``."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")

@@ -16,7 +16,7 @@ import opencil as oc
 from opencil.cli import main as cli_main
 from opencil.data import task_local
 from opencil.detectors import Detector, detector_logits
-from opencil.model import activations, loss_and_grads
+from opencil.model import _whitening_factor, activations, loss_and_grads
 from test_metrics import pr_area_by_exhaustive_thresholds, roc_area_by_threshold_sweep
 
 DATA_SEED = 7
@@ -188,7 +188,7 @@ def test_criterion_06_scorer_identities():
     basis = rng.normal(size=(dim, dim))
     covariance = basis @ basis.T + dim * np.eye(dim)
     stats = oc.TrainStats(class_means=means,
-                          covariance_inv=np.linalg.inv(covariance),
+                          whitening_factor=_whitening_factor(np.linalg.inv(covariance)),
                           mean_activations=means.mean(axis=0),
                           react_threshold=1.0)
     worst_maha = 0.0

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,19 @@ from opencil.cli import _DEFAULTS, main
 
 
 SIGNALLING_NAN = np.array([0x7FF0000000000001], dtype="<u8").view("<f8")
+
+
+def _sealed(header, rows):
+    """An array record's lines: ``header``, ``rows`` and a checksum that matches them."""
+    values = np.concatenate([decode_row(row) for row in rows])
+    return [header, *rows, f"crc32 {header.split()[1]} {zlib.crc32(values):08x}"]
+
+
+def _with_diagonal(row, unit, value):
+    """A packed whitening-factor row whose diagonal entry ``unit`` is ``value``."""
+    packed = decode_row(row)
+    packed[unit * (unit + 3) // 2] = value
+    return encode_row(packed)
 
 
 def _not_a_number(text):
@@ -216,6 +230,20 @@ class TestEval:
         assert code == 1
         assert "odin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["eval"], ["curve", "--steps", "1,2"]])
+    def test_reads_the_test_split_alone(self, argv, data_dir, model_path, tmp_path, capsys):
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        shutil.copy(data_dir / "test.csv", alone / "test.csv")
+        outs = [tmp_path / "full.csv", tmp_path / "alone.csv"]
+        for d, out in zip((data_dir, alone), outs):
+            assert main(argv + ["--model", str(model_path), "--data", str(d),
+                                "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        (alone / "test.csv").rename(alone / "train.csv")
+        assert main(argv + ["--model", str(model_path), "--data", str(alone)]) == 1
+        assert "dataset file not found" in capsys.readouterr().err
+
     def test_incompatible_data_reported(self, model_path, tmp_path, capsys):
         other = tmp_path / "other"
         main(["synth", "--classes", "4", "--dim", "6", "--per-class", "20",
@@ -374,36 +402,55 @@ class TestUsage:
                      "--detectors", "base", "--scorers", "en"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    # each edit gets and returns an array record's lines: the record, its rows
+    # and its checksum; _sealed re-seals an edit that only a later check should see
     @pytest.mark.parametrize("record,edit", [
         # one class per head instead of two: each row loses its last value
-        ("array head_weights_0", lambda rows: ["array head_weights_0 32 1"]
-         + [encode_row(decode_row(row)[:-1]) for row in rows[1:]]),
+        ("array head_weights_0", lambda b: _sealed(
+            "array head_weights_0 32 1", [encode_row(decode_row(row)[:-1]) for row in b[1:-1]])),
         # a class mean row dropped
-        ("array stats_means_1", lambda rows: ["array stats_means_1 1 32"] + rows[1:2]),
-        # a negative variance on the diagonal: no Cholesky factor
-        ("array stats_covinv_0", lambda rows: [rows[0], encode_row(
-            np.concatenate([[-1.0], decode_row(rows[1])[1:]]))] + rows[2:]),
+        ("array stats_means_1", lambda b: _sealed("array stats_means_1 1 32", b[1:2])),
         # a character outside the base64 alphabet
-        ("array head_bias_1", lambda rows: [rows[0], rows[1][:5] + "!" + rows[1][6:]]),
+        ("array head_bias_1", lambda b: [b[0], b[1][:5] + "!" + b[1][6:]] + b[2:]),
         # a row cut short by whole base64 groups
-        ("array stats_means_0", lambda rows: [rows[0], rows[1][:-4]] + rows[2:]),
+        ("array stats_means_0", lambda b: [b[0], b[1][:-4]] + b[2:]),
         # a row of one value where 32 belong, which numpy would broadcast
-        ("array stats_meanact_0", lambda rows: [rows[0], encode_row(decode_row(rows[1])[:1])]),
+        ("array stats_meanact_0", lambda b: [b[0], encode_row(decode_row(b[1])[:1])] + b[2:]),
         # a row 8 bytes too long
-        ("array adapter_bias", lambda rows: [rows[0],
-                                             encode_row(np.append(decode_row(rows[1]), 0.0))]),
+        ("array adapter_bias", lambda b: [b[0], encode_row(np.append(decode_row(b[1]), 0.0))]
+         + b[2:]),
         # a NaN bit pattern
-        ("array embedding_1", lambda rows: [rows[0], encode_row(
-            np.concatenate([SIGNALLING_NAN, decode_row(rows[1])[1:]]))]),
+        ("array embedding_1", lambda b: [b[0], encode_row(
+            np.concatenate([SIGNALLING_NAN, decode_row(b[1])[1:]]))] + b[2:]),
         # an array record with no rows before the end sentinel
-        ("array stats_meanact_1", lambda rows: [rows[0], "end"]),
+        ("array stats_meanact_1", lambda b: [b[0], "end"]),
+        # one base64 character changed for another: valid rows, other values
+        pytest.param("array head_weights_1", lambda b: [
+            b[0], b[1][:5] + ("B" if b[1][5] == "A" else "A") + b[1][6:]] + b[2:],
+            id="checksum-mismatch"),
+        pytest.param("array adapter_weights", lambda b: b[:-1], id="checksum-missing"),
+        # whitening factors whose diagonal is not positive, and a packed
+        # lower triangle one value short of 32 * 33 / 2
+        pytest.param("array stats_factor_0",
+                     lambda b: _sealed(b[0], [_with_diagonal(b[1], 0, 0.0)]),
+                     id="factor-zero-diagonal"),
+        pytest.param("array stats_factor_0",
+                     lambda b: _sealed(b[0], [_with_diagonal(b[1], 1, -1.0)]),
+                     id="factor-negative-diagonal"),
+        pytest.param("array stats_factor_1",
+                     lambda b: _sealed(b[0], [_with_diagonal(b[1], 2, np.nan)]),
+                     id="factor-nan-diagonal"),
+        pytest.param("array stats_factor_1", lambda b: _sealed(
+            "array stats_factor_1 527", [encode_row(decode_row(b[1])[:-1])]),
+            id="factor-packed-length"),
     ])
     def test_corrupt_model_is_a_runtime_error(self, record, edit, data_dir, model_path,
                                               tmp_path, capsys):
         lines = model_path.read_text().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith(record + " "))
-        n_rows = int(lines[at].split()[2])
-        lines[at:at + 1 + n_rows] = edit(lines[at:at + 1 + n_rows])
+        shape = lines[at].split()[2:]
+        end = at + 2 + (1 if len(shape) == 1 else int(shape[0]))
+        lines[at:end] = edit(lines[at:end])
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
         name = record.split()[1]

@@ -1,5 +1,6 @@
 import copy
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -63,6 +64,26 @@ def version_three_text(decimal_text):
         else:
             lines.append(encode_row([float(v) for v in line.split()]))
     return "\n".join(lines).replace("opencil-model 2", "opencil-model 3") + "\n"
+
+
+def version_four_text(decimal_text):
+    """A decimal-row model file as version 4 writes it: each row re-encoded,
+    each array followed by its CRC-32, and the inverse covariance diag(0.5,
+    0.25) stored as the packed lower triangle of its Cholesky factor."""
+    text = decimal_text.replace("array stats_covinv_0 2 2\n0.5 0\n0 0.25\n",
+                                f"array stats_factor_0 3\n{math.sqrt(0.5)!r} 0 0.5\n")
+    lines, array = [], None  # the name and values so far of the open array record
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[0] in ("opencil-model", "meta", "array", "end"):
+            if array:
+                lines.append(f"crc32 {array[0]} {zlib.crc32(np.array(array[1], '<f8')):08x}")
+            array = (fields[1], []) if fields[0] == "array" else None
+            lines.append(line)
+        else:
+            array[1].extend(float(v) for v in fields)
+            lines.append(encode_row([float(v) for v in fields]))
+    return "\n".join(lines).replace("opencil-model 2", "opencil-model 4") + "\n"
 
 
 def two_class_task(dim=8, per_class=40, separation=8.0, seed=21):
@@ -358,6 +379,14 @@ class TestComputeTrainStats:
         pooled = np.sort(z.ravel())
         assert stats.react_threshold == pooled[math.ceil(0.9 * pooled.size) - 1]
 
+    def test_covariance_inv_is_derived_from_the_factor(self, small_model):
+        stats = small_model.stats[0]
+        factor = stats.whitening_factor
+        assert np.array_equal(factor, np.tril(factor)) and (np.diagonal(factor) > 0).all()
+        assert np.array_equal(stats.covariance_inv, factor @ factor.T)
+        with pytest.raises(AttributeError):
+            stats.covariance_inv = np.eye(len(factor))
+
     def test_untrained_task_rejected(self, small_model):
         data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
         with pytest.raises(ModelError, match="not trained"):
@@ -517,8 +546,8 @@ class TestSerialization:
         for t in range(small_model.trained_tasks):
             assert np.array_equal(loaded.heads[t].weights,
                                   small_model.heads[t].weights)
-            assert np.array_equal(loaded.stats[t].covariance_inv,
-                                  small_model.stats[t].covariance_inv)
+            assert loaded.stats[t].whitening_factor.tobytes() == \
+                small_model.stats[t].whitening_factor.tobytes()
             assert loaded.stats[t].react_threshold == \
                 small_model.stats[t].react_threshold
 
@@ -548,12 +577,13 @@ class TestSerialization:
         path = tmp_path / "v1.txt"
         path.write_text(V1_MODEL)
         model = oc.load_model(str(path))
-        assert np.array_equal(model.stats[0].covariance_inv, [[0.5, 0.0], [0.0, 0.25]])
+        # the inverse covariance diag(0.5, 0.25) is kept as its Cholesky factor
+        assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
         assert model.stats[0].react_threshold == 1.5
         assert oc.predict(model, "react", "enmd", np.array([1.0, 0.0])).predicted_class == 0
-        # re-saving writes version 3: the covariance and ridge records are gone
+        # re-saving writes version 4: the covariance and ridge records are gone
         oc.save_model(model, str(path))
-        assert path.read_text() == version_three_text(V2_MODEL)
+        assert path.read_text() == version_four_text(V2_MODEL)
 
     def test_version_two_file_loads(self, tmp_path):
         path = tmp_path / "v2.txt"
@@ -561,7 +591,15 @@ class TestSerialization:
         model = oc.load_model(str(path))
         assert np.array_equal(model.heads[0].weights, [[1.5, -1.0], [0.5, 2.0]])
         oc.save_model(model, str(path))
-        assert path.read_text() == version_three_text(V2_MODEL)
+        assert path.read_text() == version_four_text(V2_MODEL)
+
+    def test_version_three_file_loads(self, tmp_path):
+        path = tmp_path / "v3.txt"
+        path.write_text(version_three_text(V2_MODEL))
+        model = oc.load_model(str(path))
+        assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
+        oc.save_model(model, str(path))
+        assert path.read_text() == version_four_text(V2_MODEL)
 
     def test_rows_are_exact_little_endian_doubles(self, tmp_path):
         # values with long 17-digit decimal forms, plus -0.0 and a subnormal
@@ -581,6 +619,16 @@ class TestSerialization:
         assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
         assert loaded.flags.writeable
 
+    def test_factor_with_an_entry_above_its_diagonal_not_saved(self, small_model, tmp_path):
+        # the file keeps only the lower triangle, so the entry would be lost
+        model = copy.deepcopy(small_model)
+        factor = model.stats[1].whitening_factor
+        model.stats[1].whitening_factor = factor + np.triu(np.ones_like(factor), 1)
+        path = tmp_path / "model.txt"
+        with pytest.raises(ModelError, match="whitening factor of task 1"):
+            oc.save_model(model, str(path))
+        assert not path.exists()
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("opencil-model 99\nend\n")
@@ -599,7 +647,7 @@ class TestSerialization:
         with pytest.raises(ModelIOError, match="UTF-8"):
             oc.load_model(str(path))
 
-    @pytest.mark.parametrize("shape", ["2 2 2", "-1 2"])
+    @pytest.mark.parametrize("shape", ["2 2 2", "-1 2", "4000000000 4000000000"])
     def test_bad_array_shape(self, shape, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text(f"opencil-model 2\narray x {shape}\n1 1\n1 1\nend\n")

@@ -9,7 +9,7 @@ from conftest import manual_model, manual_stats
 from opencil.data import task_local
 from opencil.detectors import detector_logits
 from opencil.errors import ModelError
-from opencil.model import TrainStats, activations
+from opencil.model import TrainStats, _whitening_factor, activations
 from opencil.pipeline import _forward, _mixed_steps
 from opencil.scorers import score_combined
 
@@ -81,7 +81,8 @@ def random_md_model(seed, hidden, classes):
 
     Eigenvalues lie in [0.1, 10]; each inverse covariance gets an
     antisymmetric perturbation of relative size 1e-13, above the ~4e-14
-    that np.linalg.inv leaves.
+    that np.linalg.inv leaves, before its whitening factor is built from
+    its symmetric part.
     """
     rng = np.random.default_rng(seed)
     heads, stats = [], []
@@ -92,7 +93,8 @@ def random_md_model(seed, hidden, classes):
         skew = rng.normal(size=(hidden, hidden))
         inv = inv + 1e-13 * np.abs(inv).max() * (skew - skew.T)
         means = rng.uniform(0.0, 3.0, (classes, hidden))
-        stats.append(dataclasses.replace(manual_stats(means), covariance_inv=inv))
+        stats.append(dataclasses.replace(manual_stats(means),
+                                         whitening_factor=_whitening_factor(inv)))
         heads.append((rng.normal(size=(hidden, classes)), rng.normal(size=classes), False))
     model = manual_model(np.eye(hidden), np.zeros(hidden), [np.full(hidden, 10.0)] * 2,
                          heads, stats=stats, classes_per_task=classes)
@@ -127,14 +129,11 @@ class TestWhitenedMahalanobis:
                                                err_msg=f"{detector}/{scorer} head {t}")
 
     def test_inverse_covariance_without_cholesky_factor_rejected(self):
-        stats = manual_stats([[1.0, 0.0], [0.0, 1.0]])
-        bad = dataclasses.replace(stats, covariance_inv=np.diag([1.0, -1.0]))
-        model = manual_model(np.eye(2), np.zeros(2), [np.full(2, 10.0)],
-                             [(np.eye(2), np.zeros(2), False)], stats=[bad],
-                             classes_per_task=2)
+        # the factor is part of the statistics, so building them fails
         with pytest.raises(ModelError, match="positive definite"):
-            oc.predict(model, "base", "enmd", np.array([1.0, 0.0]))
-        assert oc.predict(model, "base", "en", np.array([1.0, 0.0])).predicted_task == 0
+            _whitening_factor(np.diag([1.0, -1.0]))
+        with pytest.raises(ModelError, match="positive definite"):
+            manual_stats([[1.0, 0.0], [0.0, 1.0]], covariance=np.diag([1.0, -1.0]))
 
 
 def random_plan_model(seed, hidden, classes, tasks):
@@ -248,21 +247,20 @@ class TestDerivedStateStaysCurrent:
         before = predictions(model, features)
         stats = model.stats[0]
         model.stats[0] = dataclasses.replace(
-            stats, covariance_inv=4.0 * stats.covariance_inv,
+            stats, whitening_factor=2.0 * stats.whitening_factor,
             class_means=stats.class_means[::-1].copy(),
             mean_activations=stats.mean_activations[::-1].copy())
         stats = model.stats[1]  # new arrays on the same object
-        stats.covariance_inv = 0.25 * stats.covariance_inv
+        stats.whitening_factor = 0.5 * stats.whitening_factor
         stats.class_means = stats.class_means[::-1].copy()
         assert predictions(model, features) != before
         self._assert_matches_fresh_load(model, features, tmp_path)
 
     def test_covariance_replaced_before_first_use(self, small_model, small_stream, tmp_path):
-        # load_model hands its whitening factors to the plan: a replaced
-        # covariance_inv must not be scored with the factor of the old one
+        # a factor replaced before the plan is first built must be the one it folds
         model = oc.load_model(_saved(small_model, tmp_path))
         features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
-        model.stats[1].covariance_inv = 0.25 * model.stats[1].covariance_inv
+        model.stats[1].whitening_factor = 0.5 * model.stats[1].whitening_factor
         assert predictions(model, features) != \
             predictions(oc.load_model(_saved(small_model, tmp_path)), features)
         self._assert_matches_fresh_load(model, features, tmp_path)
