@@ -233,19 +233,18 @@ def _require(settings: _Settings, key: str):
     return value
 
 
-def _load_stream(settings: _Settings, num_tasks: int, splits=("train", "test")):
-    """The task stream of the data directory's ``<split>.csv`` files.
+def _load_stream(settings: _Settings, num_tasks: int, split: str):
+    """The task stream of the data directory's ``<split>.csv`` alone.
 
-    ``eval`` and ``curve`` score only the test split, so they read it alone
-    and it stands in for the train side of every task as well.
+    Each command reads only the split it uses: ``train`` fits on train.csv,
+    ``eval`` and ``curve`` score test.csv. The one file stands in for both
+    sides of every task.
     """
-    data_dir = Path(_require(settings, "data"))
-    paths = [data_dir / f"{split}.csv" for split in splits]
-    for p in paths:
-        if not p.exists():
-            raise ConfigError(f"dataset file not found: {p}")
-    datasets = [load_csv(str(p)) for p in paths]
-    return split_tasks(datasets[0], datasets[-1], num_tasks)
+    path = Path(_require(settings, "data")) / f"{split}.csv"
+    if not path.exists():
+        raise ConfigError(f"dataset file not found: {path}")
+    dataset = load_csv(str(path))
+    return split_tasks(dataset, dataset, num_tasks)
 
 
 def _hyperparams(settings: _Settings) -> Hyperparams:
@@ -314,8 +313,10 @@ def _cmd_train(settings: _Settings) -> int:
     react_percentile = settings["react_percentile"]
     if not 0.0 <= react_percentile <= 100.0:
         raise ConfigError(f"react_percentile must lie in [0, 100], got {react_percentile}")
-    num_tasks = settings["tasks"]
-    stream = _load_stream(settings, num_tasks)
+    backupdate_epochs = settings["backupdate_epochs"]
+    if backupdate_epochs < 1:
+        raise ConfigError(f"backupdate_epochs must be >= 1, got {backupdate_epochs}")
+    stream = _load_stream(settings, settings["tasks"], "train")
     hp = _hyperparams(settings)
     model = new_model(stream.tasks[0][0].dim, hp, trunk_dim=settings.get("trunk_dim"))
 
@@ -331,7 +332,7 @@ def _cmd_train(settings: _Settings) -> int:
     started = time.perf_counter()
     train_stream(model, stream, hp, replay=replay, backupdate=backupdate,
                  buffer_capacity=settings["buffer_capacity"],
-                 backupdate_epochs=settings["backupdate_epochs"],
+                 backupdate_epochs=backupdate_epochs,
                  react_percentile=react_percentile,
                  epoch_hook=epoch_hook)
     elapsed = time.perf_counter() - started
@@ -347,7 +348,7 @@ def _cmd_eval(settings: _Settings) -> int:
     model = load_model(_require(settings, "model"))
     if model.trained_tasks == 0 or model.classes_per_task is None:
         raise ConfigError("model file holds no trained tasks")
-    stream = _load_stream(settings, model.trained_tasks, ("test",))
+    stream = _load_stream(settings, model.trained_tasks, "test")
     detectors = _detector_objects(settings, _split_list(settings["detectors"]))
     scorers = _scorer_objects(settings, _split_list(settings["scorers"]))
 
@@ -372,7 +373,7 @@ def _cmd_curve(settings: _Settings) -> int:
     model = load_model(_require(settings, "model"))
     if model.trained_tasks == 0 or model.classes_per_task is None:
         raise ConfigError("model file holds no trained tasks")
-    stream = _load_stream(settings, model.trained_tasks, ("test",))
+    stream = _load_stream(settings, model.trained_tasks, "test")
     steps_text = settings.get("steps")
     try:
         steps = ([int(s) for s in _split_list(steps_text)] if steps_text is not None

@@ -195,12 +195,9 @@ def hat_mask(embedding: np.ndarray, slope: float) -> np.ndarray:
     if not slope > 0:
         raise ModelError(f"slope must be positive, got {slope}")
     x = slope * np.asarray(embedding, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; minimum(x, -x) keeps a NaN's sign and payload
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def hat_gradient_gate(grad: np.ndarray, prev_masks) -> np.ndarray:
@@ -251,6 +248,14 @@ def forward_features(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
     return activations(model, task, x[None, :])[0]
 
 
+def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D float array, overwriting and returning it."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
                    head_w, head_b, slope):
@@ -262,28 +267,33 @@ def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
     ModelError, so numpy's floating-point warnings are silenced here.
     """
     n = len(inputs)
-    pre = inputs @ adapter_w + adapter_b
-    relu = np.maximum(pre, 0.0)
+    rows = np.arange(n)
+    relu = inputs @ adapter_w
+    relu += adapter_b
+    active = relu > 0  # the ReLU's derivative, taken before it clamps in place
+    np.maximum(relu, 0.0, out=relu)
     mask = hat_mask(embedding, slope)
     z = relu * mask
-    logits = z @ head_w + head_b
+    logits = z @ head_w
+    logits += head_b
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    probs = exps / exps.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
+    probs = _softmax_in_place(logits)
+    loss = -float(np.log(probs[rows, labels]).sum() / n)
 
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits = probs  # softmax minus one-hot, over n, in place
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
 
     dz = dlogits @ head_w.T
+    relu *= dz  # relu is not read again; dz is, until it becomes dpre below
     grads = {
         "head_weights": z.T @ dlogits,
         "head_bias": dlogits.sum(axis=0),
-        "embedding": (dz * relu).sum(axis=0) * mask * (1.0 - mask) * slope,
+        "embedding": relu.sum(axis=0) * mask * (1.0 - mask) * slope,
     }
-    dpre = dz * mask * (pre > 0)
+    dpre = dz
+    dpre *= mask
+    dpre *= active
     grads["adapter_weights"] = inputs.T @ dpre
     grads["adapter_bias"] = dpre.sum(axis=0)
     return loss, grads
@@ -305,9 +315,21 @@ def _embedding_compensation(embedding: np.ndarray, slope: float,
     -independent magnitude, so embeddings reach the gate's saturation
     rails instead of stalling where the sigmoid derivative vanishes.
     """
-    num = np.cosh(np.clip(slope * embedding, -50.0, 50.0)) + 1.0
-    den = np.cosh(np.clip(embedding, -50.0, 50.0)) + 1.0
+    # minimum(maximum(.)) is np.clip without its wrapper calls
+    num = np.cosh(np.minimum(np.maximum(slope * embedding, -50.0), 50.0)) + 1.0
+    den = np.cosh(np.minimum(np.maximum(embedding, -50.0), 50.0)) + 1.0
     return (slope_max / slope) * num / den
+
+
+def _descend(param: np.ndarray, grad: np.ndarray, *scales) -> None:
+    """param -= grad * scales[0] * scales[1] ..., scaling the fresh ``grad`` in place.
+
+    The factors apply left to right, so (grad * gate) * lr and
+    (grad * lr) * c keep the bits of lr * (grad * gate) and lr * grad * c.
+    """
+    for scale in scales:
+        grad *= scale
+    param -= grad
 
 
 def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
@@ -324,35 +346,44 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     adapter = model.adapters
     n = len(inputs)
     lr = hp.learning_rate
+    num_batches = math.ceil(n / hp.batch_size)
 
     for epoch in range(1, hp.epochs + 1):
         started = time.perf_counter()
         order = batch_rng.permutation(n)
-        num_batches = math.ceil(n / hp.batch_size)
+        epoch_inputs, epoch_labels = inputs[order], labels[order]
         loss_sum = 0.0
         for b in range(num_batches):
-            idx = order[b * hp.batch_size : (b + 1) * hp.batch_size]
+            rows = slice(b * hp.batch_size, (b + 1) * hp.batch_size)
+            batch_labels = epoch_labels[rows]
             slope = _annealed_slope(b, num_batches, hp.slope_max)
-            loss, grads = loss_and_grads(inputs[idx], labels[idx], adapter.weights,
+            loss, grads = loss_and_grads(epoch_inputs[rows], batch_labels, adapter.weights,
                                          adapter.bias, embedding, head_w, head_b, slope)
             if not math.isfinite(loss):
                 raise ModelError(
                     f"non-finite loss at task {task}, epoch {epoch}, batch {b + 1}"
                 )
-            loss_sum += loss * len(idx)
-            adapter.weights -= lr * (grads["adapter_weights"] * gate)
-            adapter.bias -= lr * (grads["adapter_bias"] * gate)
-            compensation = _embedding_compensation(embedding, slope, hp.slope_max)
-            embedding -= lr * grads["embedding"] * compensation
+            loss_sum += loss * len(batch_labels)
+            # the adapter gradient stays full-width even where gate is 0: BLAS
+            # rounds a column of X^T D differently as the product's width
+            # changes, and a column-sliced D sums its axis 0 in another order,
+            # so updating the unfrozen columns alone would change the trained bits
+            _descend(adapter.weights, grads["adapter_weights"], gate, lr)
+            _descend(adapter.bias, grads["adapter_bias"], gate, lr)
+            _descend(embedding, grads["embedding"], lr,
+                     _embedding_compensation(embedding, slope, hp.slope_max))
             np.clip(embedding, -EMBEDDING_CLAMP, EMBEDDING_CLAMP, out=embedding)
-            head_w -= lr * grads["head_weights"]
-            head_b -= lr * grads["head_bias"]
+            _descend(head_w, grads["head_weights"], lr)
+            _descend(head_b, grads["head_bias"], lr)
         if epoch_hook is not None:
-            mask = hat_mask(embedding, hp.slope_max)
-            z = np.maximum(inputs @ adapter.weights + adapter.bias, 0.0) * mask
-            predictions = (z @ head_w + head_b).argmax(axis=1)
+            z = inputs @ adapter.weights
+            z += adapter.bias
+            np.maximum(z, 0.0, out=z)
+            z *= hat_mask(embedding, hp.slope_max)
+            logits = z @ head_w
+            logits += head_b
             epoch_hook(task=task, epoch=epoch, loss=loss_sum / n,
-                       accuracy=float(np.mean(predictions == labels)),
+                       accuracy=float(np.mean(logits.argmax(axis=1) == labels)),
                        seconds=time.perf_counter() - started)
     return head_w, head_b, embedding
 
@@ -456,7 +487,6 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
     ridge = ridge_coefficient * trace / hidden if trace > 0 else ridge_coefficient
     covariance = tied + ridge * np.eye(hidden)
     try:
-        np.linalg.cholesky(covariance)
         covariance_inv = np.linalg.inv(covariance)
     except np.linalg.LinAlgError:
         raise ModelError(
@@ -543,6 +573,8 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
     move, the adapter and embeddings stay untouched. A single trained
     task is a no-op.
     """
+    if epochs < 1:
+        raise ModelError(f"back-update epochs must be >= 1, got {epochs}")
     if model.trained_tasks < 2:
         return model
     if len(buffer) == 0:
@@ -563,17 +595,17 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
         rng = substream(hp.seed, f"backupdate:{model.trained_tasks}:head{j}")
         for _ in range(epochs):
             order = rng.permutation(len(z))
+            epoch_z, epoch_labels = z[order], labels[order]
             for b in range(math.ceil(len(z) / hp.batch_size)):
-                idx = order[b * hp.batch_size : (b + 1) * hp.batch_size]
-                logits = z[idx] @ head.weights + head.bias
-                shifted = logits - logits.max(axis=1, keepdims=True)
-                exps = np.exp(shifted)
-                probs = exps / exps.sum(axis=1, keepdims=True)
-                dlogits = probs
-                dlogits[np.arange(len(idx)), labels[idx]] -= 1.0
-                dlogits /= len(idx)
-                head.weights -= lr * (z[idx].T @ dlogits)
-                head.bias -= lr * dlogits.sum(axis=0)
+                rows = slice(b * hp.batch_size, (b + 1) * hp.batch_size)
+                batch_z = epoch_z[rows]
+                dlogits = batch_z @ head.weights
+                dlogits += head.bias
+                _softmax_in_place(dlogits)
+                dlogits[np.arange(len(batch_z)), epoch_labels[rows]] -= 1.0
+                dlogits /= len(batch_z)
+                _descend(head.weights, batch_z.T @ dlogits, lr)
+                _descend(head.bias, dlogits.sum(axis=0), lr)
     return model
 
 

@@ -185,6 +185,8 @@ class _Reader:
             if fields[0] == "meta":
                 if len(fields) != 3:
                     self.fail(f"malformed meta record: {' '.join(fields)!r}")
+                if fields[1] in self.metas:
+                    self.fail(f"duplicate meta record {fields[1]!r}")
                 self.metas[fields[1]] = fields[2]
             elif fields[0] == "array":
                 self._read_array(fields)
@@ -195,6 +197,8 @@ class _Reader:
         if len(fields) < 3:
             self.fail(f"malformed array record: {' '.join(fields)!r}")
         name = fields[1]
+        if name in self.arrays:
+            self.fail(f"duplicate array record {name!r}")
         try:
             shape = tuple(int(s) for s in fields[2:])
         except ValueError:

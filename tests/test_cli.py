@@ -81,6 +81,8 @@ _MALFORMED = {
     "--epochs": ("train", "epochs", _bad_ints(st.integers(max_value=0))),
     "--lr": ("train", "learning_rate", _bad_floats(_NEGATIVE_OR_ZERO)),
     "--hidden": ("train", "hidden_width", _bad_ints(st.integers(max_value=0))),
+    "--backupdate-epochs": ("train", "backupdate_epochs",
+                            _bad_ints(st.integers(max_value=0))),
 }
 
 
@@ -181,6 +183,20 @@ class TestTrain:
                      "--backupdate", "-o", str(tmp_path / "m.txt")])
         assert code == 1
         assert "replay" in capsys.readouterr().err
+
+    def test_reads_the_train_split_alone(self, data_dir, tmp_path, capsys):
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        shutil.copy(data_dir / "train.csv", alone / "train.csv")
+        models = [tmp_path / "full.txt", tmp_path / "alone.txt"]
+        for d, model in zip((data_dir, alone), models):
+            assert main(["train", "--data", str(d), "--tasks", "2", "--epochs", "3",
+                         "--hidden", "16", "--seed", "2", "-o", str(model)]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+        (alone / "train.csv").rename(alone / "test.csv")
+        assert main(["train", "--data", str(alone), "--tasks", "2",
+                     "-o", str(tmp_path / "never.txt")]) == 1
+        assert "dataset file not found" in capsys.readouterr().err
 
     def test_deterministic_model_files(self, data_dir, tmp_path):
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
@@ -369,6 +385,7 @@ class TestUsage:
         ["curve", "--steps", ""],
         ["eval", "--temperature", "inf"],
         ["curve", "--grid-step", "1e-300"],  # 1e302 points
+        ["train", "--replay", "--backupdate", "--backupdate-epochs", "-3"],  # no epochs
     ])
     def test_bad_flag_value_is_a_usage_error(self, argv, data_dir, model_path, tmp_path,
                                              capsys):
@@ -402,8 +419,9 @@ class TestUsage:
                      "--detectors", "base", "--scorers", "en"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    # each edit gets and returns an array record's lines: the record, its rows
-    # and its checksum; _sealed re-seals an edit that only a later check should see
+    # each edit gets and returns a record's lines: a meta line, or an array record
+    # with its rows and its checksum; _sealed re-seals an edit that only a later
+    # check should see
     @pytest.mark.parametrize("record,edit", [
         # one class per head instead of two: each row loses its last value
         ("array head_weights_0", lambda b: _sealed(
@@ -443,13 +461,21 @@ class TestUsage:
         pytest.param("array stats_factor_1", lambda b: _sealed(
             "array stats_factor_1 527", [encode_row(decode_row(b[1])[:-1])]),
             id="factor-packed-length"),
+        # a second well-formed record under a name already read
+        pytest.param("array head_bias_0", lambda b: b + _sealed(
+            b[0], [encode_row(decode_row(b[1]) + 1.0)]), id="duplicate-array"),
+        pytest.param("meta slope_max", lambda b: b + ["meta slope_max 1"],
+                     id="duplicate-meta"),
     ])
     def test_corrupt_model_is_a_runtime_error(self, record, edit, data_dir, model_path,
                                               tmp_path, capsys):
         lines = model_path.read_text().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith(record + " "))
         shape = lines[at].split()[2:]
-        end = at + 2 + (1 if len(shape) == 1 else int(shape[0]))
+        if record.startswith("meta "):
+            end = at + 1
+        else:
+            end = at + 2 + (1 if len(shape) == 1 else int(shape[0]))
         lines[at:end] = edit(lines[at:end])
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")

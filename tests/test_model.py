@@ -529,6 +529,13 @@ class TestBackUpdate:
             assert np.array_equal(ours.weights, theirs.weights)
             assert np.array_equal(ours.bias, theirs.bias)
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_rejected(self, epochs, small_hp):
+        # even where back-update would be a no-op, the value is not ignored
+        with pytest.raises(ModelError, match="epochs must be >= 1"):
+            oc.back_update(oc.new_model(8, small_hp), oc.Buffer.empty(10, 8), small_hp,
+                           epochs=epochs)
+
     def test_empty_buffer_rejected(self, small_stream, small_hp):
         model, _ = self._trained_replay(small_stream, small_hp)
         with pytest.raises(ModelError, match="non-empty buffer"):
