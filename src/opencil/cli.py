@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .data import Dataset, SynthSpec, holdout, load_csv, save_csv, split_tasks, synth_gaussian
 from .detectors import DEFAULT_PERCENTILES, DETECTOR_KINDS, Detector
-from .errors import ConfigError, OpenCILError
+from .errors import ConfigError, DataError, ModelError, OpenCILError
 from .metrics import rejection_curve
 from .model import (
     DEFAULT_BACKUPDATE_EPOCHS,
@@ -163,6 +163,10 @@ class _Settings:
         except ConfigError:
             return fallback
 
+    def given(self, key: str) -> bool:
+        """Whether a flag or the config file sets ``key``."""
+        return self.args.get(key) is not None or key in self.config
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opencil",
@@ -233,6 +237,19 @@ def _require(settings: _Settings, key: str):
     return value
 
 
+def _output(settings: _Settings, key: str, required: bool = False):
+    """The output path that ``key`` names, checked before any work starts:
+    its directory must exist and it must not be a directory itself."""
+    path = _require(settings, key) if required else settings.get(key)
+    if path:
+        if Path(path).is_dir():
+            raise ConfigError(f"output path is a directory: {path}")
+        parent = Path(path).resolve().parent
+        if not parent.is_dir():
+            raise ConfigError(f"output directory does not exist: {parent}")
+    return path
+
+
 def _load_stream(settings: _Settings, num_tasks: int, split: str):
     """The task stream of the data directory's ``<split>.csv`` alone.
 
@@ -248,15 +265,18 @@ def _load_stream(settings: _Settings, num_tasks: int, split: str):
 
 
 def _hyperparams(settings: _Settings) -> Hyperparams:
-    return Hyperparams(
-        epochs=settings["epochs"],
-        learning_rate=settings["learning_rate"],
-        batch_size=settings["batch_size"],
-        hidden_width=settings["hidden_width"],
-        seed=settings["seed"],
-        slope_max=settings["slope_max"],
-        covariance_ridge=settings["covariance_ridge"],
-    )
+    try:
+        return Hyperparams(
+            epochs=settings["epochs"],
+            learning_rate=settings["learning_rate"],
+            batch_size=settings["batch_size"],
+            hidden_width=settings["hidden_width"],
+            seed=settings["seed"],
+            slope_max=settings["slope_max"],
+            covariance_ridge=settings["covariance_ridge"],
+        )
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
@@ -281,17 +301,23 @@ def _split_list(text: str) -> list[str]:
 
 
 def _cmd_synth(settings: _Settings) -> int:
-    spec = SynthSpec(
-        num_classes=_require(settings, "classes"),
-        dim=_require(settings, "dim"),
-        per_class=_require(settings, "per_class"),
-        mean_separation=_require(settings, "separation"),
-        seed=settings["seed"],
-    )
+    try:
+        spec = SynthSpec(
+            num_classes=_require(settings, "classes"),
+            dim=_require(settings, "dim"),
+            per_class=_require(settings, "per_class"),
+            mean_separation=_require(settings, "separation"),
+            seed=settings["seed"],
+        )
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    test_fraction = settings["test_fraction"]
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     out_dir = Path(_require(settings, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     full = synth_gaussian(spec)
-    train, test = holdout(full, settings["test_fraction"], spec.seed)
+    train, test = holdout(full, test_fraction, spec.seed)
     save_csv(train, str(out_dir / "train.csv"))
     save_csv(test, str(out_dir / "test.csv"))
     print(f"classes={full.num_classes} dim={full.dim} per_class={spec.per_class} "
@@ -306,21 +332,34 @@ def _cmd_train(settings: _Settings) -> int:
     backupdate = bool(settings["backupdate"])
     if backupdate and not replay:
         raise ConfigError("--backupdate requires --replay")
-    model_path = _require(settings, "model")
-    parent = Path(model_path).resolve().parent
-    if not parent.is_dir():
-        raise ConfigError(f"model output directory does not exist: {parent}")
+    # a setting that only the replay path or back-update reads is refused without it
+    if settings.given("buffer_capacity") and not replay:
+        raise ConfigError("--buffer (buffer_capacity) requires --replay")
+    if settings.given("backupdate_epochs") and not backupdate:
+        raise ConfigError("--backupdate-epochs (backupdate_epochs) requires --backupdate")
+    model_path = _output(settings, "model", required=True)
+    log_path = _output(settings, "log")
+    if log_path and Path(log_path).resolve() == Path(model_path).resolve():
+        raise ConfigError(f"the training log would overwrite the model file {model_path}")
     react_percentile = settings["react_percentile"]
     if not 0.0 <= react_percentile <= 100.0:
         raise ConfigError(f"react_percentile must lie in [0, 100], got {react_percentile}")
     backupdate_epochs = settings["backupdate_epochs"]
     if backupdate_epochs < 1:
         raise ConfigError(f"backupdate_epochs must be >= 1, got {backupdate_epochs}")
-    stream = _load_stream(settings, settings["tasks"], "train")
+    buffer_capacity = settings["buffer_capacity"]
+    if buffer_capacity < 1:
+        raise ConfigError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
+    tasks = settings["tasks"]
+    if tasks < 1:
+        raise ConfigError(f"tasks must be >= 1, got {tasks}")
+    trunk_dim = settings.get("trunk_dim")
+    if trunk_dim is not None and trunk_dim < 1:
+        raise ConfigError(f"trunk_dim must be >= 1, got {trunk_dim}")
     hp = _hyperparams(settings)
-    model = new_model(stream.tasks[0][0].dim, hp, trunk_dim=settings.get("trunk_dim"))
+    stream = _load_stream(settings, tasks, "train")
+    model = new_model(stream.tasks[0][0].dim, hp, trunk_dim=trunk_dim)
 
-    log_path = settings.get("log")
     log_lines: list[str] = []
 
     def epoch_hook(task, epoch, loss, accuracy, seconds):
@@ -331,7 +370,7 @@ def _cmd_train(settings: _Settings) -> int:
 
     started = time.perf_counter()
     train_stream(model, stream, hp, replay=replay, backupdate=backupdate,
-                 buffer_capacity=settings["buffer_capacity"],
+                 buffer_capacity=buffer_capacity,
                  backupdate_epochs=backupdate_epochs,
                  react_percentile=react_percentile,
                  epoch_hook=epoch_hook)
@@ -345,6 +384,7 @@ def _cmd_train(settings: _Settings) -> int:
 
 
 def _cmd_eval(settings: _Settings) -> int:
+    out = _output(settings, "out")
     model = load_model(_require(settings, "model"))
     if model.trained_tasks == 0 or model.classes_per_task is None:
         raise ConfigError("model file holds no trained tasks")
@@ -360,7 +400,6 @@ def _cmd_eval(settings: _Settings) -> int:
             f"{100 * row.af:.2f},{100 * row.auc:.2f},{100 * row.aupr:.2f}"
         )
     text = "\n".join(lines) + "\n"
-    out = settings.get("out")
     if out:
         Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {out} ({len(report.rows)} rows)")
@@ -370,6 +409,7 @@ def _cmd_eval(settings: _Settings) -> int:
 
 
 def _cmd_curve(settings: _Settings) -> int:
+    out = _output(settings, "out")
     model = load_model(_require(settings, "model"))
     if model.trained_tasks == 0 or model.classes_per_task is None:
         raise ConfigError("model file holds no trained tasks")
@@ -404,7 +444,6 @@ def _cmd_curve(settings: _Settings) -> int:
             lines.append(f"{step},{point.rejection_rate:.6g},"
                          f"{point.accuracy:.6g},{point.retained_count}")
     text = "\n".join(lines) + "\n"
-    out = settings.get("out")
     if out:
         Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {out}")

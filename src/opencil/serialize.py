@@ -1,33 +1,36 @@
-"""Portable text serialization of trained models.
+"""Model files: ASCII record lines with raw little-endian array payloads.
 
-The file is line-oriented and self-describing: a versioned header, then
-``meta <name> <value>`` records and ``array <name> <shape...>`` records
-whose rows follow in row-major order, one line per row, closed by an
-``end`` sentinel. Version 4 writes each row as one line of standard
-padded base64 holding the row's IEEE-754 float64 values in little-endian
-order, and follows each array's rows with a ``crc32 <name> <hex>`` record,
-the CRC-32 of all the array's little-endian bytes. The checksum catches
-accidental corruption, not deliberate edits. Meta values are decimal text
-with 17 significant digits. Both round-trip doubles exactly, so save ->
-load -> save reproduces the file byte for byte.
+A file is a versioned header line, then ``meta <name> <value>`` and
+``array <name> <shape...>`` records, closed by an ``end`` line. In version
+5 an array's record line is followed by exactly prod(shape) * 8 bytes, the
+array's IEEE-754 float64 values in row-major, little-endian order, then one
+line break and a ``crc32 <name> <hex>`` record, the CRC-32 of those bytes.
+The checksum catches accidental corruption, not deliberate edits. Meta
+values are decimal text with 17 significant digits. Both round-trip doubles
+exactly, so save -> load -> save reproduces the file byte for byte. The
+file is not text, but every record starts a line, so ``head`` and
+``grep -a`` still show the records.
 
 A task's Mahalanobis statistics are its whitening factor F, the lower
 Cholesky factor of the inverse tied covariance, stored as the packed lower
 triangle in row-major order (``stats_factor_<t>``, h(h+1)/2 values). Load
 checks that F's diagonal is positive instead of factorising anything.
 
-Versions 1 to 3 still load. They store the full inverse covariance
-(``stats_covinv_<t>``), which load converts to F once, and carry no
-checksums. Versions 1 and 2 wrote rows as decimal text; version 1's
-covariance and ridge records, which inference never read, are ignored.
+Versions 1 to 4 still load, through the same reader. They were text and
+wrote each array row as one line: version 4 as standard padded base64 of
+the row's little-endian doubles, with the same checksum records; version 3
+the same without checksums; versions 1 and 2 as decimal text. Versions 1
+to 3 store the full inverse covariance (``stats_covinv_<t>``), which load
+converts to F once; version 1's covariance and ridge records, which
+inference never read, are ignored.
 
-A declared shape the rest of the file cannot hold, a row that does not
-decode to exactly the array's width, a non-finite value in any record, a
-missing or mismatched checksum, an array whose shape does not fit the
-model's sizes, a factor with a diagonal entry that is not positive, and
-an old-version inverse covariance without a Cholesky factor fail the
-load. Both directions stream the file line by line, so neither holds its
-whole text in memory.
+A declared shape the rest of the file cannot hold (refused before anything
+is allocated), a payload or row that does not hold exactly the array's
+values, a non-finite value in any record, a missing or mismatched
+checksum, an array whose shape does not fit the model's sizes, a factor
+with a diagonal entry that is not positive, and an old-version inverse
+covariance without a Cholesky factor fail the load. Both directions stream
+the file record by record, so neither holds the whole file in memory.
 """
 
 from __future__ import annotations
@@ -44,20 +47,20 @@ from .errors import ModelError, ModelIOError
 from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _whitening_factor
 
 FORMAT_NAME = "opencil-model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 __all__ = ["save_model", "load_model"]
 
 
 class _Writer:
-    """Writes records to an open text file as they are produced."""
+    """Writes records to a file opened in binary mode as they are produced."""
 
     def __init__(self, fh) -> None:
         self.fh = fh
         self.line(f"{FORMAT_NAME} {FORMAT_VERSION}")
 
     def line(self, text: str) -> None:
-        self.fh.write(text + "\n")
+        self.fh.write(text.encode("ascii") + b"\n")
 
     def meta(self, name: str, value) -> None:
         text = f"{value:.17g}" if isinstance(value, float) else str(int(value))
@@ -65,11 +68,9 @@ class _Writer:
 
     def array(self, name: str, arr: np.ndarray) -> None:
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        shape = " ".join(str(s) for s in arr.shape)
-        self.line(f"array {name} {shape}")
-        rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
-        for row in rows:
-            self.line(base64.b64encode(row.tobytes()).decode("ascii"))
+        self.line(f"array {name} {' '.join(str(s) for s in arr.shape)}")
+        self.fh.write(arr)
+        self.fh.write(b"\n")
         self.line(f"crc32 {name} {zlib.crc32(arr):08x}")
 
 
@@ -86,7 +87,7 @@ def save_model(model: ModelState, path: str) -> None:
             raise ModelError(f"whitening factor of task {t} is not a lower-triangular "
                              f"{hidden} x {hidden} array")
     lower = np.tril_indices(hidden)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         w = _Writer(fh)
         w.meta("dim_in", model.trunk.dim_in)
         w.meta("has_projection", 0 if model.trunk.projection is None else 1)
@@ -113,7 +114,7 @@ def save_model(model: ModelState, path: str) -> None:
         w.line("end")
 
 
-def _decimal_row(line: str, row: np.ndarray) -> None:
+def _decimal_row(line: bytes, row: np.ndarray) -> None:
     """Fill ``row`` from a version 1 or 2 row: decimal values split by spaces."""
     parts = line.split()
     if len(parts) != len(row):
@@ -124,60 +125,66 @@ def _decimal_row(line: str, row: np.ndarray) -> None:
         raise ValueError("holds a non-numeric value") from None
 
 
-def _base64_row(line: str, row: np.ndarray) -> None:
-    """Fill ``row`` from a version 3 row: base64 of little-endian float64 values."""
+def _base64_row(line: bytes, row: np.ndarray) -> None:
+    """Fill ``row`` from a version 3 or 4 row: base64 of little-endian float64 values."""
     try:
-        raw = base64.b64decode(line.rstrip("\n"), validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII character
+        raw = base64.b64decode(line.rstrip(b"\n"), validate=True)
+    except ValueError:  # binascii.Error
         raise ValueError("is not base64") from None
     if len(raw) != row.nbytes:
         raise ValueError(f"holds {len(raw)} bytes, expected {row.nbytes}")
     row[:] = np.frombuffer(raw, dtype="<f8")
 
 
+# the row decoder of each text version; version 5 stores raw payloads
 _ROW_DECODERS = {"1": _decimal_row, "2": _decimal_row, "3": _base64_row, "4": _base64_row}
 
 
 class _Reader:
-    """Reads the records of an open model file line by line."""
+    """Reads the records of a model file opened in binary mode."""
 
     def __init__(self, path: str, fh) -> None:
-        self.lines = iter(fh)
+        self.fh = fh
         self.path = path
-        # characters not read yet, never fewer than the bytes left; a pipe's are unknown
+        # bytes not read yet; a pipe's are unknown
         info = os.fstat(fh.fileno())
         self.unread = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
         self.metas: dict[str, str] = {}
         self.arrays: dict[str, np.ndarray] = {}
         self.version = 0  # set from the header, as is the row decoder
-        self.decode_row = None
+        self.decode_row = None  # stays None for version 5, which has no rows
 
     def fail(self, why: str):
         raise ModelIOError(f"{self.path}: {why}")
 
-    def next_line(self) -> str:
-        try:
-            line = next(self.lines)
-        except StopIteration:
+    def next_line(self) -> bytes:
+        line = self.fh.readline()
+        if not line:
             self.fail("truncated model file (missing 'end')")
-        except UnicodeDecodeError:
-            self.fail("not a model file (not UTF-8 text)")
         self.unread -= len(line)
         return line
 
+    def next_record(self) -> list[str]:
+        """The fields of the next line, which must be UTF-8 text."""
+        line = self.next_line()
+        try:
+            return line.decode("utf-8").split()
+        except UnicodeDecodeError:
+            self.fail(f"not a model file (not UTF-8 text: {line[:80]!r})")
+
     def parse(self) -> None:
-        header = self.next_line().split()
+        header = self.next_record()
         if len(header) != 2 or header[0] != FORMAT_NAME:
             self.fail("not a model file (bad header)")
-        if header[1] not in _ROW_DECODERS:
+        if header[1] not in _ROW_DECODERS and header[1] != str(FORMAT_VERSION):
             self.fail(
                 f"unsupported model file version {header[1]} "
                 f"(this build reads versions 1 to {FORMAT_VERSION})"
             )
         self.version = int(header[1])
-        self.decode_row = _ROW_DECODERS[header[1]]
+        self.decode_row = _ROW_DECODERS.get(header[1])
         while True:
-            fields = self.next_line().split()
+            fields = self.next_record()
             if not fields:
                 self.fail("blank line inside model file")
             if fields[0] == "end":
@@ -206,31 +213,55 @@ class _Reader:
         if len(shape) > 2 or min(shape) < 0:
             self.fail(f"bad shape in array record {name!r}")
         n_rows, width = (1, shape[0]) if len(shape) == 1 else shape
-        # a row is one line of at least two characters a value (one for an
-        # empty row), so this refuses a size the file cannot hold unallocated
-        if n_rows * max(1, 2 * width) > self.unread:
+        # the fewest bytes that can hold the values, so that a size the file
+        # cannot hold is refused before anything is allocated
+        if self.decode_row is None:  # a payload and its line break
+            least = 8 * n_rows * width + 1
+        else:  # text rows of at least two characters a value (one if empty)
+            least = n_rows * max(1, 2 * width)
+        if least > self.unread:
             self.fail(f"array {name!r} of shape {' '.join(fields[2:])} does not fit in "
                       f"the rest of the file (bad shape, or truncated model file)")
-        rows = np.empty((n_rows, width))
+        try:
+            values = np.empty(shape, dtype="<f8")
+        except (ValueError, MemoryError):  # a pipe's shape numpy cannot allocate
+            self.fail(f"bad shape in array record {name!r}")
+        if self.decode_row is None:
+            self._read_payload(name, values)
+        else:
+            self._read_rows(name, values.reshape(n_rows, width))
+        if not np.isfinite(values).all():
+            self.fail(f"non-finite value in array {name!r}")
+        if self.version >= 4:
+            crc = self.next_record()
+            if len(crc) != 3 or crc[:2] != ["crc32", name]:
+                self.fail(f"array {name!r} has no checksum record")
+            if crc[2] != f"{zlib.crc32(values):08x}":
+                self.fail(f"array {name!r} does not match its checksum")
+        self.arrays[name] = values
+
+    def _read_payload(self, name: str, values: np.ndarray) -> None:
+        """Fill ``values`` from a version 5 payload and the line break after it."""
+        got = self.fh.readinto(values)  # all of it unless the file ends, from a pipe too
+        self.unread -= got + 1
+        if got < values.nbytes:
+            self.fail(f"truncated model file (array {name!r} holds {got} of "
+                      f"{values.nbytes} bytes)")
+        if self.fh.read(1) != b"\n":
+            self.fail(f"array {name!r} is not {values.nbytes} bytes followed by a line break")
+
+    def _read_rows(self, name: str, rows: np.ndarray) -> None:
+        """Fill ``rows`` from the text rows of a version 1 to 4 array."""
         for i, row in enumerate(rows):
             line = self.next_line()
             try:
                 self.decode_row(line, row)
             except ValueError as exc:
-                if line.split(maxsplit=1)[:1] in (["end"], ["meta"], ["array"], ["crc32"]):
+                if line.split(maxsplit=1)[:1] in ([b"end"], [b"meta"], [b"array"], [b"crc32"]):
                     self.fail(f"array {name!r} has {i} rows, expected {len(rows)}")
-                if not line.endswith("\n"):  # the file's last line, so 'end' is missing
+                if not line.endswith(b"\n"):  # the file's last line, so 'end' is missing
                     self.fail(f"truncated model file (array {name!r} row {i + 1} cut short)")
                 self.fail(f"array {name!r} row {i + 1} {exc}")
-        if not np.isfinite(rows).all():
-            self.fail(f"non-finite value in array {name!r}")
-        if self.version >= 4:
-            crc = self.next_line().split()
-            if len(crc) != 3 or crc[:2] != ["crc32", name]:
-                self.fail(f"array {name!r} has no checksum record")
-            if crc[2] != f"{zlib.crc32(rows.astype('<f8', copy=False)):08x}":
-                self.fail(f"array {name!r} does not match its checksum")
-        self.arrays[name] = rows.reshape(shape)
 
     def meta(self, name: str, cast=float):
         if name not in self.metas:
@@ -264,7 +295,7 @@ def load_model(path: str) -> ModelState:
     factor a positive diagonal. The inverse covariances of a version 1 to 3
     file are factorised here, once, and must have a Cholesky factor.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         r = _Reader(path, fh)
         r.parse()
 

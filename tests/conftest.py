@@ -1,4 +1,6 @@
 import base64
+import math
+import zlib
 
 import numpy as np
 import pytest
@@ -67,11 +69,51 @@ def manual_stats(class_means, covariance=None, mean_activations=None,
     )
 
 
-def decode_row(line):
-    """Values of one model-file row (version 3 on): base64 of little-endian doubles."""
-    return np.frombuffer(base64.b64decode(line, validate=True), dtype="<f8").copy()
-
-
 def encode_row(values):
-    """One model-file row (version 3 on) holding ``values``."""
+    """One model-file row of version 3 or 4 holding ``values``."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def model_records(data):
+    """A version 5 model file cut into its records, each with its line breaks: the
+    header, a meta line, ``end``, or an array's record line, payload, line break
+    and checksum line together."""
+    records, at = [], 0
+    while at < len(data):
+        end = data.index(b"\n", at) + 1
+        fields = data[at:end].split()
+        if fields[0] == b"array":
+            end = data.index(b"\n", end + 8 * math.prod(int(s) for s in fields[2:])) + 1
+            end = data.index(b"\n", end) + 1
+        records.append(data[at:end])
+        at = end
+    return records
+
+
+def record_values(record):
+    """A copy of the values of a version 5 array record, in its declared shape."""
+    line, _, rest = record.partition(b"\n")
+    shape = [int(s) for s in line.split()[2:]]
+    return np.frombuffer(rest[:8 * math.prod(shape)], dtype="<f8").reshape(shape).copy()
+
+
+def version_five_bytes(decimal_text):
+    """A decimal-row model file of version 1 or 2 as version 5 writes it: each
+    array's rows as one little-endian payload with its CRC-32, and the inverse
+    covariance diag(0.5, 0.25) as the packed lower triangle of its Cholesky factor."""
+    text = decimal_text.replace("array stats_covinv_0 2 2\n0.5 0\n0 0.25\n",
+                                f"array stats_factor_0 3\n{math.sqrt(0.5)!r} 0 0.5\n")
+    out, array = [], None  # the name and values so far of the open array record
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[0] in ("opencil-model", "meta", "array", "end"):
+            if array:
+                values = np.array(array[1], dtype="<f8")
+                out += [values.tobytes(), b"\n",
+                        f"crc32 {array[0]} {zlib.crc32(values):08x}\n".encode()]
+            array = (fields[1], []) if fields[0] == "array" else None
+            out.append(line.encode() + b"\n")
+        else:
+            array[1].extend(float(v) for v in fields)
+    out[0] = b"opencil-model 5\n"
+    return b"".join(out)

@@ -14,24 +14,45 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import opencil as oc
-from conftest import decode_row, encode_row
+from conftest import model_records, record_values
+from opencil import cli
 from opencil.cli import _DEFAULTS, main
 
 
 SIGNALLING_NAN = np.array([0x7FF0000000000001], dtype="<u8").view("<f8")
 
 
-def _sealed(header, rows):
-    """An array record's lines: ``header``, ``rows`` and a checksum that matches them."""
-    values = np.concatenate([decode_row(row) for row in rows])
-    return [header, *rows, f"crc32 {header.split()[1]} {zlib.crc32(values):08x}"]
+def _sealed(header, values):
+    """A version 5 array record: ``header``, ``values`` as its payload and a
+    checksum that matches them."""
+    values = np.ascontiguousarray(values, dtype="<f8")
+    return (f"{header}\n".encode() + values.tobytes() + b"\n"
+            + f"crc32 {header.split()[1]} {zlib.crc32(values):08x}\n".encode())
 
 
-def _with_diagonal(row, unit, value):
-    """A packed whitening-factor row whose diagonal entry ``unit`` is ``value``."""
-    packed = decode_row(row)
-    packed[unit * (unit + 3) // 2] = value
-    return encode_row(packed)
+def _parts(record):
+    """An array record's line, payload and checksum line, each with no line break."""
+    line, rest = record.split(b"\n", 1)
+    payload, crc = rest[:-1].rsplit(b"\n", 1)
+    return line, payload, crc
+
+
+def _unsealed(record, payload):
+    """``record`` with its payload replaced by ``payload``, keeping its checksum."""
+    line, _, crc = _parts(record)
+    return line + b"\n" + payload + b"\n" + crc + b"\n"
+
+
+def _with_value(record, index, value):
+    """``record`` whose flat value ``index`` is ``value``, with its checksum resealed."""
+    values = record_values(record)
+    values.flat[index] = value
+    return _sealed(_parts(record)[0].decode(), values)
+
+
+def _with_diagonal(record, unit, value):
+    """A packed whitening-factor record whose diagonal entry ``unit`` is ``value``."""
+    return _with_value(record, unit * (unit + 3) // 2, value)
 
 
 def _not_a_number(text):
@@ -40,6 +61,13 @@ def _not_a_number(text):
     except ValueError:
         return True
     return False
+
+
+def _positive_int(text):
+    try:
+        return int(text) >= 1
+    except ValueError:
+        return False
 
 
 def _not_a_valid_step(text):  # the test model has two steps
@@ -183,6 +211,35 @@ class TestTrain:
                      "--backupdate", "-o", str(tmp_path / "m.txt")])
         assert code == 1
         assert "replay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--buffer", "7"], ""),
+        (["--backupdate-epochs", "5"], ""),
+        (["--replay", "--backupdate-epochs", "5"], ""),
+        ([], "buffer_capacity=7\n"),
+        ([], "backupdate_epochs=5\n"),
+        (["--replay"], "backupdate_epochs=5\n"),
+    ], ids=["buffer-flag", "backupdate-epochs-flag", "backupdate-epochs-flag-with-replay",
+            "buffer-key", "backupdate-epochs-key", "backupdate-epochs-key-with-replay"])
+    def test_setting_of_a_path_not_taken_is_refused(self, flags, config, data_dir, tmp_path,
+                                                     capsys):
+        # a buffer is read only with --replay, back-update epochs only with --backupdate
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        model = tmp_path / "m.txt"
+        assert main(["train", "--data", str(data_dir), "--tasks", "2", "--epochs", "2",
+                     "--hidden", "8", "--config", str(cfg), "-o", str(model)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "requires" in err
+        assert not model.exists()
+
+    def test_log_that_would_overwrite_the_model_is_refused(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        same = str(tmp_path / "." / "m.txt")
+        assert main(["train", "--data", str(data_dir), "--tasks", "2", "--epochs", "2",
+                     "--hidden", "8", "-o", str(model), "--log", same]) == 1
+        assert "overwrite the model file" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_reads_the_train_split_alone(self, data_dir, tmp_path, capsys):
         alone = tmp_path / "alone"
@@ -397,96 +454,161 @@ class TestUsage:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("record,offset,value", [
-        ("array head_weights_0", 1, "nan"),  # the last value of the first row
+        ("array head_weights_0", 1, "nan"),  # the second value; the checksum is kept
         ("meta stats_react_0", 0, "inf"),
     ])
     def test_non_finite_model_value_is_a_runtime_error(self, record, offset, value,
                                                         data_dir, model_path, tmp_path,
                                                         capsys):
-        lines = model_path.read_text().splitlines()
-        at = offset + next(i for i, line in enumerate(lines) if line.startswith(record))
+        records = model_records(model_path.read_bytes())
+        at = next(i for i, r in enumerate(records) if r.startswith(record.encode() + b" "))
         if record.startswith("array"):
-            row = decode_row(lines[at])
-            row[-1] = float(value)
-            lines[at] = encode_row(row)
+            values = record_values(records[at])
+            values.flat[offset] = float(value)
+            records[at] = _unsealed(records[at], values.tobytes())
         else:
-            lines[at] = lines[at].rsplit(" ", 1)[0] + " " + value
+            records[at] = records[at].rsplit(b" ", 1)[0] + f" {value}\n".encode()
         bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"".join(records))
         with pytest.raises(oc.ModelIOError, match="non-finite"):
             oc.load_model(str(bad))
         assert main(["eval", "--model", str(bad), "--data", str(data_dir),
                      "--detectors", "base", "--scorers", "en"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    # each edit gets and returns a record's lines: a meta line, or an array record
-    # with its rows and its checksum; _sealed re-seals an edit that only a later
-    # check should see
+    # each edit gets and returns the bytes of a record: a meta line, or an array's
+    # record line, payload, line break and checksum line; _sealed and _with_value
+    # re-seal an edit that only a later check should see
     @pytest.mark.parametrize("record,edit", [
         # one class per head instead of two: each row loses its last value
-        ("array head_weights_0", lambda b: _sealed(
-            "array head_weights_0 32 1", [encode_row(decode_row(row)[:-1]) for row in b[1:-1]])),
+        ("array head_weights_0", lambda r: _sealed(
+            "array head_weights_0 32 1", record_values(r)[:, :-1])),
         # a class mean row dropped
-        ("array stats_means_1", lambda b: _sealed("array stats_means_1 1 32", b[1:2])),
-        # a character outside the base64 alphabet
-        ("array head_bias_1", lambda b: [b[0], b[1][:5] + "!" + b[1][6:]] + b[2:]),
-        # a row cut short by whole base64 groups
-        ("array stats_means_0", lambda b: [b[0], b[1][:-4]] + b[2:]),
-        # a row of one value where 32 belong, which numpy would broadcast
-        ("array stats_meanact_0", lambda b: [b[0], encode_row(decode_row(b[1])[:1])] + b[2:]),
-        # a row 8 bytes too long
-        ("array adapter_bias", lambda b: [b[0], encode_row(np.append(decode_row(b[1]), 0.0))]
-         + b[2:]),
-        # a NaN bit pattern
-        ("array embedding_1", lambda b: [b[0], encode_row(
-            np.concatenate([SIGNALLING_NAN, decode_row(b[1])[1:]]))] + b[2:]),
-        # an array record with no rows before the end sentinel
-        ("array stats_meanact_1", lambda b: [b[0], "end"]),
-        # one base64 character changed for another: valid rows, other values
-        pytest.param("array head_weights_1", lambda b: [
-            b[0], b[1][:5] + ("B" if b[1][5] == "A" else "A") + b[1][6:]] + b[2:],
+        ("array stats_means_1", lambda r: _sealed("array stats_means_1 1 32",
+                                                  record_values(r)[:1])),
+        # a record line that is not UTF-8 text
+        ("array head_bias_1", lambda r: r.replace(b"head_bias_1", b"head_bias_1\xff", 1)),
+        # a payload cut short by one value, or by one byte
+        ("array stats_means_0", lambda r: _unsealed(r, _parts(r)[1][:-8])),
+        ("array stats_meanact_0", lambda r: _unsealed(r, _parts(r)[1][:-1])),
+        # a payload one byte too long
+        ("array adapter_bias", lambda r: _unsealed(r, _parts(r)[1] + b"\0")),
+        # a signalling NaN bit pattern
+        ("array embedding_1", lambda r: _with_value(r, 0, SIGNALLING_NAN[0])),
+        # an array record with no payload before the end sentinel
+        ("array stats_meanact_1", lambda r: _parts(r)[0] + b"\nend\n"),
+        # one payload bit flipped: valid doubles, other values
+        pytest.param("array head_weights_1", lambda r: _unsealed(
+            r, _parts(r)[1][:5] + bytes([_parts(r)[1][5] ^ 1]) + _parts(r)[1][6:]),
             id="checksum-mismatch"),
-        pytest.param("array adapter_weights", lambda b: b[:-1], id="checksum-missing"),
+        pytest.param("array adapter_weights", lambda r: r[:r.rindex(b"crc32 ")],
+                     id="checksum-missing"),
+        pytest.param("array head_bias_0", lambda r: r.replace(b"\ncrc32 ", b"crc32 ", 1),
+                     id="payload-without-line-break"),
+        pytest.param("array head_bias_0", lambda r: r.replace(b"\ncrc32 ", b"\n\ncrc32 ", 1),
+                     id="payload-with-extra-line-break"),
+        pytest.param("array stats_meanact_0", lambda r: _with_value(r, 3, np.nan), id="nan"),
+        pytest.param("array stats_means_1", lambda r: _with_value(r, 7, -np.inf), id="inf"),
+        # a shape far beyond the file, refused before anything is allocated
+        pytest.param("array head_bias_0", lambda r: b"array head_bias_0 4000000000 4000000000"
+                     + r[r.index(b"\n"):], id="shape-too-large"),
         # whitening factors whose diagonal is not positive, and a packed
         # lower triangle one value short of 32 * 33 / 2
-        pytest.param("array stats_factor_0",
-                     lambda b: _sealed(b[0], [_with_diagonal(b[1], 0, 0.0)]),
+        pytest.param("array stats_factor_0", lambda r: _with_diagonal(r, 0, 0.0),
                      id="factor-zero-diagonal"),
-        pytest.param("array stats_factor_0",
-                     lambda b: _sealed(b[0], [_with_diagonal(b[1], 1, -1.0)]),
+        pytest.param("array stats_factor_0", lambda r: _with_diagonal(r, 1, -1.0),
                      id="factor-negative-diagonal"),
-        pytest.param("array stats_factor_1",
-                     lambda b: _sealed(b[0], [_with_diagonal(b[1], 2, np.nan)]),
+        pytest.param("array stats_factor_1", lambda r: _with_diagonal(r, 2, np.nan),
                      id="factor-nan-diagonal"),
-        pytest.param("array stats_factor_1", lambda b: _sealed(
-            "array stats_factor_1 527", [encode_row(decode_row(b[1])[:-1])]),
-            id="factor-packed-length"),
+        pytest.param("array stats_factor_1", lambda r: _sealed(
+            "array stats_factor_1 527", record_values(r)[:-1]), id="factor-packed-length"),
         # a second well-formed record under a name already read
-        pytest.param("array head_bias_0", lambda b: b + _sealed(
-            b[0], [encode_row(decode_row(b[1]) + 1.0)]), id="duplicate-array"),
-        pytest.param("meta slope_max", lambda b: b + ["meta slope_max 1"],
+        pytest.param("array head_bias_0", lambda r: r + _sealed(
+            "array head_bias_0 2", record_values(r) + 1.0), id="duplicate-array"),
+        pytest.param("meta slope_max", lambda r: r + b"meta slope_max 1\n",
                      id="duplicate-meta"),
     ])
     def test_corrupt_model_is_a_runtime_error(self, record, edit, data_dir, model_path,
                                               tmp_path, capsys):
-        lines = model_path.read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if line.startswith(record + " "))
-        shape = lines[at].split()[2:]
-        if record.startswith("meta "):
-            end = at + 1
-        else:
-            end = at + 2 + (1 if len(shape) == 1 else int(shape[0]))
-        lines[at:end] = edit(lines[at:end])
+        records = model_records(model_path.read_bytes())
+        at = next(i for i, r in enumerate(records) if r.startswith(record.encode() + b" "))
+        records[at] = edit(records[at])
         bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"".join(records))
         name = record.split()[1]
         with pytest.raises(oc.ModelIOError, match=name):
             oc.load_model(str(bad))
         assert main(["eval", "--model", str(bad), "--data", str(data_dir),
                      "--detectors", "base", "--scorers", "en"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and name in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "0"],
+        ["train", "--hidden", "0"],
+        ["train", "--lr", "0"],
+        ["train", "--batch", "0"],
+        ["train", "--trunk-dim", "0"],
+        ["train", "--replay", "--buffer", "0"],
+        ["train", "--tasks", "0"],
+        ["train", "--seed", "-1"],
+        ["synth", "--classes", "0"],
+        ["synth", "--test-fraction", "1.5"],
+    ], ids=" ".join)
+    def test_bad_setting_is_a_usage_error_before_any_data(self, argv, data_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        def no_data(*args):
+            raise AssertionError("data read or made before the settings were checked")
+
+        monkeypatch.setattr(cli, "load_csv", no_data)
+        monkeypatch.setattr(cli, "synth_gaussian", no_data)
+        base = {"train": ["--data", str(data_dir), "--tasks", "2", "--epochs", "1",
+                          "--hidden", "4", "-o", str(tmp_path / "m.txt")],
+                "synth": ["--classes", "4", "--dim", "8", "--per-class", "30", "--sep", "8",
+                          "-o", str(tmp_path / "d")]}[argv[0]]
+        assert main(argv[:1] + base + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tasks_the_data_cannot_split_is_a_runtime_error(self, data_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(data_dir), "--tasks", "3", "--epochs", "1",
+                     "--hidden", "4", "-o", str(tmp_path / "m.txt")]) == 2
+        assert "4 classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-model", "train-log", "eval", "curve"])
+    def test_missing_output_directory_is_refused_before_any_work(self, command, data_dir,
+                                                                 model_path, tmp_path,
+                                                                 monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("work started before the output directory was checked")
+
+        monkeypatch.setattr(cli, "load_csv", no_work)
+        monkeypatch.setattr(cli, "load_model", no_work)
+        missing = str(tmp_path / "nodir" / "out")
+        model = tmp_path / "m.txt"
+        argv = {"train-model": ["train", "--data", str(data_dir), "-o", missing],
+                "train-log": ["train", "--data", str(data_dir), "-o", str(model),
+                              "--log", missing],
+                "eval": ["eval", "--model", str(model_path), "--data", str(data_dir),
+                         "-o", missing],
+                "curve": ["curve", "--model", str(model_path), "--data", str(data_dir),
+                          "-o", missing]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output directory does not exist: {tmp_path / 'nodir'}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_output_path_that_is_a_directory_is_refused(self, command, data_dir, model_path,
+                                                        tmp_path, capsys):
+        argv = {"train": ["train", "--data", str(data_dir), "--tasks", "2", "--epochs", "1",
+                          "--hidden", "4"],
+                "eval": ["eval", "--model", str(model_path), "--data", str(data_dir)]}[command]
+        assert main(argv + ["-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from(sorted(_MALFORMED)).flatmap(
@@ -516,7 +638,8 @@ class TestUsage:
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
-        assert code in (1, 2)
+        # only a number of tasks that the 4 classes cannot split is the data's to refuse
+        assert code == (2 if flag == "--tasks" and _positive_int(value) else 1)
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
         assert not never.exists()

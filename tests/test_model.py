@@ -1,5 +1,7 @@
 import copy
 import math
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import opencil as oc
-from conftest import decode_row, encode_row, manual_model, manual_stats
+from conftest import (encode_row, manual_model, manual_stats, model_records, record_values,
+                      version_five_bytes)
 from opencil.data import task_local
 from opencil.errors import ModelError, ModelIOError
 from opencil.model import activations, loss_and_grads
@@ -84,6 +87,20 @@ def version_four_text(decimal_text):
             array[1].extend(float(v) for v in fields)
             lines.append(encode_row([float(v) for v in fields]))
     return "\n".join(lines).replace("opencil-model 2", "opencil-model 4") + "\n"
+
+
+def version_four_of(data):
+    """A version 5 model file as version 4 wrote it: each array row as a line of base64."""
+    lines = []
+    for record in model_records(data):
+        if not record.startswith(b"array "):
+            lines.append(record.decode().rstrip("\n"))
+            continue
+        head, crc = record.split(b"\n", 1)[0], record.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        values = record_values(record)
+        rows = values.reshape(-1, values.shape[-1])
+        lines += [head.decode(), *(encode_row(row) for row in rows), crc.decode()]
+    return "\n".join(lines).replace("opencil-model 5", "opencil-model 4", 1) + "\n"
 
 
 def two_class_task(dim=8, per_class=40, separation=8.0, seed=21):
@@ -575,10 +592,14 @@ class TestSerialization:
     def test_truncated_file(self, small_model, tmp_path):
         path = tmp_path / "model.txt"
         oc.save_model(small_model, str(path))
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        with pytest.raises(ModelIOError, match=": truncated model file"):
-            oc.load_model(str(path))
+        data = path.read_bytes()
+        last = data.rindex(b"\narray ") + 1  # the last array record
+        # halfway, inside the last payload, before its line break, and before 'end'
+        for cut in (len(data) // 2, data.index(b"\n", last) + 9, data.rindex(b"\ncrc32 "),
+                    len(data) - 4):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ModelIOError, match="truncated model file"):
+                oc.load_model(str(path))
 
     def test_version_one_file_loads(self, tmp_path):
         path = tmp_path / "v1.txt"
@@ -588,9 +609,9 @@ class TestSerialization:
         assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
         assert model.stats[0].react_threshold == 1.5
         assert oc.predict(model, "react", "enmd", np.array([1.0, 0.0])).predicted_class == 0
-        # re-saving writes version 4: the covariance and ridge records are gone
+        # re-saving writes version 5: the covariance and ridge records are gone
         oc.save_model(model, str(path))
-        assert path.read_text() == version_four_text(V2_MODEL)
+        assert path.read_bytes() == version_five_bytes(V2_MODEL)
 
     def test_version_two_file_loads(self, tmp_path):
         path = tmp_path / "v2.txt"
@@ -598,7 +619,7 @@ class TestSerialization:
         model = oc.load_model(str(path))
         assert np.array_equal(model.heads[0].weights, [[1.5, -1.0], [0.5, 2.0]])
         oc.save_model(model, str(path))
-        assert path.read_text() == version_four_text(V2_MODEL)
+        assert path.read_bytes() == version_five_bytes(V2_MODEL)
 
     def test_version_three_file_loads(self, tmp_path):
         path = tmp_path / "v3.txt"
@@ -606,7 +627,21 @@ class TestSerialization:
         model = oc.load_model(str(path))
         assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
         oc.save_model(model, str(path))
-        assert path.read_text() == version_four_text(V2_MODEL)
+        assert path.read_bytes() == version_five_bytes(V2_MODEL)
+
+    def test_version_four_file_loads(self, small_model, tmp_path):
+        path = tmp_path / "v4.txt"
+        path.write_text(version_four_text(V2_MODEL))
+        model = oc.load_model(str(path))
+        assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
+        oc.save_model(model, str(path))
+        assert path.read_bytes() == version_five_bytes(V2_MODEL)
+        # a trained model's file, rewritten as version 4, gives back the same file
+        oc.save_model(small_model, str(path))
+        v5 = path.read_bytes()
+        path.write_text(version_four_of(v5))
+        oc.save_model(oc.load_model(str(path)), str(path))
+        assert path.read_bytes() == v5
 
     def test_rows_are_exact_little_endian_doubles(self, tmp_path):
         # values with long 17-digit decimal forms, plus -0.0 and a subnormal
@@ -617,14 +652,64 @@ class TestSerialization:
                              classes_per_task=2)
         path = tmp_path / "model.txt"
         oc.save_model(model, str(path))
-        lines = path.read_text().splitlines()
-        at = lines.index("array head_weights_0 2 2")
-        assert [decode_row(row).tobytes() for row in lines[at + 1:at + 3]] == \
-            [row.astype("<f8").tobytes() for row in head]
-        loaded = oc.load_model(str(path)).heads[0].weights
-        assert loaded.tobytes() == head.tobytes()
-        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
-        assert loaded.flags.writeable
+        record = next(r for r in model_records(path.read_bytes())
+                      if r.startswith(b"array head_weights_0 "))
+        assert record == (b"array head_weights_0 2 2\n" + head.astype("<f8").tobytes() + b"\n"
+                          + f"crc32 head_weights_0 {zlib.crc32(head):08x}\n".encode())
+        assert oc.load_model(str(path)).heads[0].weights.tobytes() == head.tobytes()
+
+    def test_loaded_arrays_are_the_saved_bytes(self, small_model, tmp_path):
+        path = tmp_path / "model.txt"
+        oc.save_model(small_model, str(path))
+        loaded = oc.load_model(str(path))
+        lower = np.tril_indices(loaded.hidden_width)
+        named = {"adapter_weights": loaded.adapters.weights, "adapter_bias": loaded.adapters.bias}
+        for t, (head, stats) in enumerate(zip(loaded.heads, loaded.stats)):
+            named.update({f"embedding_{t}": loaded.adapters.task_embeddings[t],
+                          f"head_weights_{t}": head.weights, f"head_bias_{t}": head.bias,
+                          f"stats_means_{t}": stats.class_means,
+                          f"stats_factor_{t}": stats.whitening_factor,
+                          f"stats_meanact_{t}": stats.mean_activations})
+        for arr in named.values():
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.writeable
+        saved = {r.split()[1].decode(): record_values(r) for r in model_records(path.read_bytes())
+                 if r.startswith(b"array ")}
+        assert saved.keys() == named.keys()
+        for name, values in saved.items():
+            arr = named[name][lower] if name.startswith("stats_factor_") else named[name]
+            assert arr.tobytes() == values.tobytes(), name
+
+    @pytest.mark.parametrize("fed", ["whole", "cut", "huge-shape"])
+    def test_load_from_a_fifo(self, fed, small_model, tmp_path):
+        # a pipe has no size, so the reader cannot bound a payload by the rest of the file
+        path, fifo = tmp_path / "model.txt", tmp_path / "model.fifo"
+        oc.save_model(small_model, str(path))
+        data = {"whole": path.read_bytes(), "cut": path.read_bytes()[:1000],
+                "huge-shape": b"opencil-model 5\narray x 4000000000 4000000000\n"}[fed]
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:  # the reader stopped early
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            if fed == "whole":
+                loaded = oc.load_model(str(fifo))
+                assert loaded.stats[1].whitening_factor.tobytes() == \
+                    small_model.stats[1].whitening_factor.tobytes()
+            else:
+                with pytest.raises(ModelIOError, match={"cut": "truncated model file",
+                                                        "huge-shape": "bad shape"}[fed]):
+                    oc.load_model(str(fifo))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
 
     def test_factor_with_an_entry_above_its_diagonal_not_saved(self, small_model, tmp_path):
         # the file keeps only the lower triangle, so the entry would be lost
@@ -659,6 +744,20 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         path.write_text(f"opencil-model 2\narray x {shape}\n1 1\n1 1\nend\n")
         with pytest.raises(ModelIOError, match="bad shape"):
+            oc.load_model(str(path))
+
+    @pytest.mark.parametrize("shape", ["2 2 2", "-1 2", "1e3", "100000000000000000000000 0"])
+    def test_bad_version_five_shape(self, shape, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(f"opencil-model 5\narray x {shape}\n".encode() + bytes(33) + b"end\n")
+        with pytest.raises(ModelIOError, match="bad shape in array record 'x'"):
+            oc.load_model(str(path))
+
+    def test_oversized_shape_refused_before_allocation(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"opencil-model 5\narray x 4000000000 4000000000\n"
+                         + bytes(17) + b"end\n")
+        with pytest.raises(ModelIOError, match="'x' of shape 4000000000 4000000000 does not fit"):
             oc.load_model(str(path))
 
     def test_projection_trunk_round_trip(self, tmp_path):
