@@ -23,7 +23,7 @@ from pathlib import Path
 from .data import Dataset, SynthSpec, holdout, load_csv, save_csv, split_tasks, synth_gaussian
 from .detectors import DEFAULT_PERCENTILES, DETECTOR_KINDS, Detector
 from .errors import ConfigError, DataError, ModelError, OpenCILError
-from .metrics import rejection_curve
+from .metrics import grid_points, rejection_curve
 from .model import (
     DEFAULT_BACKUPDATE_EPOCHS,
     DEFAULT_REACT_PERCENTILE,
@@ -300,6 +300,37 @@ def _split_list(text: str) -> list[str]:
     return [item.strip() for item in str(text).split(",") if item.strip()]
 
 
+def _kinds(settings: _Settings, key: str) -> list[str]:
+    """The comma-separated kinds that ``key`` names; at least one."""
+    kinds = _split_list(settings[key])
+    if not kinds:
+        raise ConfigError(f"{key} must name at least one kind, got {settings[key]!r}")
+    return kinds
+
+
+def _steps(settings: _Settings) -> list[int] | None:
+    """The steps that ``--steps`` names, or None for every step. Their range
+    depends on the model and is checked once it is loaded."""
+    text = settings.get("steps")
+    if text is None:
+        return None
+    try:
+        steps = [int(s) for s in _split_list(text)]
+    except ValueError:
+        raise ConfigError(f"steps must be comma-separated integers, got {text!r}") from None
+    if not steps:
+        raise ConfigError(f"steps must name at least one step, got {text!r}")
+    return steps
+
+
+def _load_trained(settings: _Settings):
+    """The model file's model and the task stream of the data's test.csv."""
+    model = load_model(_require(settings, "model"))
+    if model.trained_tasks == 0 or model.classes_per_task is None:
+        raise ConfigError("model file holds no trained tasks")
+    return model, _load_stream(settings, model.trained_tasks, "test")
+
+
 def _cmd_synth(settings: _Settings) -> int:
     try:
         spec = SynthSpec(
@@ -385,12 +416,9 @@ def _cmd_train(settings: _Settings) -> int:
 
 def _cmd_eval(settings: _Settings) -> int:
     out = _output(settings, "out")
-    model = load_model(_require(settings, "model"))
-    if model.trained_tasks == 0 or model.classes_per_task is None:
-        raise ConfigError("model file holds no trained tasks")
-    stream = _load_stream(settings, model.trained_tasks, "test")
-    detectors = _detector_objects(settings, _split_list(settings["detectors"]))
-    scorers = _scorer_objects(settings, _split_list(settings["scorers"]))
+    detectors = _detector_objects(settings, _kinds(settings, "detectors"))
+    scorers = _scorer_objects(settings, _kinds(settings, "scorers"))
+    model, stream = _load_trained(settings)
 
     report = run_sweep(model, stream, detectors, scorers)
     lines = ["detector,scorer,lca,aia,af,auc,aupr"]
@@ -410,28 +438,19 @@ def _cmd_eval(settings: _Settings) -> int:
 
 def _cmd_curve(settings: _Settings) -> int:
     out = _output(settings, "out")
-    model = load_model(_require(settings, "model"))
-    if model.trained_tasks == 0 or model.classes_per_task is None:
-        raise ConfigError("model file holds no trained tasks")
-    stream = _load_stream(settings, model.trained_tasks, "test")
-    steps_text = settings.get("steps")
-    try:
-        steps = ([int(s) for s in _split_list(steps_text)] if steps_text is not None
-                 else list(range(1, model.trained_tasks + 1)))
-    except ValueError:
-        raise ConfigError(
-            f"steps must be comma-separated integers, got {steps_text!r}"
-        ) from None
-    if not steps:
-        raise ConfigError(f"steps must name at least one step, got {steps_text!r}")
-    for step in steps:
-        if not 1 <= step <= model.trained_tasks:
-            raise ConfigError(
-                f"step {step} outside 1..{model.trained_tasks}"
-            )
+    steps = _steps(settings)
     detector = _detector_objects(settings, [settings["detector"]])[0]
     scorer = _scorer_objects(settings, [settings["scorer"]])[0]
     grid_step = settings["grid_step"]
+    try:
+        grid_points(grid_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    model, stream = _load_trained(settings)
+    steps = steps or list(range(1, model.trained_tasks + 1))
+    for step in steps:
+        if not 1 <= step <= model.trained_tasks:
+            raise ConfigError(f"step {step} outside 1..{model.trained_tasks}")
 
     lines = ["step,rejection_rate,accuracy,retained"]
     for step, (scores, correct) in zip(steps, _mixed_steps(model, stream, steps,

@@ -33,6 +33,7 @@ __all__ = [
     "auc",
     "aupr",
     "CurvePoint",
+    "grid_points",
     "rejection_curve",
     "ReportRow",
     "EvalReport",
@@ -130,6 +131,22 @@ class CurvePoint:
     retained_count: int
 
 
+def grid_points(grid_step: float) -> int:
+    """Number of points on the rejection grid of ``grid_step`` percent.
+
+    The step must lie in (0, 100], divide 100 and give at most
+    ``MAX_CURVE_POINTS`` points; otherwise ``ValueError``.
+    """
+    if not 0 < grid_step <= 100:
+        raise ValueError(f"grid_step must lie in (0, 100], got {grid_step}")
+    n_points = 100.0 / grid_step
+    if n_points > MAX_CURVE_POINTS:
+        raise ValueError(f"grid_step {grid_step} gives more than {MAX_CURVE_POINTS} points")
+    if abs(n_points - round(n_points)) > 1e-9:
+        raise ValueError(f"grid_step {grid_step} does not divide 100")
+    return int(round(n_points))
+
+
 def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     """Accuracy over retained samples as score-quantile thresholds grow.
 
@@ -147,16 +164,9 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
         raise ValueError("scores and correctness flags must be non-empty and aligned")
     if not np.isfinite(scores).all():
         raise ValueError("rejection_curve needs finite scores")
-    if not 0 < grid_step <= 100:
-        raise ValueError(f"grid_step must lie in (0, 100], got {grid_step}")
-    n_points = 100.0 / grid_step
-    if n_points > MAX_CURVE_POINTS:
-        raise ValueError(f"grid_step {grid_step} gives more than {MAX_CURVE_POINTS} points")
-    if abs(n_points - round(n_points)) > 1e-9:
-        raise ValueError(f"grid_step {grid_step} does not divide 100")
 
     points = []
-    for i in range(int(round(n_points))):
+    for i in range(grid_points(grid_step)):
         rho = i * grid_step
         threshold = percentile(scores, rho)
         retained = scores >= threshold

@@ -15,9 +15,11 @@ every test sample and splits them into seen (tasks 1..k) and unseen
 (later tasks) populations. The system-level score of a sample is the
 maximum per-head score, the value realized at the task-id argmax.
 
-Every entry point reads one pass, ``_forward``, over the model's
-inference plan (``_Plan``). The plan folds each head's saturated mask m_t
-into the arrays that read the gated activations z_t = relu * m_t:
+Every entry point reads one pass, ``_heads``, over the model's
+inference plan (``_Plan``): ``_forward`` runs it from the first head, and
+``_columns`` (below) from the first head its memo slot lacks. The plan
+folds each head's saturated mask m_t into the arrays that read the gated
+activations z_t = relu * m_t:
 
 - the class columns of every head as diag(m_t) W_t, side by side in one
   (h, T*C) array, so one product gives the raw logits of every head;
@@ -39,8 +41,8 @@ changes, yet a head's scores must not depend on how many heads a call
 asks for (``upto``). So the logits always come from the product over all
 T heads, cut to ``upto``. The whitened activations, the costly product,
 come from one matrix-vector product over all T heads for a single row,
-and from one product per head, for the first ``upto`` heads only, for
-more rows.
+and from one product per head, for the heads asked for only, for more
+rows.
 
 The plan is built on first use and kept on the model as a plain attribute,
 which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
@@ -51,6 +53,25 @@ a copy, so edits made in place are seen. ``whitening_factor`` and
 ``class_means`` are compared by identity: replace them, do not write into
 them. Apart from the plan nothing here writes to the model; per-sample
 work items are independent and safe to parallelize.
+
+Per-step loops over one test set (a curve over steps 1..T, open-world
+metrics after each step) would score heads 1..k again for every k. So the
+plan keeps one memo slot (``_columns``) of per-head columns, the predicted
+classes and the scores, for one batch under one detector-scorer pair.
+Its key is the batch's shared-adapter activations, compared by bytes, and
+the ``Detector`` and ``Scorer`` values, so a change to the inputs, the
+adapter or the trunk projection is seen; a rebuild of the plan or of its
+Mahalanobis arrays empties it. A call that needs more heads than the slot
+holds computes only the missing ones and appends them, which gives the same
+bits as a pass from head 0, since each head has its own product. The slot
+retains about n*h floats of key plus the n x T columns; its arrays are
+read-only, and callers get copies or values derived from them.
+``score_table``, ``evaluate_open`` and ``mixed_scores`` read it.
+``evaluate_closed`` does not: it scores the test sets of tasks 1..k alone,
+and BLAS rounds a row differently by its position in a product, so those
+rows' scores differ in the last bits from the same rows in the full stack.
+``run_sweep`` makes one pass for all its pairs, and single rows are not
+worth keeping.
 """
 
 from __future__ import annotations
@@ -171,6 +192,7 @@ class _Plan:
         self._dice: dict[float, np.ndarray] = {}
         self._md_sources: list[np.ndarray] = []
         self._md = None
+        self.columns = None  # the memo slot; see ``_columns``
 
     def dice(self, p: float) -> np.ndarray:
         """diag(m_t) (W_t * DICE keep-mask at percentile p), folded like ``folded``."""
@@ -206,6 +228,7 @@ class _Plan:
             self._md = (factors, centers, np.ascontiguousarray(means.transpose(0, 2, 1)),
                         (means * means).sum(axis=2))
             self._md_sources = sources
+            self.columns = None
         return self._md
 
 
@@ -233,17 +256,19 @@ def _scale_factors(z: np.ndarray, p: float) -> np.ndarray:
     return factors
 
 
-def _md_coefficient(relu: np.ndarray, md, upto: int) -> np.ndarray:
-    """(n, upto) coefficients 1 / (1 + d_min), d_min the squared Mahalanobis
-    distance of each head's activations to its closest class mean."""
+def _md_coefficient(relu: np.ndarray, md, first: int, upto: int) -> np.ndarray:
+    """(n, upto - first) coefficients 1 / (1 + d_min) of heads first..upto-1,
+    d_min the squared Mahalanobis distance of each head's activations to its
+    closest class mean."""
     factors, centers, means, norms = md
     tasks, hidden, _ = means.shape
+    heads = slice(first, upto)
     if len(relu) == 1:  # one matrix-vector product over every head, then cut
-        w = (relu @ factors).reshape(1, tasks, hidden)[:, :upto].transpose(1, 0, 2)
-    else:  # one product per head, and none for heads past upto
-        w = np.matmul(relu, factors.reshape(hidden, tasks, hidden)[:, :upto].transpose(1, 0, 2))
-    w -= centers[:upto, None, :]  # (upto, n, h)
-    nearest = (norms[:upto, None, :] - 2.0 * np.matmul(w, means[:upto])).min(axis=2)
+        w = (relu @ factors).reshape(1, tasks, hidden)[:, heads].transpose(1, 0, 2)
+    else:  # one product per head, and none for heads outside first..upto-1
+        w = np.matmul(relu, factors.reshape(hidden, tasks, hidden)[:, heads].transpose(1, 0, 2))
+    w -= centers[heads, None, :]  # (upto - first, n, h)
+    nearest = (norms[heads, None, :] - 2.0 * np.matmul(w, means[heads])).min(axis=2)
     d_min = np.maximum(np.einsum("tnh,tnh->tn", w, w) + nearest, 0.0)
     return (1.0 / (1.0 + d_min)).T
 
@@ -266,6 +291,22 @@ def _score(logits: np.ndarray, scorer: Scorer, coefficient) -> np.ndarray:
     return base
 
 
+def _prepare(model: ModelState, upto: int, scorers):
+    """The model's plan and, when a scorer needs them, its Mahalanobis arrays."""
+    tasks = model.trained_tasks
+    if not 1 <= upto <= tasks:
+        raise ModelError(f"head count {upto} outside 1..{tasks}")
+    plan = _plan(model)
+    md = (plan.mahalanobis(model.stats) if any(s.kind in ("smmd", "enmd") for s in scorers)
+          else None)
+    return plan, md
+
+
+def _adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite score
+        return _shared_adapter(model, x)
+
+
 def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=()):
     """One inference pass of a batch through the first ``upto`` heads.
 
@@ -274,42 +315,44 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
     scores under ``detectors[i]`` and ``scorers[j]``. Pairs are indexed
     by position, since two detectors may share a kind.
     """
-    tasks = model.trained_tasks
-    if not 1 <= upto <= tasks:
-        raise ModelError(f"head count {upto} outside 1..{tasks}")
-    plan = _plan(model)
-    md = (plan.mahalanobis(model.stats) if any(s.kind in ("smmd", "enmd") for s in scorers)
-          else None)
+    plan, md = _prepare(model, upto, scorers)
+    return _heads(plan, md, _adapter(model, x), 0, upto, detectors, scorers)
+
+
+def _heads(plan: _Plan, md, relu: np.ndarray, first: int, upto: int, detectors, scorers):
+    """``_forward`` from the shared-adapter output ``relu``, for heads
+    first..upto-1 only: column c of the result is head first + c."""
+    tasks, classes_per_task = plan.bias.shape
     dice = [plan.dice(d.percentile) if d.kind == "dice" else None for d in detectors]
-    offsets = np.arange(upto) * model.classes_per_task
-    bias = plan.bias[:upto]
+    heads = slice(first, upto)
+    offsets = np.arange(first, upto) * classes_per_task
+    bias = plan.bias[heads]
+    n = len(relu)
+    classes = np.empty((n, upto - first), dtype=np.int64)
+    scores = np.empty((len(detectors), len(scorers), n, upto - first))
     # an overflow shows as a non-finite score, which is reported below
     with np.errstate(all="ignore"):
-        relu = _shared_adapter(model, x)
-        n = len(relu)
-        classes = np.empty((n, upto), dtype=np.int64)
-        scores = np.empty((len(detectors), len(scorers), n, upto))
         for start in range(0, n, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             r = relu[rows]
-            products = (r @ plan.folded).reshape(len(r), tasks, -1)[:, :upto]
+            products = (r @ plan.folded).reshape(len(r), tasks, -1)[:, heads]
             raw = products + bias
             classes[rows] = raw.argmax(axis=2) + offsets
-            coefficient = _md_coefficient(r, md, upto) if md is not None else None
+            coefficient = _md_coefficient(r, md, first, upto) if md is not None else None
             for i, detector in enumerate(detectors):
                 if detector.kind == "base":
                     logits = raw
                 elif detector.kind == "dice":
-                    logits = (r @ dice[i]).reshape(len(r), tasks, -1)[:, :upto] + bias
+                    logits = (r @ dice[i]).reshape(len(r), tasks, -1)[:, heads] + bias
                 else:  # react and scale change z_t itself, so they run per head
                     logits = np.empty_like(raw)
-                    for t in range(upto):
+                    for c, t in enumerate(range(first, upto)):
                         z = r * plan.masks[t]
                         if detector.kind == "react":
-                            logits[:, t] = np.minimum(z, plan.thresholds[t]) @ plan.weights[t]
+                            logits[:, c] = np.minimum(z, plan.thresholds[t]) @ plan.weights[t]
                         else:  # (s z_t) W_t = s (z_t W_t)
                             factors = _scale_factors(z, detector.percentile)
-                            logits[:, t] = factors[:, None] * products[:, t]
+                            logits[:, c] = factors[:, None] * products[:, c]
                     logits += bias
                 for j, scorer in enumerate(scorers):
                     scores[i, j, rows] = _score(logits, scorer, coefficient)
@@ -317,6 +360,39 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
     if bad:
         raise ModelError(f"non-finite scores for {bad} of {n} samples")
     return classes, scores
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _columns(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
+    """Classes and scores of heads 0..upto-1 for one pair, as read-only
+    (n, upto) views into the plan's memo slot.
+
+    The slot holds the columns of one batch under one pair, keyed on the
+    batch's shared-adapter output, compared by bytes, and on the two values.
+    Only the heads it lacks are computed and appended; since each head's
+    columns come from its own product, they equal those of a pass from head 0.
+    """
+    detector, scorer = _as_detector(detector), _as_scorer(scorer)
+    plan, md = _prepare(model, upto, [scorer])  # a rebuild of either empties the slot
+    relu = _adapter(model, x)
+    slot = plan.columns
+    if (slot is None or slot[1] != detector or slot[2] != scorer
+            or slot[0].shape != relu.shape
+            or not np.array_equal(slot[0].view(np.int64), relu.view(np.int64))):
+        slot = (_frozen(relu), detector, scorer,
+                np.empty((len(relu), 0), dtype=np.int64), np.empty((len(relu), 0)))
+    held = slot[4].shape[1]
+    if held < upto:
+        classes, scores = _heads(plan, md, slot[0], held, upto, [detector], [scorer])
+        slot = (*slot[:3], _frozen(np.hstack([slot[3], classes])),
+                _frozen(np.hstack([slot[4], scores[0, 0]])))
+        # one assignment, so a concurrent call sees a whole slot, old or new
+        plan.columns = slot
+    return slot[3][:, :upto], slot[4][:, :upto]
 
 
 def _pair_forward(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
@@ -394,8 +470,8 @@ def score_table(model: ModelState, stream, detector, scorer) -> ScoreTable:
     scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
     features, labels, tasks = _stack_tests(stream)
-    _, scores = _pair_forward(model, features, model.trained_tasks, detector, scorer)
-    return ScoreTable(scores, labels, tasks, detector.kind, scorer.kind)
+    _, scores = _columns(model, features, model.trained_tasks, detector, scorer)
+    return ScoreTable(scores.copy(), labels, tasks, detector.kind, scorer.kind)
 
 
 def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
@@ -433,7 +509,7 @@ def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
             f"(no unseen classes remain at step {stream.num_tasks}); got {upto}"
         )
     features, _labels, tasks = _stack_tests(stream)
-    _, scores = _pair_forward(model, features, upto, detector, scorer)
+    _, scores = _columns(model, features, upto, detector, scorer)
     system = scores.max(axis=1)
     return system[tasks < upto], system[tasks >= upto]
 
@@ -449,14 +525,14 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
 
 
 def _mixed_steps(model: ModelState, stream, steps, detector, scorer):
-    """``mixed_scores`` at every step in ``steps``, from one pass at max(steps) heads.
+    """``mixed_scores`` at every step in ``steps``, from the columns of max(steps) heads.
 
-    Heads are scored independently, so the first k columns of that pass
-    are the scores of a k-head pass.
+    Heads are scored independently, so the first k columns of those are
+    the scores of a k-head pass.
     """
     _check_compatible(model, stream)
     features, labels, tasks = _stack_tests(stream)
-    classes, scores = _pair_forward(model, features, max(steps), detector, scorer)
+    classes, scores = _columns(model, features, max(steps), detector, scorer)
     sample_index = np.arange(len(labels))
     results = []
     for k in steps:

@@ -686,3 +686,46 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+
+class TestSettingsBeforeWork:
+    @pytest.mark.parametrize("flag", ["--detectors", "--scorers"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_kind_list_is_a_usage_error(self, flag, value, data_dir, model_path,
+                                              capsys):
+        code = main(["eval", "--model", str(model_path), "--data", str(data_dir), flag, value])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--temperature", "-1"],
+        ["--detectors", ""],
+        ["--scorers", "en,odin"],
+        ["--detectors", "dice", "--dice-percentile", "150"],
+        ["--detectors", "scale", "--scale-percentile", "-1"],
+    ])
+    def test_eval_checks_settings_before_reading_the_model(self, argv, tmp_path, capsys):
+        code = main(["eval", "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(tmp_path / "missing")] + argv)
+        assert code == 1
+        assert "missing" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--steps", "x"],
+        ["--steps", " , "],
+        ["--grid-step", "7"],
+        ["--grid-step", "1e-300"],
+        ["--temperature", "0"],
+        ["--detector", "dice", "--dice-percentile", "101"],
+        ["--scorer", "odin"],
+    ])
+    def test_curve_checks_settings_before_reading_the_model(self, argv, tmp_path, capsys):
+        code = main(["curve", "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(tmp_path / "missing")] + argv)
+        assert code == 1
+        assert "missing" not in capsys.readouterr().err
+        # the range of a step depends on the model, so it is checked once that is read
+        assert main(["curve", "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(tmp_path / "missing"), "--steps", "9"]) == 2

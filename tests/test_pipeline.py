@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from opencil.data import task_local
 from opencil.detectors import detector_logits
 from opencil.errors import ModelError
 from opencil.model import TrainStats, _whitening_factor, activations
+from opencil import pipeline
 from opencil.pipeline import _forward, _mixed_steps
 from opencil.scorers import score_combined
 
@@ -517,3 +519,127 @@ class TestMixedScores:
         points = oc.rejection_curve(scores, correct, 10.0)
         assert points[0].retained_count == len(scores)
         assert points[0].accuracy == pytest.approx(correct.mean())
+
+
+@pytest.fixture(scope="module")
+def memo_case(tmp_path_factory):
+    """A saved 4-task model with a trunk projection, and a test set of more
+    than one row chunk."""
+    spec = oc.SynthSpec(num_classes=8, dim=8, per_class=80, mean_separation=5.0, seed=4)
+    train, test = oc.holdout(oc.synth_gaussian(spec), 0.25, 4)
+    stream = oc.split_tasks(train, test, 4)
+    hp = oc.Hyperparams(epochs=8, learning_rate=0.01, batch_size=32, hidden_width=16, seed=6)
+    model = oc.train_stream(oc.new_model(8, hp, trunk_dim=6), stream, hp)
+    path = tmp_path_factory.mktemp("memo") / "model.bin"
+    oc.save_model(model, str(path))
+    return str(path), stream
+
+
+def _call(model, stream, kind, step, detector, scorer):
+    """The arrays one call of ``kind`` returns."""
+    if kind == "mixed":
+        return oc.mixed_scores(model, stream, step, detector, scorer)
+    if kind == "steps":
+        return [a for pair in _mixed_steps(model, stream, [step, 1, step], detector, scorer)
+                for a in pair]
+    if kind == "open":
+        return oc.evaluate_open(model, stream, min(step, stream.num_tasks - 1),
+                                detector, scorer)
+    return [oc.score_table(model, stream, detector, scorer).scores]
+
+
+def _assert_same_bits(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+_PERCENTILES = st.sampled_from([None, 0.0, 40.0, 85.0, 100.0])
+_DETECTORS = st.one_of(st.sampled_from([oc.Detector("base"), oc.Detector("react")]),
+                       st.builds(oc.Detector, st.sampled_from(["dice", "scale"]), _PERCENTILES))
+_CALLS = st.lists(st.tuples(st.sampled_from(["mixed", "steps", "open", "table"]),
+                            st.integers(1, 4), _DETECTORS,
+                            st.sampled_from(["sm", "smmd", "en", "enmd"])),
+                  min_size=1, max_size=8)
+
+
+class TestColumnMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(calls=_CALLS, repeat=st.integers(0, 7))
+    def test_call_sequence_matches_fresh_loads(self, calls, repeat, memo_case):
+        path, stream = memo_case
+        calls = calls + calls[repeat % len(calls):]  # repeats, from the slot
+        calls += [("mixed", 2, oc.Detector("dice"), "enmd"), ("mixed", 3, oc.Detector("scale"), "sm"),
+                  ("table", 4, oc.Detector("base"), "smmd"), ("open", 1, oc.Detector("base"), "smmd")]
+        model = oc.load_model(path)
+        for call in calls:
+            _assert_same_bits(_call(model, stream, *call),
+                              _call(oc.load_model(path), stream, *call))
+
+    def test_each_head_computed_once(self, memo_case, monkeypatch):
+        path, stream = memo_case
+        model, passes = oc.load_model(path), []
+        heads = pipeline._heads
+        monkeypatch.setattr(pipeline, "_heads", lambda plan, md, relu, first, upto, *rest:
+                            passes.append((first, upto)) or heads(plan, md, relu, first, upto,
+                                                                   *rest))
+        for k in (1, 2, 2, 4, 3):
+            oc.mixed_scores(model, stream, k, "dice", "enmd")
+        oc.evaluate_open(model, stream, 3, "dice", "enmd")
+        oc.score_table(model, stream, "dice", "enmd")
+        assert passes == [(0, 1), (1, 2), (2, 4)]
+        oc.score_table(model, stream, "dice", "smmd")  # another pair takes the slot
+        oc.mixed_scores(model, stream, 2, "dice", "enmd")
+        assert passes[3:] == [(0, 4), (0, 2)]
+
+    @pytest.mark.parametrize("edit", ["adapter_weights", "adapter_bias", "projection",
+                                      "embedding", "head_bias", "whitening_factor",
+                                      "feature"])
+    def test_edit_between_calls_is_seen(self, edit, memo_case, tmp_path):
+        path, stream = memo_case
+        model, stream = oc.load_model(path), copy.deepcopy(stream)
+        pairs = [("mixed", 2, "dice", "enmd"), ("mixed", 4, "dice", "enmd"),
+                 ("table", 4, "dice", "enmd"), ("open", 3, "dice", "enmd")]
+        before = [_call(model, stream, *pair) for pair in pairs[:1]]
+        if edit == "adapter_weights":
+            model.adapters.weights[0] += 0.5
+        elif edit == "adapter_bias":
+            model.adapters.bias += 0.25
+        elif edit == "projection":
+            model.trunk.projection[:, 0] *= -1.0
+        elif edit == "embedding":
+            np.negative(model.adapters.task_embeddings[1], out=model.adapters.task_embeddings[1])
+        elif edit == "head_bias":
+            model.heads[0].bias[0] += 5.0
+        elif edit == "whitening_factor":
+            model.stats[0].whitening_factor = 0.5 * model.stats[0].whitening_factor
+        else:
+            features = stream.tasks[0][1].features
+            features.setflags(write=True)
+            features[:5] += 1.0
+        saved = tmp_path / "edited.bin"
+        oc.save_model(model, str(saved))
+        after = [_call(model, stream, *pair) for pair in pairs]
+        assert after[0][0].tobytes() != before[0][0].tobytes()
+        fresh = oc.load_model(str(saved))
+        for pair, got in zip(pairs, after):
+            _assert_same_bits(got, _call(fresh, stream, *pair))
+
+    def test_returned_arrays_do_not_alias_the_slot(self, memo_case):
+        path, stream = memo_case
+        model = oc.load_model(path)
+        table = oc.score_table(model, stream, "scale", "enmd")
+        expected = table.scores.copy()
+        table.scores[:] = 0.0
+        scores, correct = oc.mixed_scores(model, stream, 4, "scale", "enmd")
+        scores[:] = 0.0
+        correct[:] = True
+        ind, ood = oc.evaluate_open(model, stream, 3, "scale", "enmd")
+        ind[:] = 0.0
+        fresh = oc.load_model(path)
+        _assert_same_bits([oc.score_table(model, stream, "scale", "enmd").scores], [expected])
+        for call in [("mixed", 4, "scale", "enmd"), ("open", 3, "scale", "enmd")]:
+            _assert_same_bits(_call(model, stream, *call), _call(fresh, stream, *call))
+        slot = model._inference_plan.columns
+        assert not any(a.flags.writeable for a in (slot[0], slot[3], slot[4]))
