@@ -283,9 +283,15 @@ def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
     # react has no override: it clips at the threshold fitted at train time
     overrides = {"dice": settings["dice_percentile"], "scale": settings["scale_percentile"]}
     try:
-        return [Detector(kind, overrides.get(kind)) for kind in kinds]
+        detectors = [Detector(kind, overrides.get(kind)) for kind in kinds]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # a percentile that no detector of the run reads is refused, not ignored
+    for kind in overrides:
+        if settings.given(f"{kind}_percentile") and kind not in kinds:
+            raise ConfigError(f"--{kind}-percentile ({kind}_percentile) requires the "
+                              f"{kind} detector")
+    return detectors
 
 
 def _scorer_objects(settings: _Settings, kinds: list[str]) -> list[Scorer]:

@@ -12,8 +12,12 @@ P(ind > ood) + 0.5 P(ind = ood), and the area under the precision-recall
 curve by step-wise summation over descending score thresholds with the
 in-distribution class positive. The recall-0 endpoint uses the precision
 of the highest-scored point; there is no interpolation to precision 1.
-Both areas and the rejection curve raise ``ValueError`` on empty or
-non-finite scores rather than rank a NaN or an infinity.
+Both areas come from ``separation``, which reads them off one stable sort of
+the pooled scores; ``auc`` and ``aupr`` check their inputs and call it, and
+the sweep calls it once per step. Both areas and the rejection curve raise
+``ValueError`` on empty or non-finite scores rather than rank a NaN or an
+infinity. The rejection curve sorts its scores once and reads every grid
+point's nearest-rank threshold from that sort.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import percentile
+# ``percentile`` stays in this namespace: it defines the rejection curve's
+# thresholds, which the curve reads from one sort via ``_nearest_rank_index``
+from .detectors import _nearest_rank_index, percentile  # noqa: F401
 
 MAX_CURVE_POINTS = 10_000
 
@@ -32,6 +38,7 @@ __all__ = [
     "af",
     "auc",
     "aupr",
+    "separation",
     "CurvePoint",
     "grid_points",
     "rejection_curve",
@@ -76,50 +83,60 @@ def af(per_task_accuracies) -> float:
     return float(np.mean(declines))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the mean rank of their group."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    group_rank = ends - (counts - 1) / 2.0
-    return group_rank[inverse]
+def _pooled(name: str, ind_scores, ood_scores):
+    """Both populations as one score array and its in-distribution flags."""
+    ind = np.asarray(ind_scores, dtype=np.float64).ravel()
+    ood = np.asarray(ood_scores, dtype=np.float64).ravel()
+    if ind.size == 0 or ood.size == 0:
+        raise ValueError(f"{name} needs non-empty score lists")
+    if not (np.isfinite(ind).all() and np.isfinite(ood).all()):
+        raise ValueError(f"{name} needs finite scores")
+    return np.concatenate([ind, ood]), np.arange(ind.size + ood.size) < ind.size
+
+
+def separation(scores: np.ndarray, positive: np.ndarray) -> tuple[float, float]:
+    """ROC and precision-recall areas of pooled finite ``scores``, from one sort.
+
+    ``positive`` flags the in-distribution samples; both populations must be
+    non-empty. Equal scores form one group: its members share the mean of
+    their ranks, and the precision-recall curve has one operating point per
+    group. Average ranks are half-integers and every partial sum of them is
+    exact, so the rank sum, and with it the ROC area, does not depend on
+    the order of summation.
+    """
+    n = scores.size
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.concatenate([[0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1])
+    ends = np.append(starts[1:], n)  # ascending groups [start, end)
+    positives_below = np.concatenate([[0], np.cumsum(positive[order])])
+    n_pos = int(positives_below[-1])
+    if not 0 < n_pos < n:
+        raise ValueError("separation needs both populations non-empty")
+    group_positives = positives_below[ends] - positives_below[starts]
+
+    # ROC: Mann-Whitney U of the positives over 1-based average ranks
+    group_rank = ends - (ends - starts - 1) / 2.0
+    u = np.sum(group_rank * group_positives) - n_pos * (n_pos + 1) / 2.0
+    roc = float(u / (n_pos * (n - n_pos)))
+
+    # PR: one operating point per distinct score, highest threshold first
+    true_pos = (n_pos - positives_below[starts])[::-1].astype(np.float64)
+    predicted = (n - starts)[::-1].astype(np.float64)
+    precision = true_pos / predicted
+    recall = true_pos / n_pos
+    pr = float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
+    return roc, pr
 
 
 def auc(ind_scores, ood_scores) -> float:
     """Rank-based ROC area: P(ind > ood) + 0.5 P(ind = ood)."""
-    ind = np.asarray(ind_scores, dtype=np.float64).ravel()
-    ood = np.asarray(ood_scores, dtype=np.float64).ravel()
-    if ind.size == 0 or ood.size == 0:
-        raise ValueError("auc needs non-empty score lists")
-    if not (np.isfinite(ind).all() and np.isfinite(ood).all()):
-        raise ValueError("auc needs finite scores")
-    ranks = _average_ranks(np.concatenate([ind, ood]))
-    u = ranks[: ind.size].sum() - ind.size * (ind.size + 1) / 2.0
-    return float(u / (ind.size * ood.size))
+    return separation(*_pooled("auc", ind_scores, ood_scores))[0]
 
 
 def aupr(ind_scores, ood_scores) -> float:
     """Step-wise precision-recall area with in-distribution positive."""
-    ind = np.asarray(ind_scores, dtype=np.float64).ravel()
-    ood = np.asarray(ood_scores, dtype=np.float64).ravel()
-    if ind.size == 0 or ood.size == 0:
-        raise ValueError("aupr needs non-empty score lists")
-    if not (np.isfinite(ind).all() and np.isfinite(ood).all()):
-        raise ValueError("aupr needs finite scores")
-    scores = np.concatenate([ind, ood])
-    positive = np.concatenate([np.ones(ind.size), np.zeros(ood.size)])
-
-    order = np.argsort(-scores, kind="mergesort")
-    scores = scores[order]
-    positive = positive[order]
-    true_pos = np.cumsum(positive)
-    predicted = np.arange(1, scores.size + 1, dtype=np.float64)
-
-    # last position of each distinct score = that threshold's operating point
-    last = np.flatnonzero(np.diff(scores) != 0)
-    last = np.concatenate([last, [scores.size - 1]])
-    precision = true_pos[last] / predicted[last]
-    recall = true_pos[last] / ind.size
-    return float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
+    return separation(*_pooled("aupr", ind_scores, ood_scores))[1]
 
 
 @dataclass(frozen=True)
@@ -151,12 +168,13 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     """Accuracy over retained samples as score-quantile thresholds grow.
 
     For each rejection rate rho on the percent grid, the threshold is
-    the empirical nearest-rank rho-quantile of the scores; samples at or
-    above it are retained, so the retained sets are nested as rho grows
-    and rho = 0 keeps everything. Unclassifiable (out-of-distribution)
-    samples must carry a False correctness flag. Grid points whose
-    retained set is empty are omitted. A grid of more than
-    ``MAX_CURVE_POINTS`` points is refused before any point is computed.
+    the empirical nearest-rank rho-quantile of the scores (``percentile``);
+    samples at or above it are retained, so the retained sets are nested as
+    rho grows and rho = 0 keeps everything. The threshold is one of the
+    scores, so no retained set is empty. Unclassifiable (out-of-distribution)
+    samples must carry a False correctness flag. A grid of more than
+    ``MAX_CURVE_POINTS`` points is refused before any point is computed. The
+    scores are sorted once per curve, and every point reads that sort.
     """
     scores = np.asarray(system_scores, dtype=np.float64).ravel()
     correct = np.asarray(correctness_flags, dtype=bool).ravel()
@@ -165,20 +183,19 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     if not np.isfinite(scores).all():
         raise ValueError("rejection_curve needs finite scores")
 
-    points = []
-    for i in range(grid_points(grid_step)):
-        rho = i * grid_step
-        threshold = percentile(scores, rho)
-        retained = scores >= threshold
-        count = int(retained.sum())
-        if count == 0:
-            continue
-        points.append(CurvePoint(
-            rejection_rate=rho / 100.0,
-            accuracy=float(correct[retained].mean()),
-            retained_count=count,
-        ))
-    return points
+    rhos = [i * grid_step for i in range(grid_points(grid_step))]
+    n = scores.size
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    correct_below = np.concatenate([[0], np.cumsum(correct[order])])
+    thresholds = ordered[[_nearest_rank_index(rho, n) - 1 for rho in rhos]]
+    # the first retained position: equal scores are all retained or all not
+    firsts = np.searchsorted(ordered, thresholds, side="left")
+    counts = n - firsts
+    hits = correct_below[-1] - correct_below[firsts]
+    return [CurvePoint(rejection_rate=rho / 100.0, accuracy=hit / count,
+                       retained_count=count)
+            for rho, hit, count in zip(rhos, hits.tolist(), counts.tolist())]
 
 
 @dataclass

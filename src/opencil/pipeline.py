@@ -34,7 +34,9 @@ activations z_t = relu * m_t:
 ReAct clips and SCALE rescales z_t itself, so they form z_t per head; SCALE
 then reuses the folded product, since (s z_t) W_t = s (z_t W_t). Rows are
 processed in chunks, so that no (n, T*h) array over a whole test set is
-built.
+built. Within a chunk each detector's logits are reduced once per base
+score: sm and smmd share the softmax maximum, en and enmd at one temperature
+the energy, and log of the md coefficient is taken once for every enmd.
 
 BLAS rounds a column of a product differently as the product's width
 changes, yet a head's scores must not depend on how many heads a call
@@ -57,21 +59,27 @@ work items are independent and safe to parallelize.
 Per-step loops over one test set (a curve over steps 1..T, open-world
 metrics after each step) would score heads 1..k again for every k. So the
 plan keeps one memo slot (``_columns``) of per-head columns, the predicted
-classes and the scores, for one batch under one detector-scorer pair.
-Its key is the batch's shared-adapter activations, compared by bytes, and
-the ``Detector`` and ``Scorer`` values, so a change to the inputs, the
-adapter or the trunk projection is seen; a rebuild of the plan or of its
+classes and the scores, for one batch under one detector-scorer pair, with
+the batch's shared-adapter output. Its key is read-only copies of the batch,
+the adapter weights and bias and the trunk projection, compared by bytes,
+and the ``Detector`` and ``Scorer`` values, so a change to any of them is
+seen without an adapter product; a rebuild of the plan or of its
 Mahalanobis arrays empties it. A call that needs more heads than the slot
 holds computes only the missing ones and appends them, which gives the same
 bits as a pass from head 0, since each head has its own product. The slot
-retains about n*h floats of key plus the n x T columns; its arrays are
-read-only, and callers get copies or values derived from them.
-``score_table``, ``evaluate_open`` and ``mixed_scores`` read it.
+retains about n*(d + h) floats of key and activations plus the n x T
+columns; its arrays are read-only, and callers get copies or values derived
+from them. ``score_table``, ``evaluate_open`` and ``mixed_scores`` read it.
 ``evaluate_closed`` does not: it scores the test sets of tasks 1..k alone,
 and BLAS rounds a row differently by its position in a product, so those
 rows' scores differ in the last bits from the same rows in the full stack.
-``run_sweep`` makes one pass for all its pairs, and single rows are not
-worth keeping.
+Single rows are not worth keeping.
+
+``run_sweep`` makes one pass for all its pairs, then reads every step of a
+pair from that pass: a running maximum over heads gives each step's system
+scores, a running argmax (ties to the lower head) its task-ids, one
+``bincount`` its per-task hits, and ``metrics.separation`` its ROC and
+precision-recall areas from one sort.
 """
 
 from __future__ import annotations
@@ -273,22 +281,24 @@ def _md_coefficient(relu: np.ndarray, md, first: int, upto: int) -> np.ndarray:
     return (1.0 / (1.0 + d_min)).T
 
 
-def _score(logits: np.ndarray, scorer: Scorer, coefficient) -> np.ndarray:
-    """Scores over the last axis of ``logits``."""
-    kind = scorer.kind
-    if kind in ("sm", "smmd"):
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        base = exps.max(axis=-1) / exps.sum(axis=-1)
-    else:
-        scaled = logits / scorer.temperature
-        m = scaled.max(axis=-1, keepdims=True)
-        base = scorer.temperature * (m[..., 0] + np.log(np.exp(scaled - m).sum(axis=-1)))
-    if kind == "smmd":
-        return base * coefficient
-    if kind == "enmd":
-        return base + np.log(coefficient)
-    return base
+def _base_key(scorer: Scorer):
+    """Scorers with one key share a base score: sm and smmd the softmax
+    maximum, en and enmd at one temperature the energy."""
+    return ("sm", None) if scorer.kind in ("sm", "smmd") else ("en", scorer.temperature)
+
+
+def _base(logits: np.ndarray, key) -> np.ndarray:
+    """The base score of ``_base_key`` ``key`` over the last axis of ``logits``."""
+    family, temperature = key
+    if family == "sm":
+        # a row's largest shifted logit is exactly 0, so its exp, the numerator,
+        # is exactly 1 (a non-finite row gives NaN either way)
+        return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
+    # at temperature 1 the division and the product are exact, so they are skipped
+    scaled = logits if temperature == 1.0 else logits / temperature
+    m = scaled.max(axis=-1, keepdims=True)
+    energy = m[..., 0] + np.log(np.exp(scaled - m).sum(axis=-1))
+    return energy if temperature == 1.0 else temperature * energy
 
 
 def _prepare(model: ModelState, upto: int, scorers):
@@ -324,6 +334,8 @@ def _heads(plan: _Plan, md, relu: np.ndarray, first: int, upto: int, detectors, 
     first..upto-1 only: column c of the result is head first + c."""
     tasks, classes_per_task = plan.bias.shape
     dice = [plan.dice(d.percentile) if d.kind == "dice" else None for d in detectors]
+    keys = [_base_key(s) for s in scorers]
+    log_md = any(s.kind == "enmd" for s in scorers)
     heads = slice(first, upto)
     offsets = np.arange(first, upto) * classes_per_task
     bias = plan.bias[heads]
@@ -339,6 +351,7 @@ def _heads(plan: _Plan, md, relu: np.ndarray, first: int, upto: int, detectors, 
             raw = products + bias
             classes[rows] = raw.argmax(axis=2) + offsets
             coefficient = _md_coefficient(r, md, first, upto) if md is not None else None
+            log_coefficient = np.log(coefficient) if log_md else None
             for i, detector in enumerate(detectors):
                 if detector.kind == "base":
                     logits = raw
@@ -354,8 +367,16 @@ def _heads(plan: _Plan, md, relu: np.ndarray, first: int, upto: int, detectors, 
                             factors = _scale_factors(z, detector.percentile)
                             logits[:, c] = factors[:, None] * products[:, c]
                     logits += bias
-                for j, scorer in enumerate(scorers):
-                    scores[i, j, rows] = _score(logits, scorer, coefficient)
+                bases = {}
+                for j, (scorer, key) in enumerate(zip(scorers, keys)):
+                    if key not in bases:
+                        bases[key] = _base(logits, key)
+                    if scorer.kind == "smmd":
+                        np.multiply(bases[key], coefficient, out=scores[i, j, rows])
+                    elif scorer.kind == "enmd":
+                        np.add(bases[key], log_coefficient, out=scores[i, j, rows])
+                    else:
+                        scores[i, j, rows] = bases[key]
     bad = int((~np.isfinite(scores).all(axis=(0, 1, 3))).sum())
     if bad:
         raise ModelError(f"non-finite scores for {bad} of {n} samples")
@@ -367,29 +388,47 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _slot_key(model: ModelState, x: np.ndarray):
+    """Every array the shared-adapter output of ``x`` is computed from."""
+    projection = model.trunk.projection
+    return (x, model.adapters.weights, model.adapters.bias,
+            np.empty(0) if projection is None else projection)
+
+
+def _same_arrays(held, current) -> bool:
+    """Whether two key tuples hold arrays of equal shapes, types and bytes."""
+    return all(a.shape == b.shape and a.dtype == b.dtype
+               and np.array_equal(a.view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
+               for a, b in zip(held, current))
+
+
 def _columns(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
     """Classes and scores of heads 0..upto-1 for one pair, as read-only
     (n, upto) views into the plan's memo slot.
 
-    The slot holds the columns of one batch under one pair, keyed on the
-    batch's shared-adapter output, compared by bytes, and on the two values.
-    Only the heads it lacks are computed and appended; since each head's
-    columns come from its own product, they equal those of a pass from head 0.
+    The slot holds the columns of one batch under one pair, with the batch's
+    shared-adapter output. It is keyed on read-only copies of the batch, the
+    adapter weights and bias and the trunk projection, compared by bytes, and
+    on the two values, so a hit costs no adapter product. Only the heads it
+    lacks are computed and appended; since each head's columns come from its
+    own product, they equal those of a pass from head 0.
     """
     detector, scorer = _as_detector(detector), _as_scorer(scorer)
     plan, md = _prepare(model, upto, [scorer])  # a rebuild of either empties the slot
-    relu = _adapter(model, x)
+    x = np.asarray(x, dtype=np.float64)
+    key = _slot_key(model, x)
     slot = plan.columns
     if (slot is None or slot[1] != detector or slot[2] != scorer
-            or slot[0].shape != relu.shape
-            or not np.array_equal(slot[0].view(np.int64), relu.view(np.int64))):
+            or not _same_arrays(slot[5], key)):
+        relu = _adapter(model, x)
         slot = (_frozen(relu), detector, scorer,
-                np.empty((len(relu), 0), dtype=np.int64), np.empty((len(relu), 0)))
+                np.empty((len(relu), 0), dtype=np.int64), np.empty((len(relu), 0)),
+                tuple(_frozen(np.array(a, order="C")) for a in key))
     held = slot[4].shape[1]
     if held < upto:
         classes, scores = _heads(plan, md, slot[0], held, upto, [detector], [scorer])
         slot = (*slot[:3], _frozen(np.hstack([slot[3], classes])),
-                _frozen(np.hstack([slot[4], scores[0, 0]])))
+                _frozen(np.hstack([slot[4], scores[0, 0]])), slot[5])
         # one assignment, so a concurrent call sees a whole slot, old or new
         plan.columns = slot
     return slot[3][:, :upto], slot[4][:, :upto]
@@ -569,26 +608,36 @@ def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalRepo
 
 def _sweep_row(detector, scorer, scores, classes, labels, tasks,
                num_tasks) -> metrics.ReportRow:
-    sample_index = np.arange(len(labels))
-    step_accuracies = []
-    per_task_accuracies = []
-    for k in range(1, num_tasks + 1):
-        seen = tasks < k
-        chosen = scores[seen, :k].argmax(axis=1)
-        predicted = classes[sample_index[seen], chosen]
-        correct = predicted == labels[seen]
-        step_accuracies.append(float(correct.mean()))
-        seen_tasks = tasks[seen]
-        per_task_accuracies.append(
-            [float(correct[seen_tasks == t].mean()) for t in range(k)]
-        )
+    """One report row from the (n, T) head scores and classes of one pair.
+
+    Column k-1 of a running maximum over heads is the system score after
+    step k, and the running argmax, which moves to head j only when head j
+    scores strictly higher than every head before it, is that step's task-id
+    with ties to the lower head. Per-task hit counts at every step come from
+    one ``bincount``.
+    """
+    steps = np.arange(num_tasks)
+    system = np.maximum.accumulate(scores, axis=1)
+    rises = np.empty(scores.shape, dtype=bool)
+    rises[:, 0] = True
+    np.greater(scores[:, 1:], system[:, :-1], out=rises[:, 1:])
+    chosen = np.maximum.accumulate(np.where(rises, steps, 0), axis=1)
+    correct = np.take_along_axis(classes, chosen, axis=1) == labels[:, None]
+    # hits[t, k-1]: correct samples of task t at step k; counts[t]: task t's samples
+    hits = np.bincount((tasks[:, None] * num_tasks + steps).ravel(), weights=correct.ravel(),
+                       minlength=num_tasks * num_tasks).reshape(num_tasks, num_tasks)
+    counts = np.bincount(tasks, minlength=num_tasks).astype(np.float64)
+    seen_hits = np.cumsum(hits, axis=0).diagonal()  # tasks 0..k-1 at step k
+    seen_counts = np.cumsum(counts)
+    step_accuracies = (seen_hits / seen_counts).tolist()
+    per_task = hits / counts[:, None]
+    per_task_accuracies = [per_task[:k, k - 1].tolist() for k in range(1, num_tasks + 1)]
 
     step_auc, step_aupr = [], []
     for k in range(1, num_tasks):
-        system = scores[:, :k].max(axis=1)
-        ind, ood = system[tasks < k], system[tasks >= k]
-        step_auc.append(metrics.auc(ind, ood))
-        step_aupr.append(metrics.aupr(ind, ood))
+        roc, pr = metrics.separation(system[:, k - 1], tasks < k)
+        step_auc.append(roc)
+        step_aupr.append(pr)
 
     return metrics.ReportRow(
         detector=detector.kind,

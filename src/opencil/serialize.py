@@ -86,7 +86,7 @@ def save_model(model: ModelState, path: str) -> None:
         if factor.shape != (hidden, hidden) or np.triu(factor, 1).any():
             raise ModelError(f"whitening factor of task {t} is not a lower-triangular "
                              f"{hidden} x {hidden} array")
-    lower = np.tril_indices(hidden)
+    lower = np.tri(hidden, dtype=bool)
     with open(path, "wb") as fh:
         w = _Writer(fh)
         w.meta("dim_in", model.trunk.dim_in)
@@ -319,7 +319,7 @@ def load_model(path: str) -> ModelState:
     )
     model = ModelState(trunk, adapters,
                        classes_per_task=None if classes_per_task < 0 else classes_per_task)
-    lower = np.tril_indices(hidden)
+    lower = np.tri(hidden, dtype=bool)
     for t in range(trained_tasks):
         adapters.task_embeddings.append(r.array(f"embedding_{t}", (hidden,)))
         ood = bool(r.meta(f"head_ood_{t}", int))
@@ -339,7 +339,8 @@ def load_model(path: str) -> ModelState:
 
 
 def _read_factor(r: _Reader, task: int, hidden: int, lower) -> np.ndarray:
-    """One task's whitening factor; ``lower`` indexes its lower triangle."""
+    """One task's whitening factor; ``lower`` masks its lower triangle, whose
+    entries a boolean mask visits in row-major order, as the writer stored them."""
     if r.version < 4:
         name = f"stats_covinv_{task}"
         try:
@@ -348,7 +349,7 @@ def _read_factor(r: _Reader, task: int, hidden: int, lower) -> np.ndarray:
             r.fail(f"array {name!r}: {exc}")
     name = f"stats_factor_{task}"
     factor = np.zeros((hidden, hidden))
-    factor[lower] = r.array(name, (len(lower[0]),))
+    factor[lower] = r.array(name, (hidden * (hidden + 1) // 2,))
     if not (np.diagonal(factor) > 0).all():
         r.fail(f"array {name!r} is not a whitening factor (a diagonal entry is not positive)")
     return factor

@@ -729,3 +729,46 @@ class TestSettingsBeforeWork:
         # the range of a step depends on the model, so it is checked once that is read
         assert main(["curve", "--model", str(tmp_path / "missing.bin"),
                      "--data", str(tmp_path / "missing"), "--steps", "9"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--detectors", "base", "--scorers", "en", "--dice-percentile", "150"],
+        ["--detectors", "base,react", "--dice-percentile", "50"],
+        ["--detectors", "dice", "--scale-percentile", "50"],
+    ])
+    def test_eval_refuses_a_percentile_no_detector_reads(self, argv, data_dir, model_path,
+                                                         tmp_path, capsys):
+        code = main(["eval", "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(data_dir)] + argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "missing" not in err
+        # with the detector that reads it, the same value is used
+        run = ["eval", "--model", str(model_path), "--data", str(data_dir),
+               "--detectors", "dice,scale", "--scorers", "en",
+               "--dice-percentile", "50", "--scale-percentile", "50"]
+        assert main(run) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--steps", "1", "--scale-percentile", "5"],
+        ["--detector", "dice", "--scale-percentile", "50"],
+        ["--detector", "scale", "--dice-percentile", "50"],
+    ])
+    def test_curve_refuses_a_percentile_its_detector_does_not_read(self, argv, data_dir,
+                                                                   tmp_path, capsys):
+        code = main(["curve", "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(data_dir)] + argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "missing" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    def test_config_percentile_for_an_idle_detector_is_refused(self, command, data_dir,
+                                                               tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("detectors=base\ndetector=base\ndice_percentile=40\n")
+        code = main([command, "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(data_dir), "--config", str(config)])
+        assert code == 1
+        assert "dice_percentile" in capsys.readouterr().err

@@ -231,3 +231,21 @@ class TestRejectionCurve:
     def test_curve_point_fields(self):
         p = CurvePoint(0.25, 0.9, 30)
         assert (p.rejection_rate, p.accuracy, p.retained_count) == (0.25, 0.9, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 0.5 + 2.0 ** -53, 2.0]),
+                          st.booleans()), min_size=1, max_size=40),
+       st.sampled_from([1.0, 2.5, 5.0, 12.5, 20.0, 50.0, 100.0]))
+def test_rejection_curve_points_match_per_point_percentiles(samples, grid_step):
+    # few distinct values, so most thresholds fall inside a run of ties
+    from opencil.detectors import percentile
+    scores = np.array([s for s, _ in samples])
+    correct = np.array([c for _, c in samples])
+    points = rejection_curve(scores, correct, grid_step)
+    assert len(points) == metrics.grid_points(grid_step)
+    for i, point in enumerate(points):
+        rho = i * grid_step
+        retained = scores >= percentile(scores, rho)
+        assert point == CurvePoint(rho / 100.0, float(correct[retained].mean()),
+                                   int(retained.sum()))

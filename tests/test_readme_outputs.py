@@ -1,0 +1,47 @@
+"""The README's command-line example, run in-process, writes the golden CSVs.
+
+``tests/data/readme_report.csv`` and ``tests/data/readme_curves.csv`` are the
+``eval`` and ``curve`` outputs of the README's ``synth``, ``train``, ``eval``
+and ``curve`` commands. The same commands must keep writing them byte for
+byte: a change that moves any reported digit has to say so by updating the
+golden files.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+
+from opencil.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).resolve().parent / "data"
+
+COMMANDS = [
+    "opencil synth --classes 10 --dim 32 --per-class 200 --sep 6 --seed 7 -o d/",
+    "opencil train --data d/ --tasks 5 --epochs 150 --lr 0.01 --hidden 128 "
+    "--seed 11 -o model.bin --log train.log",
+    "opencil eval --model model.bin --data d/ -o report.csv",
+    "opencil curve --model model.bin --data d/ --steps 1,3 --grid-step 5 -o curves.csv",
+]
+
+
+def _readme_commands() -> list[str]:
+    """The README's shell lines, with backslash continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    joined = re.sub(r"\\\n\s*", "", text)
+    return [" ".join(line.split()) for line in joined.splitlines()
+            if line.startswith("opencil ")]
+
+
+def test_commands_are_the_readme_ones():
+    assert set(COMMANDS) <= set(_readme_commands())
+
+
+def test_readme_commands_write_the_golden_csvs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command in COMMANDS:
+        assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
+    for written, golden in [("report.csv", "readme_report.csv"),
+                            ("curves.csv", "readme_curves.csv")]:
+        assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes(), written
