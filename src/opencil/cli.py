@@ -237,16 +237,32 @@ def _require(settings: _Settings, key: str):
     return value
 
 
-def _output(settings: _Settings, key: str, required: bool = False):
+def _inputs(settings: _Settings, split: str, model: bool) -> list[tuple[str, str]]:
+    """The (name, path) pairs of the files a command reads: the config file,
+    the data directory's ``<split>.csv`` and, if ``model``, the model file."""
+    files = [("the config file", settings.get("config"))]
+    if settings.get("data"):
+        files.append((f"the data file {split}.csv", str(Path(settings["data"]) / f"{split}.csv")))
+    if model:
+        files.append(("the model file", settings.get("model")))
+    return files
+
+
+def _output(settings: _Settings, key: str, required: bool = False, taken=()):
     """The output path that ``key`` names, checked before any work starts:
-    its directory must exist and it must not be a directory itself."""
+    its directory must exist, it must not be a directory itself, and it must
+    not resolve to any path of ``taken``, the (name, path) pairs of the
+    command's inputs and of its outputs checked before this one."""
     path = _require(settings, key) if required else settings.get(key)
     if path:
         if Path(path).is_dir():
             raise ConfigError(f"output path is a directory: {path}")
-        parent = Path(path).resolve().parent
-        if not parent.is_dir():
-            raise ConfigError(f"output directory does not exist: {parent}")
+        resolved = Path(path).resolve()
+        if not resolved.parent.is_dir():
+            raise ConfigError(f"output directory does not exist: {resolved.parent}")
+        for name, other in taken:
+            if other and Path(other).resolve() == resolved:
+                raise ConfigError(f"output path {path} would overwrite {name}")
     return path
 
 
@@ -297,9 +313,13 @@ def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
 def _scorer_objects(settings: _Settings, kinds: list[str]) -> list[Scorer]:
     temperature = settings["temperature"]
     try:
-        return [Scorer(kind, temperature) for kind in kinds]
+        scorers = [Scorer(kind, temperature) for kind in kinds]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # a temperature that no energy scorer of the run reads is refused, not ignored
+    if settings.given("temperature") and not {"en", "enmd"} & set(kinds):
+        raise ConfigError("--temperature (temperature) requires the en or enmd scorer")
+    return scorers
 
 
 def _split_list(text: str) -> list[str]:
@@ -374,10 +394,9 @@ def _cmd_train(settings: _Settings) -> int:
         raise ConfigError("--buffer (buffer_capacity) requires --replay")
     if settings.given("backupdate_epochs") and not backupdate:
         raise ConfigError("--backupdate-epochs (backupdate_epochs) requires --backupdate")
-    model_path = _output(settings, "model", required=True)
-    log_path = _output(settings, "log")
-    if log_path and Path(log_path).resolve() == Path(model_path).resolve():
-        raise ConfigError(f"the training log would overwrite the model file {model_path}")
+    inputs = _inputs(settings, "train", model=False)
+    model_path = _output(settings, "model", required=True, taken=inputs)
+    log_path = _output(settings, "log", taken=[*inputs, ("the model file", model_path)])
     react_percentile = settings["react_percentile"]
     if not 0.0 <= react_percentile <= 100.0:
         raise ConfigError(f"react_percentile must lie in [0, 100], got {react_percentile}")
@@ -421,7 +440,7 @@ def _cmd_train(settings: _Settings) -> int:
 
 
 def _cmd_eval(settings: _Settings) -> int:
-    out = _output(settings, "out")
+    out = _output(settings, "out", taken=_inputs(settings, "test", model=True))
     detectors = _detector_objects(settings, _kinds(settings, "detectors"))
     scorers = _scorer_objects(settings, _kinds(settings, "scorers"))
     model, stream = _load_trained(settings)
@@ -443,7 +462,7 @@ def _cmd_eval(settings: _Settings) -> int:
 
 
 def _cmd_curve(settings: _Settings) -> int:
-    out = _output(settings, "out")
+    out = _output(settings, "out", taken=_inputs(settings, "test", model=True))
     steps = _steps(settings)
     detector = _detector_objects(settings, [settings["detector"]])[0]
     scorer = _scorer_objects(settings, [settings["scorer"]])[0]

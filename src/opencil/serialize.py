@@ -1,10 +1,10 @@
 """Model files: ASCII record lines with raw little-endian array payloads.
 
 A file is a versioned header line, then ``meta <name> <value>`` and
-``array <name> <shape...>`` records, closed by an ``end`` line. In version
-5 an array's record line is followed by exactly prod(shape) * 8 bytes, the
-array's IEEE-754 float64 values in row-major, little-endian order, then one
-line break and a ``crc32 <name> <hex>`` record, the CRC-32 of those bytes.
+``array <name> <shape...>`` records, closed by an ``end`` line. An array's
+record line is followed by exactly prod(shape) * 8 bytes, the array's
+IEEE-754 float64 values in row-major, little-endian order, then one line
+break and a ``crc32 <name> <hex>`` record, the CRC-32 of those bytes.
 The checksum catches accidental corruption, not deliberate edits. Meta
 values are decimal text with 17 significant digits. Both round-trip doubles
 exactly, so save -> load -> save reproduces the file byte for byte. The
@@ -16,26 +16,21 @@ Cholesky factor of the inverse tied covariance, stored as the packed lower
 triangle in row-major order (``stats_factor_<t>``, h(h+1)/2 values). Load
 checks that F's diagonal is positive instead of factorising anything.
 
-Versions 1 to 4 still load, through the same reader. They were text and
-wrote each array row as one line: version 4 as standard padded base64 of
-the row's little-endian doubles, with the same checksum records; version 3
-the same without checksums; versions 1 and 2 as decimal text. Versions 1
-to 3 store the full inverse covariance (``stats_covinv_<t>``), which load
-converts to F once; version 1's covariance and ridge records, which
-inference never read, are ignored.
+Only version 5 loads: a file of any other version, such as the text files
+of versions 1 to 4, is refused with its version named. To convert an old
+file, load and re-save it with an earlier build that writes version 5 and
+still reads the old one.
 
 A declared shape the rest of the file cannot hold (refused before anything
-is allocated), a payload or row that does not hold exactly the array's
-values, a non-finite value in any record, a missing or mismatched
-checksum, an array whose shape does not fit the model's sizes, a factor
-with a diagonal entry that is not positive, and an old-version inverse
-covariance without a Cholesky factor fail the load. Both directions stream
-the file record by record, so neither holds the whole file in memory.
+is allocated), a payload that does not hold exactly the array's values, a
+non-finite value in any record, a missing or mismatched checksum, an array
+whose shape does not fit the model's sizes and a factor with a diagonal
+entry that is not positive fail the load. Both directions stream the file
+record by record, so neither holds the whole file in memory.
 """
 
 from __future__ import annotations
 
-import base64
 import math
 import os
 import stat
@@ -44,7 +39,7 @@ import zlib
 import numpy as np
 
 from .errors import ModelError, ModelIOError
-from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _whitening_factor
+from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams
 
 FORMAT_NAME = "opencil-model"
 FORMAT_VERSION = 5
@@ -114,32 +109,6 @@ def save_model(model: ModelState, path: str) -> None:
         w.line("end")
 
 
-def _decimal_row(line: bytes, row: np.ndarray) -> None:
-    """Fill ``row`` from a version 1 or 2 row: decimal values split by spaces."""
-    parts = line.split()
-    if len(parts) != len(row):
-        raise ValueError(f"has {len(parts)} values, expected {len(row)}")
-    try:
-        row[:] = np.array(parts, dtype=np.float64)
-    except ValueError:
-        raise ValueError("holds a non-numeric value") from None
-
-
-def _base64_row(line: bytes, row: np.ndarray) -> None:
-    """Fill ``row`` from a version 3 or 4 row: base64 of little-endian float64 values."""
-    try:
-        raw = base64.b64decode(line.rstrip(b"\n"), validate=True)
-    except ValueError:  # binascii.Error
-        raise ValueError("is not base64") from None
-    if len(raw) != row.nbytes:
-        raise ValueError(f"holds {len(raw)} bytes, expected {row.nbytes}")
-    row[:] = np.frombuffer(raw, dtype="<f8")
-
-
-# the row decoder of each text version; version 5 stores raw payloads
-_ROW_DECODERS = {"1": _decimal_row, "2": _decimal_row, "3": _base64_row, "4": _base64_row}
-
-
 class _Reader:
     """Reads the records of a model file opened in binary mode."""
 
@@ -151,22 +120,16 @@ class _Reader:
         self.unread = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
         self.metas: dict[str, str] = {}
         self.arrays: dict[str, np.ndarray] = {}
-        self.version = 0  # set from the header, as is the row decoder
-        self.decode_row = None  # stays None for version 5, which has no rows
 
     def fail(self, why: str):
         raise ModelIOError(f"{self.path}: {why}")
 
-    def next_line(self) -> bytes:
+    def next_record(self) -> list[str]:
+        """The fields of the next line, which must be UTF-8 text."""
         line = self.fh.readline()
         if not line:
             self.fail("truncated model file (missing 'end')")
         self.unread -= len(line)
-        return line
-
-    def next_record(self) -> list[str]:
-        """The fields of the next line, which must be UTF-8 text."""
-        line = self.next_line()
         try:
             return line.decode("utf-8").split()
         except UnicodeDecodeError:
@@ -176,13 +139,10 @@ class _Reader:
         header = self.next_record()
         if len(header) != 2 or header[0] != FORMAT_NAME:
             self.fail("not a model file (bad header)")
-        if header[1] not in _ROW_DECODERS and header[1] != str(FORMAT_VERSION):
-            self.fail(
-                f"unsupported model file version {header[1]} "
-                f"(this build reads versions 1 to {FORMAT_VERSION})"
-            )
-        self.version = int(header[1])
-        self.decode_row = _ROW_DECODERS.get(header[1])
+        if header[1] != str(FORMAT_VERSION):
+            self.fail(f"unsupported model file version {header[1]} (this build reads "
+                      f"version {FORMAT_VERSION} only; re-save an older file with an "
+                      f"earlier build)")
         while True:
             fields = self.next_record()
             if not fields:
@@ -212,36 +172,27 @@ class _Reader:
             self.fail(f"bad shape in array record {name!r}")
         if len(shape) > 2 or min(shape) < 0:
             self.fail(f"bad shape in array record {name!r}")
-        n_rows, width = (1, shape[0]) if len(shape) == 1 else shape
-        # the fewest bytes that can hold the values, so that a size the file
-        # cannot hold is refused before anything is allocated
-        if self.decode_row is None:  # a payload and its line break
-            least = 8 * n_rows * width + 1
-        else:  # text rows of at least two characters a value (one if empty)
-            least = n_rows * max(1, 2 * width)
-        if least > self.unread:
+        # the payload and its line break, so that a size the file cannot
+        # hold is refused before anything is allocated
+        if 8 * math.prod(shape) + 1 > self.unread:
             self.fail(f"array {name!r} of shape {' '.join(fields[2:])} does not fit in "
                       f"the rest of the file (bad shape, or truncated model file)")
         try:
             values = np.empty(shape, dtype="<f8")
         except (ValueError, MemoryError):  # a pipe's shape numpy cannot allocate
             self.fail(f"bad shape in array record {name!r}")
-        if self.decode_row is None:
-            self._read_payload(name, values)
-        else:
-            self._read_rows(name, values.reshape(n_rows, width))
+        self._read_payload(name, values)
         if not np.isfinite(values).all():
             self.fail(f"non-finite value in array {name!r}")
-        if self.version >= 4:
-            crc = self.next_record()
-            if len(crc) != 3 or crc[:2] != ["crc32", name]:
-                self.fail(f"array {name!r} has no checksum record")
-            if crc[2] != f"{zlib.crc32(values):08x}":
-                self.fail(f"array {name!r} does not match its checksum")
+        crc = self.next_record()
+        if len(crc) != 3 or crc[:2] != ["crc32", name]:
+            self.fail(f"array {name!r} has no checksum record")
+        if crc[2] != f"{zlib.crc32(values):08x}":
+            self.fail(f"array {name!r} does not match its checksum")
         self.arrays[name] = values
 
     def _read_payload(self, name: str, values: np.ndarray) -> None:
-        """Fill ``values`` from a version 5 payload and the line break after it."""
+        """Fill ``values`` from its payload and the line break after it."""
         got = self.fh.readinto(values)  # all of it unless the file ends, from a pipe too
         self.unread -= got + 1
         if got < values.nbytes:
@@ -249,19 +200,6 @@ class _Reader:
                       f"{values.nbytes} bytes)")
         if self.fh.read(1) != b"\n":
             self.fail(f"array {name!r} is not {values.nbytes} bytes followed by a line break")
-
-    def _read_rows(self, name: str, rows: np.ndarray) -> None:
-        """Fill ``rows`` from the text rows of a version 1 to 4 array."""
-        for i, row in enumerate(rows):
-            line = self.next_line()
-            try:
-                self.decode_row(line, row)
-            except ValueError as exc:
-                if line.split(maxsplit=1)[:1] in ([b"end"], [b"meta"], [b"array"], [b"crc32"]):
-                    self.fail(f"array {name!r} has {i} rows, expected {len(rows)}")
-                if not line.endswith(b"\n"):  # the file's last line, so 'end' is missing
-                    self.fail(f"truncated model file (array {name!r} row {i + 1} cut short)")
-                self.fail(f"array {name!r} row {i + 1} {exc}")
 
     def meta(self, name: str, cast=float):
         if name not in self.metas:
@@ -292,8 +230,7 @@ def load_model(path: str) -> ModelState:
 
     Every array must have the shape that ``dim_in``, ``hidden_width``,
     ``classes_per_task`` and the head's OOD flag imply, and every whitening
-    factor a positive diagonal. The inverse covariances of a version 1 to 3
-    file are factorised here, once, and must have a Cholesky factor.
+    factor a positive diagonal. Only version 5 files load.
     """
     with open(path, "rb") as fh:
         r = _Reader(path, fh)
@@ -341,12 +278,6 @@ def load_model(path: str) -> ModelState:
 def _read_factor(r: _Reader, task: int, hidden: int, lower) -> np.ndarray:
     """One task's whitening factor; ``lower`` masks its lower triangle, whose
     entries a boolean mask visits in row-major order, as the writer stored them."""
-    if r.version < 4:
-        name = f"stats_covinv_{task}"
-        try:
-            return _whitening_factor(r.array(name, (hidden, hidden)))
-        except ModelError as exc:
-            r.fail(f"array {name!r}: {exc}")
     name = f"stats_factor_{task}"
     factor = np.zeros((hidden, hidden))
     factor[lower] = r.array(name, (hidden * (hidden + 1) // 2,))

@@ -1,4 +1,3 @@
-import base64
 import math
 import zlib
 
@@ -69,11 +68,6 @@ def manual_stats(class_means, covariance=None, mean_activations=None,
     )
 
 
-def encode_row(values):
-    """One model-file row of version 3 or 4 holding ``values``."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
 def model_records(data):
     """A version 5 model file cut into its records, each with its line breaks: the
     header, a meta line, ``end``, or an array's record line, payload, line break
@@ -98,13 +92,10 @@ def record_values(record):
 
 
 def version_five_bytes(decimal_text):
-    """A decimal-row model file of version 1 or 2 as version 5 writes it: each
-    array's rows as one little-endian payload with its CRC-32, and the inverse
-    covariance diag(0.5, 0.25) as the packed lower triangle of its Cholesky factor."""
-    text = decimal_text.replace("array stats_covinv_0 2 2\n0.5 0\n0 0.25\n",
-                                f"array stats_factor_0 3\n{math.sqrt(0.5)!r} 0 0.5\n")
+    """The model file that ``decimal_text`` describes, as version 5 writes it:
+    the decimal rows of each array become one little-endian payload with its CRC-32."""
     out, array = [], None  # the name and values so far of the open array record
-    for line in text.splitlines():
+    for line in decimal_text.splitlines():
         fields = line.split()
         if fields[0] in ("opencil-model", "meta", "array", "end"):
             if array:
@@ -115,5 +106,4 @@ def version_five_bytes(decimal_text):
             out.append(line.encode() + b"\n")
         else:
             array[1].extend(float(v) for v in fields)
-    out[0] = b"opencil-model 5\n"
     return b"".join(out)

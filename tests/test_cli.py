@@ -544,6 +544,14 @@ class TestUsage:
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         assert "Traceback" not in err
 
+    def test_old_model_file_version_is_a_runtime_error(self, data_dir, tmp_path, capsys):
+        old = tmp_path / "old.bin"
+        old.write_text("opencil-model 4\nmeta dim_in 8\nend\n")
+        assert main(["eval", "--model", str(old), "--data", str(data_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "unsupported model file version 4 " in err
+
     @pytest.mark.parametrize("argv", [
         ["train", "--epochs", "0"],
         ["train", "--hidden", "0"],
@@ -599,6 +607,40 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err == f"error: output directory does not exist: {tmp_path / 'nodir'}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["eval-model", "eval-config", "curve-test-data",
+                                      "curve-model-by-another-name", "train-train-data",
+                                      "train-log-train-data"])
+    def test_output_that_is_an_input_is_refused_before_any_read(self, case, data_dir,
+                                                                model_path, tmp_path,
+                                                                monkeypatch, capsys):
+        def no_read(*args):
+            raise AssertionError("an input was read before the output path was checked")
+
+        data, model, config = tmp_path / "d", tmp_path / "m.bin", tmp_path / "run.cfg"
+        shutil.copytree(data_dir, data)
+        shutil.copyfile(model_path, model)
+        config.write_text("detectors=base\n")
+        inputs = {path: path.read_bytes()
+                  for path in (data / "train.csv", data / "test.csv", model, config)}
+        monkeypatch.setattr(cli, "load_csv", no_read)
+        monkeypatch.setattr(cli, "load_model", no_read)
+        score = ["--model", str(model), "--data", str(data)]
+        train = ["train", "--data", str(data), "--tasks", "2", "--epochs", "1", "--hidden", "4"]
+        argv = {"eval-model": ["eval", *score, "-o", str(model)],
+                "eval-config": ["eval", *score, "--config", str(config), "-o", str(config)],
+                "curve-test-data": ["curve", *score, "-o", str(data / "test.csv")],
+                "curve-model-by-another-name": ["curve", *score,
+                                                "-o", str(data / ".." / "m.bin")],
+                "train-train-data": [*train, "-o", str(data / "train.csv")],
+                "train-log-train-data": [*train, "-o", str(tmp_path / "new.bin"),
+                                         "--log", str(data / "train.csv")]}[case]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "would overwrite" in err
+        assert all(path.read_bytes() == before for path, before in inputs.items())
+        assert not (tmp_path / "new.bin").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_output_path_that_is_a_directory_is_refused(self, command, data_dir, model_path,
@@ -772,3 +814,29 @@ class TestSettingsBeforeWork:
                      "--data", str(data_dir), "--config", str(config)])
         assert code == 1
         assert "dice_percentile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, argv", [
+        ("eval", ["--scorers", "sm,smmd", "--temperature", "2"]),
+        ("curve", ["--scorer", "sm", "--temperature", "7"]),
+    ])
+    def test_temperature_without_an_energy_scorer_is_refused(self, command, argv, data_dir,
+                                                             model_path, tmp_path, capsys):
+        code = main([command, "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(data_dir)] + argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "temperature" in err and "missing" not in err
+        # with an energy scorer in the run, the same value is used
+        assert main(["eval", "--model", str(model_path), "--data", str(data_dir),
+                     "--detectors", "base", "--scorers", "sm,en", "--temperature", "2"]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    def test_config_temperature_without_an_energy_scorer_is_refused(self, command, data_dir,
+                                                                    tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("scorers=sm,smmd\nscorer=smmd\ntemperature=2\n")
+        code = main([command, "--model", str(tmp_path / "missing.bin"),
+                     "--data", str(data_dir), "--config", str(config)])
+        assert code == 1
+        assert "temperature" in capsys.readouterr().err

@@ -2,9 +2,11 @@
 
 ``tests/data/readme_report.csv`` and ``tests/data/readme_curves.csv`` are the
 ``eval`` and ``curve`` outputs of the README's ``synth``, ``train``, ``eval``
-and ``curve`` commands. The same commands must keep writing them byte for
-byte: a change that moves any reported digit has to say so by updating the
-golden files.
+and ``curve`` commands. ``readme_replay_report.csv`` and
+``readme_replay_curves.csv`` are the outputs of the same ``eval`` and
+``curve`` commands on the model of the README's replay ``train`` line. The
+same commands must keep writing them byte for byte: a change that moves any
+reported digit has to say so by updating the golden files.
 """
 
 import re
@@ -24,6 +26,12 @@ COMMANDS = [
     "opencil eval --model model.bin --data d/ -o report.csv",
     "opencil curve --model model.bin --data d/ --steps 1,3 --grid-step 5 -o curves.csv",
 ]
+REPLAY_TRAIN = ("opencil train --data d/ --tasks 5 --replay --buffer 200 --backupdate "
+                "-o replay-model.bin")
+# the README's synth, its replay train line, and its eval and curve on that model
+REPLAY_COMMANDS = [COMMANDS[0], REPLAY_TRAIN] + [
+    c.replace("model.bin", "replay-model.bin").replace(" -o ", " -o replay-")
+    for c in COMMANDS[2:]]
 
 
 def _readme_commands() -> list[str]:
@@ -34,14 +42,26 @@ def _readme_commands() -> list[str]:
             if line.startswith("opencil ")]
 
 
+def _run(commands, capsys):
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
+
+
 def test_commands_are_the_readme_ones():
-    assert set(COMMANDS) <= set(_readme_commands())
+    assert set(COMMANDS + [REPLAY_TRAIN]) <= set(_readme_commands())
 
 
 def test_readme_commands_write_the_golden_csvs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for command in COMMANDS:
-        assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
+    _run(COMMANDS, capsys)
     for written, golden in [("report.csv", "readme_report.csv"),
                             ("curves.csv", "readme_curves.csv")]:
+        assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes(), written
+
+
+def test_readme_replay_commands_write_the_golden_csvs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _run(REPLAY_COMMANDS, capsys)
+    for written, golden in [("replay-report.csv", "readme_replay_report.csv"),
+                            ("replay-curves.csv", "readme_replay_curves.csv")]:
         assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes(), written
