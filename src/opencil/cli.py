@@ -16,6 +16,7 @@ configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,7 @@ from .model import (
     new_model,
     train_stream,
 )
-from .pipeline import _mixed_steps, run_sweep
+from .pipeline import mixed_scores, run_sweep
 from .scorers import SCORER_KINDS, Scorer
 from .serialize import load_model, save_model
 
@@ -237,22 +238,35 @@ def _require(settings: _Settings, key: str):
     return value
 
 
-def _inputs(settings: _Settings, split: str, model: bool) -> list[tuple[str, str]]:
-    """The (name, path) pairs of the files a command reads: the config file,
-    the data directory's ``<split>.csv`` and, if ``model``, the model file."""
+def _inputs(settings: _Settings, model: bool) -> list[tuple[str, str]]:
+    """The (name, path) pairs of the files a command must not overwrite: the
+    config file, the data directory's train.csv and test.csv (a command reads
+    one of them and overwrites neither) and, if ``model``, the model file."""
     files = [("the config file", settings.get("config"))]
     if settings.get("data"):
-        files.append((f"the data file {split}.csv", str(Path(settings["data"]) / f"{split}.csv")))
+        files += [(f"the data file {split}.csv", str(Path(settings["data"]) / f"{split}.csv"))
+                  for split in ("train", "test")]
     if model:
         files.append(("the model file", settings.get("model")))
     return files
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` resolve to one path or, for two files
+    that exist, name one file (a hard link, say)."""
+    if Path(a).resolve() == Path(b).resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
 def _output(settings: _Settings, key: str, required: bool = False, taken=()):
     """The output path that ``key`` names, checked before any work starts:
     its directory must exist, it must not be a directory itself, and it must
-    not resolve to any path of ``taken``, the (name, path) pairs of the
-    command's inputs and of its outputs checked before this one."""
+    not be the same file as any path of ``taken``, the (name, path) pairs of
+    the command's inputs and of its outputs checked before this one."""
     path = _require(settings, key) if required else settings.get(key)
     if path:
         if Path(path).is_dir():
@@ -261,7 +275,7 @@ def _output(settings: _Settings, key: str, required: bool = False, taken=()):
         if not resolved.parent.is_dir():
             raise ConfigError(f"output directory does not exist: {resolved.parent}")
         for name, other in taken:
-            if other and Path(other).resolve() == resolved:
+            if other and _same_file(path, other):
                 raise ConfigError(f"output path {path} would overwrite {name}")
     return path
 
@@ -394,7 +408,7 @@ def _cmd_train(settings: _Settings) -> int:
         raise ConfigError("--buffer (buffer_capacity) requires --replay")
     if settings.given("backupdate_epochs") and not backupdate:
         raise ConfigError("--backupdate-epochs (backupdate_epochs) requires --backupdate")
-    inputs = _inputs(settings, "train", model=False)
+    inputs = _inputs(settings, model=False)
     model_path = _output(settings, "model", required=True, taken=inputs)
     log_path = _output(settings, "log", taken=[*inputs, ("the model file", model_path)])
     react_percentile = settings["react_percentile"]
@@ -440,7 +454,7 @@ def _cmd_train(settings: _Settings) -> int:
 
 
 def _cmd_eval(settings: _Settings) -> int:
-    out = _output(settings, "out", taken=_inputs(settings, "test", model=True))
+    out = _output(settings, "out", taken=_inputs(settings, model=True))
     detectors = _detector_objects(settings, _kinds(settings, "detectors"))
     scorers = _scorer_objects(settings, _kinds(settings, "scorers"))
     model, stream = _load_trained(settings)
@@ -462,7 +476,7 @@ def _cmd_eval(settings: _Settings) -> int:
 
 
 def _cmd_curve(settings: _Settings) -> int:
-    out = _output(settings, "out", taken=_inputs(settings, "test", model=True))
+    out = _output(settings, "out", taken=_inputs(settings, model=True))
     steps = _steps(settings)
     detector = _detector_objects(settings, [settings["detector"]])[0]
     scorer = _scorer_objects(settings, [settings["scorer"]])[0]
@@ -478,8 +492,8 @@ def _cmd_curve(settings: _Settings) -> int:
             raise ConfigError(f"step {step} outside 1..{model.trained_tasks}")
 
     lines = ["step,rejection_rate,accuracy,retained"]
-    for step, (scores, correct) in zip(steps, _mixed_steps(model, stream, steps,
-                                                            detector, scorer)):
+    for step in steps:
+        scores, correct = mixed_scores(model, stream, step, detector, scorer)
         try:
             points = rejection_curve(scores, correct, grid_step)
         except ValueError as exc:

@@ -15,11 +15,10 @@ every test sample and splits them into seen (tasks 1..k) and unseen
 (later tasks) populations. The system-level score of a sample is the
 maximum per-head score, the value realized at the task-id argmax.
 
-Every entry point reads one pass, ``_heads``, over the model's
-inference plan (``_Plan``): ``_forward`` runs it from the first head, and
-``_columns`` (below) from the first head its memo slot lacks. The plan
-folds each head's saturated mask m_t into the arrays that read the gated
-activations z_t = relu * m_t:
+Every entry point reads one pass, ``_heads``, of a batch through every
+head of the model's inference plan (``_Plan``) and cuts it to the heads
+it asks for (``upto``). The plan folds each head's saturated mask m_t into
+the arrays that read the gated activations z_t = relu * m_t:
 
 - the class columns of every head as diag(m_t) W_t, side by side in one
   (h, T*C) array, so one product gives the raw logits of every head;
@@ -38,13 +37,11 @@ built. Within a chunk each detector's logits are reduced once per base
 score: sm and smmd share the softmax maximum, en and enmd at one temperature
 the energy, and log of the md coefficient is taken once for every enmd.
 
-BLAS rounds a column of a product differently as the product's width
-changes, yet a head's scores must not depend on how many heads a call
-asks for (``upto``). So the logits always come from the product over all
-T heads, cut to ``upto``. The whitened activations, the costly product,
-come from one matrix-vector product over all T heads for a single row,
-and from one product per head, for the heads asked for only, for more
-rows.
+A pass always scores all T heads. The logits come from the one product
+over all of them; the whitened activations, the costly product, from one
+matrix-vector product over all T heads for a single row and from one
+product per head for more rows. A non-finite score is an error only among
+the columns a call returns.
 
 The plan is built on first use and kept on the model as a plain attribute,
 which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
@@ -57,23 +54,19 @@ them. Apart from the plan nothing here writes to the model; per-sample
 work items are independent and safe to parallelize.
 
 Per-step loops over one test set (a curve over steps 1..T, open-world
-metrics after each step) would score heads 1..k again for every k. So the
-plan keeps one memo slot (``_columns``) of per-head columns, the predicted
-classes and the scores, for one batch under one detector-scorer pair, with
-the batch's shared-adapter output. Its key is read-only copies of the batch,
-the adapter weights and bias and the trunk projection, compared by bytes,
-and the ``Detector`` and ``Scorer`` values, so a change to any of them is
-seen without an adapter product; a rebuild of the plan or of its
-Mahalanobis arrays empties it. A call that needs more heads than the slot
-holds computes only the missing ones and appends them, which gives the same
-bits as a pass from head 0, since each head has its own product. The slot
-retains about n*(d + h) floats of key and activations plus the n x T
-columns; its arrays are read-only, and callers get copies or values derived
-from them. ``score_table``, ``evaluate_open`` and ``mixed_scores`` read it.
-``evaluate_closed`` does not: it scores the test sets of tasks 1..k alone,
-and BLAS rounds a row differently by its position in a product, so those
-rows' scores differ in the last bits from the same rows in the full stack.
-Single rows are not worth keeping.
+metrics or closed-world accuracy after each step) ask for the same pass
+again and again. So the plan keeps one memo slot (``_columns``) of the
+per-head classes and scores of one batch under one detector-scorer pair,
+for every head. Its key is read-only copies of the batch, the adapter
+weights and bias and the trunk projection, compared by bytes, and the
+``Detector`` and ``Scorer`` values, so a change to any of them is seen
+without an adapter product; a rebuild of the plan or of its Mahalanobis
+arrays empties it. The slot retains its key, about n*d floats for the
+batch, plus the n x T columns; its arrays are read-only, and callers get
+copies or values derived from them. ``score_table``, ``evaluate_closed``,
+``evaluate_open`` and ``mixed_scores`` read it, each over the whole
+stacked test set, so their scores of one row agree to the bit with each
+other and with ``run_sweep``. Single rows are not worth keeping.
 
 ``run_sweep`` makes one pass for all its pairs, then reads every step of a
 pair from that pass: a running maximum over heads gives each step's system
@@ -264,19 +257,17 @@ def _scale_factors(z: np.ndarray, p: float) -> np.ndarray:
     return factors
 
 
-def _md_coefficient(relu: np.ndarray, md, first: int, upto: int) -> np.ndarray:
-    """(n, upto - first) coefficients 1 / (1 + d_min) of heads first..upto-1,
-    d_min the squared Mahalanobis distance of each head's activations to its
-    closest class mean."""
+def _md_coefficient(relu: np.ndarray, md) -> np.ndarray:
+    """(n, T) coefficients 1 / (1 + d_min) of every head, d_min the squared
+    Mahalanobis distance of each head's activations to its closest class mean."""
     factors, centers, means, norms = md
     tasks, hidden, _ = means.shape
-    heads = slice(first, upto)
-    if len(relu) == 1:  # one matrix-vector product over every head, then cut
-        w = (relu @ factors).reshape(1, tasks, hidden)[:, heads].transpose(1, 0, 2)
-    else:  # one product per head, and none for heads outside first..upto-1
-        w = np.matmul(relu, factors.reshape(hidden, tasks, hidden)[:, heads].transpose(1, 0, 2))
-    w -= centers[heads, None, :]  # (upto - first, n, h)
-    nearest = (norms[heads, None, :] - 2.0 * np.matmul(w, means[heads])).min(axis=2)
+    if len(relu) == 1:  # one matrix-vector product over every head
+        w = (relu @ factors).reshape(1, tasks, hidden).transpose(1, 0, 2)
+    else:  # one product per head
+        w = np.matmul(relu, factors.reshape(hidden, tasks, hidden).transpose(1, 0, 2))
+    w -= centers[:, None, :]  # (T, n, h)
+    nearest = (norms[:, None, :] - 2.0 * np.matmul(w, means)).min(axis=2)
     d_min = np.maximum(np.einsum("tnh,tnh->tn", w, w) + nearest, 0.0)
     return (1.0 / (1.0 + d_min)).T
 
@@ -318,7 +309,7 @@ def _adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
 
 
 def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=()):
-    """One inference pass of a batch through the first ``upto`` heads.
+    """One inference pass of a batch, cut to the first ``upto`` heads.
 
     Returns ``(classes, scores)``: ``classes[s, t]`` is the global class
     head t predicts for sample s, and ``scores[i, j]`` the (n, upto)
@@ -326,47 +317,56 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
     by position, since two detectors may share a kind.
     """
     plan, md = _prepare(model, upto, scorers)
-    return _heads(plan, md, _adapter(model, x), 0, upto, detectors, scorers)
+    return _cut(*_heads(plan, md, _adapter(model, x), detectors, scorers), upto)
 
 
-def _heads(plan: _Plan, md, relu: np.ndarray, first: int, upto: int, detectors, scorers):
-    """``_forward`` from the shared-adapter output ``relu``, for heads
-    first..upto-1 only: column c of the result is head first + c."""
+def _cut(classes: np.ndarray, scores: np.ndarray, upto: int):
+    """The columns of heads 0..upto-1 of a pass, whose ``scores`` are
+    (..., n, T). A non-finite score among them, under any pair, is an error."""
+    scores = scores[..., :upto]
+    finite = np.isfinite(scores).all(axis=(*range(scores.ndim - 2), scores.ndim - 1))
+    bad = len(finite) - int(finite.sum())
+    if bad:
+        raise ModelError(f"non-finite scores for {bad} of {len(finite)} samples")
+    return classes[:, :upto], scores
+
+
+def _heads(plan: _Plan, md, relu: np.ndarray, detectors, scorers):
+    """The classes and scores of every head from the shared-adapter output
+    ``relu``, as ``_forward`` returns them before the cut."""
     tasks, classes_per_task = plan.bias.shape
     dice = [plan.dice(d.percentile) if d.kind == "dice" else None for d in detectors]
     keys = [_base_key(s) for s in scorers]
     log_md = any(s.kind == "enmd" for s in scorers)
-    heads = slice(first, upto)
-    offsets = np.arange(first, upto) * classes_per_task
-    bias = plan.bias[heads]
+    offsets = np.arange(tasks) * classes_per_task
     n = len(relu)
-    classes = np.empty((n, upto - first), dtype=np.int64)
-    scores = np.empty((len(detectors), len(scorers), n, upto - first))
-    # an overflow shows as a non-finite score, which is reported below
+    classes = np.empty((n, tasks), dtype=np.int64)
+    scores = np.empty((len(detectors), len(scorers), n, tasks))
+    # an overflow shows as a non-finite score, which ``_cut`` reports
     with np.errstate(all="ignore"):
         for start in range(0, n, _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             r = relu[rows]
-            products = (r @ plan.folded).reshape(len(r), tasks, -1)[:, heads]
-            raw = products + bias
+            products = (r @ plan.folded).reshape(len(r), tasks, -1)
+            raw = products + plan.bias
             classes[rows] = raw.argmax(axis=2) + offsets
-            coefficient = _md_coefficient(r, md, first, upto) if md is not None else None
+            coefficient = _md_coefficient(r, md) if md is not None else None
             log_coefficient = np.log(coefficient) if log_md else None
             for i, detector in enumerate(detectors):
                 if detector.kind == "base":
                     logits = raw
                 elif detector.kind == "dice":
-                    logits = (r @ dice[i]).reshape(len(r), tasks, -1)[:, heads] + bias
+                    logits = (r @ dice[i]).reshape(len(r), tasks, -1) + plan.bias
                 else:  # react and scale change z_t itself, so they run per head
                     logits = np.empty_like(raw)
-                    for c, t in enumerate(range(first, upto)):
+                    for t in range(tasks):
                         z = r * plan.masks[t]
                         if detector.kind == "react":
-                            logits[:, c] = np.minimum(z, plan.thresholds[t]) @ plan.weights[t]
+                            logits[:, t] = np.minimum(z, plan.thresholds[t]) @ plan.weights[t]
                         else:  # (s z_t) W_t = s (z_t W_t)
                             factors = _scale_factors(z, detector.percentile)
-                            logits[:, c] = factors[:, None] * products[:, c]
-                    logits += bias
+                            logits[:, t] = factors[:, None] * products[:, t]
+                    logits += plan.bias
                 bases = {}
                 for j, (scorer, key) in enumerate(zip(scorers, keys)):
                     if key not in bases:
@@ -377,9 +377,6 @@ def _heads(plan: _Plan, md, relu: np.ndarray, first: int, upto: int, detectors, 
                         np.add(bases[key], log_coefficient, out=scores[i, j, rows])
                     else:
                         scores[i, j, rows] = bases[key]
-    bad = int((~np.isfinite(scores).all(axis=(0, 1, 3))).sum())
-    if bad:
-        raise ModelError(f"non-finite scores for {bad} of {n} samples")
     return classes, scores
 
 
@@ -406,12 +403,10 @@ def _columns(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
     """Classes and scores of heads 0..upto-1 for one pair, as read-only
     (n, upto) views into the plan's memo slot.
 
-    The slot holds the columns of one batch under one pair, with the batch's
-    shared-adapter output. It is keyed on read-only copies of the batch, the
-    adapter weights and bias and the trunk projection, compared by bytes, and
-    on the two values, so a hit costs no adapter product. Only the heads it
-    lacks are computed and appended; since each head's columns come from its
-    own product, they equal those of a pass from head 0.
+    The slot holds the columns of every head for one batch under one pair.
+    It is keyed on read-only copies of the batch, the adapter weights and
+    bias and the trunk projection, compared by bytes, and on the two values,
+    so a hit costs no adapter product. A miss scores every head in one pass.
     """
     detector, scorer = _as_detector(detector), _as_scorer(scorer)
     plan, md = _prepare(model, upto, [scorer])  # a rebuild of either empties the slot
@@ -419,19 +414,13 @@ def _columns(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
     key = _slot_key(model, x)
     slot = plan.columns
     if (slot is None or slot[1] != detector or slot[2] != scorer
-            or not _same_arrays(slot[5], key)):
-        relu = _adapter(model, x)
-        slot = (_frozen(relu), detector, scorer,
-                np.empty((len(relu), 0), dtype=np.int64), np.empty((len(relu), 0)),
-                tuple(_frozen(np.array(a, order="C")) for a in key))
-    held = slot[4].shape[1]
-    if held < upto:
-        classes, scores = _heads(plan, md, slot[0], held, upto, [detector], [scorer])
-        slot = (*slot[:3], _frozen(np.hstack([slot[3], classes])),
-                _frozen(np.hstack([slot[4], scores[0, 0]])), slot[5])
+            or not _same_arrays(slot[0], key)):
+        classes, scores = _heads(plan, md, _adapter(model, x), [detector], [scorer])
+        slot = (tuple(_frozen(np.array(a, order="C")) for a in key), detector, scorer,
+                _frozen(classes), _frozen(scores[0, 0]))
         # one assignment, so a concurrent call sees a whole slot, old or new
         plan.columns = slot
-    return slot[3][:, :upto], slot[4][:, :upto]
+    return _cut(slot[3], slot[4], upto)
 
 
 def _pair_forward(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
@@ -478,9 +467,8 @@ def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
     return Prediction(task, int(classes[0, task]), float(scores[0, task]))
 
 
-def _stack_tests(stream, upto: int | None = None):
-    upto = stream.num_tasks if upto is None else upto
-    parts = [stream.tasks[t][1] for t in range(upto)]
+def _stack_tests(stream):
+    parts = [test for _train, test in stream.tasks]
     features = np.concatenate([p.features for p in parts])
     labels = np.concatenate([p.labels for p in parts])
     tasks = np.concatenate([np.full(len(p), t, dtype=np.int64)
@@ -521,19 +509,18 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
     matches the true label, which requires the task-id to be right.
     ``oracle_task`` routes each sample to its true head instead of the
     score argmax (task-incremental mode, used to check non-forgetting).
+    The columns come from the pass over the whole stacked test set, of
+    which the rows of tasks 1..upto are kept.
     """
-    detector = _as_detector(detector)
-    scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
-    if not 1 <= upto <= model.trained_tasks:
-        raise ModelError(f"step {upto} outside 1..{model.trained_tasks}")
-    features, labels, tasks = _stack_tests(stream, upto)
-    if oracle_task:
-        classes, _ = _forward(model, features, upto)
-        chosen = tasks
-    else:
-        classes, scores = _pair_forward(model, features, upto, detector, scorer)
-        chosen = scores.argmax(axis=1)
+    steps = min(model.trained_tasks, stream.num_tasks)
+    if not 1 <= upto <= steps:
+        raise ModelError(f"step {upto} outside 1..{steps}")
+    features, labels, tasks = _stack_tests(stream)
+    classes, scores = _columns(model, features, upto, detector, scorer)
+    seen = tasks < upto
+    classes, scores, labels, tasks = classes[seen], scores[seen], labels[seen], tasks[seen]
+    chosen = tasks if oracle_task else scores.argmax(axis=1)
     correct = classes[np.arange(len(labels)), chosen] == labels
     per_task = tuple(float(correct[tasks == t].mean()) for t in range(upto))
     return ClosedWorldResult(float(correct.mean()), per_task)
@@ -560,24 +547,11 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     by the correctness of their closed-world class prediction at this
     step. Feeds the accuracy-rejection curve.
     """
-    return _mixed_steps(model, stream, [upto], detector, scorer)[0]
-
-
-def _mixed_steps(model: ModelState, stream, steps, detector, scorer):
-    """``mixed_scores`` at every step in ``steps``, from the columns of max(steps) heads.
-
-    Heads are scored independently, so the first k columns of those are
-    the scores of a k-head pass.
-    """
     _check_compatible(model, stream)
     features, labels, tasks = _stack_tests(stream)
-    classes, scores = _columns(model, features, max(steps), detector, scorer)
-    sample_index = np.arange(len(labels))
-    results = []
-    for k in steps:
-        predicted = classes[sample_index, scores[:, :k].argmax(axis=1)]
-        results.append((scores[:, :k].max(axis=1), (predicted == labels) & (tasks < k)))
-    return results
+    classes, scores = _columns(model, features, upto, detector, scorer)
+    predicted = classes[np.arange(len(labels)), scores.argmax(axis=1)]
+    return scores.max(axis=1), (predicted == labels) & (tasks < upto)
 
 
 def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalReport:

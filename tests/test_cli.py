@@ -610,7 +610,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("case", ["eval-model", "eval-config", "curve-test-data",
                                       "curve-model-by-another-name", "train-train-data",
-                                      "train-log-train-data"])
+                                      "train-log-train-data", "train-log-test-data",
+                                      "eval-train-data", "eval-hard-link-to-model"])
     def test_output_that_is_an_input_is_refused_before_any_read(self, case, data_dir,
                                                                 model_path, tmp_path,
                                                                 monkeypatch, capsys):
@@ -621,6 +622,7 @@ class TestUsage:
         shutil.copytree(data_dir, data)
         shutil.copyfile(model_path, model)
         config.write_text("detectors=base\n")
+        os.link(model, tmp_path / "hard.bin")  # one file under two names
         inputs = {path: path.read_bytes()
                   for path in (data / "train.csv", data / "test.csv", model, config)}
         monkeypatch.setattr(cli, "load_csv", no_read)
@@ -634,7 +636,13 @@ class TestUsage:
                                                 "-o", str(data / ".." / "m.bin")],
                 "train-train-data": [*train, "-o", str(data / "train.csv")],
                 "train-log-train-data": [*train, "-o", str(tmp_path / "new.bin"),
-                                         "--log", str(data / "train.csv")]}[case]
+                                         "--log", str(data / "train.csv")],
+                # a split the command does not read is still not its to overwrite
+                "train-log-test-data": [*train, "-o", str(tmp_path / "new.bin"),
+                                        "--log", str(data / "test.csv")],
+                "eval-train-data": ["eval", *score, "-o", str(data / "train.csv")],
+                "eval-hard-link-to-model": ["eval", *score,
+                                            "-o", str(tmp_path / "hard.bin")]}[case]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1

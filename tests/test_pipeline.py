@@ -12,7 +12,7 @@ from opencil.detectors import detector_logits
 from opencil.errors import ModelError
 from opencil.model import TrainStats, _whitening_factor, activations
 from opencil import pipeline
-from opencil.pipeline import _forward, _mixed_steps
+from opencil.pipeline import _forward
 from opencil.scorers import score_combined
 
 
@@ -395,6 +395,10 @@ class TestEvaluateClosed:
     def test_step_out_of_range(self, small_model, small_stream):
         with pytest.raises(ModelError):
             oc.evaluate_closed(small_model, small_stream, 3, "base", "sm")
+        # a step needs its task's test set as well as its head
+        half = oc.TaskStream(small_stream.tasks[:1], small_stream.classes_per_task)
+        with pytest.raises(ModelError, match="step 2 outside 1..1"):
+            oc.evaluate_closed(small_model, half, 2, "base", "sm")
 
 
 class TestEvaluateOpen:
@@ -504,14 +508,17 @@ class TestMixedScores:
         assert len(scores) == n0 + len(small_stream.tasks[1][1])
 
     def test_steps_from_one_pass_equal_separate_passes(self, small_model, small_stream):
+        features, labels, tasks = pipeline._stack_tests(small_stream)
         for detector, scorer in (("dice", "enmd"), ("scale", "sm"), ("base", "smmd")):
-            together = _mixed_steps(small_model, small_stream, [2, 1, 2], detector, scorer)
-            for k, (scores, correct) in zip([2, 1, 2], together):
-                alone = oc.mixed_scores(small_model, small_stream, k, detector, scorer)
-                assert np.array_equal(scores, alone[0])
-                assert np.array_equal(correct, alone[1])
+            for k in (2, 1, 2):
+                scores, correct = oc.mixed_scores(small_model, small_stream, k, detector, scorer)
+                classes, alone = pipeline._pair_forward(small_model, features, k, detector,
+                                                        scorer)
+                predicted = classes[np.arange(len(labels)), alone.argmax(axis=1)]
+                assert scores.tobytes() == alone.max(axis=1).tobytes()
+                assert np.array_equal(correct, (predicted == labels) & (tasks < k))
         with pytest.raises(ModelError, match="head count 3"):
-            _mixed_steps(small_model, small_stream, [1, 3], "base", "en")
+            oc.mixed_scores(small_model, small_stream, 3, "base", "en")
 
     def test_rejection_curve_composes(self, small_model, small_stream):
         scores, correct = oc.mixed_scores(small_model, small_stream, 1,
@@ -539,9 +546,9 @@ def _call(model, stream, kind, step, detector, scorer):
     """The arrays one call of ``kind`` returns."""
     if kind == "mixed":
         return oc.mixed_scores(model, stream, step, detector, scorer)
-    if kind == "steps":
-        return [a for pair in _mixed_steps(model, stream, [step, 1, step], detector, scorer)
-                for a in pair]
+    if kind == "closed":
+        result = oc.evaluate_closed(model, stream, step, detector, scorer)
+        return [np.array([result.accuracy, *result.per_task])]
     if kind == "open":
         return oc.evaluate_open(model, stream, min(step, stream.num_tasks - 1),
                                 detector, scorer)
@@ -558,7 +565,7 @@ def _assert_same_bits(got, expected):
 _PERCENTILES = st.sampled_from([None, 0.0, 40.0, 85.0, 100.0])
 _DETECTORS = st.one_of(st.sampled_from([oc.Detector("base"), oc.Detector("react")]),
                        st.builds(oc.Detector, st.sampled_from(["dice", "scale"]), _PERCENTILES))
-_CALLS = st.lists(st.tuples(st.sampled_from(["mixed", "steps", "open", "table"]),
+_CALLS = st.lists(st.tuples(st.sampled_from(["mixed", "closed", "open", "table"]),
                             st.integers(1, 4), _DETECTORS,
                             st.sampled_from(["sm", "smmd", "en", "enmd"])),
                   min_size=1, max_size=8)
@@ -578,20 +585,38 @@ class TestColumnMemo:
                               _call(oc.load_model(path), stream, *call))
 
     def test_each_head_computed_once(self, memo_case, monkeypatch):
+        # one pass per batch and pair scores every head; each call cuts it
         path, stream = memo_case
         model, passes = oc.load_model(path), []
         heads = pipeline._heads
-        monkeypatch.setattr(pipeline, "_heads", lambda plan, md, relu, first, upto, *rest:
-                            passes.append((first, upto)) or heads(plan, md, relu, first, upto,
-                                                                   *rest))
+        monkeypatch.setattr(pipeline, "_heads", lambda plan, md, relu, detectors, scorers:
+                            passes.append((len(relu), *detectors, *scorers))
+                            or heads(plan, md, relu, detectors, scorers))
+        n = sum(len(test) for _, test in stream.tasks)
         for k in (1, 2, 2, 4, 3):
             oc.mixed_scores(model, stream, k, "dice", "enmd")
         oc.evaluate_open(model, stream, 3, "dice", "enmd")
         oc.score_table(model, stream, "dice", "enmd")
-        assert passes == [(0, 1), (1, 2), (2, 4)]
+        for k in (2, 4):
+            oc.evaluate_closed(model, stream, k, "dice", "enmd")
+            oc.evaluate_closed(model, stream, k, "dice", "enmd", oracle_task=True)
+        assert passes == [(n, oc.Detector("dice"), oc.Scorer("enmd"))]
         oc.score_table(model, stream, "dice", "smmd")  # another pair takes the slot
-        oc.mixed_scores(model, stream, 2, "dice", "enmd")
-        assert passes[3:] == [(0, 4), (0, 2)]
+        oc.evaluate_closed(model, stream, 1, "dice", "enmd")
+        assert [p[2].kind for p in passes[1:]] == ["smmd", "enmd"]
+
+    def test_non_finite_head_fails_only_the_calls_that_return_it(self, memo_case):
+        path, stream = memo_case
+        model, fresh = oc.load_model(path), oc.load_model(path)
+        model.heads[3].bias[0] = np.inf  # head 4's scores are NaN on every row
+        n = sum(len(test) for _, test in stream.tasks)
+        calls = [("mixed", k, oc.Detector("base"), "sm") for k in (1, 2, 3)]
+        calls += [("closed", 3, oc.Detector("base"), "sm"), ("open", 3, oc.Detector("base"), "sm")]
+        for kind in ("mixed", "closed", "table", "mixed"):
+            with pytest.raises(ModelError, match=f"non-finite scores for {n} of {n} samples"):
+                _call(model, stream, kind, 4, "base", "sm")
+            for call in calls:
+                _assert_same_bits(_call(model, stream, *call), _call(fresh, stream, *call))
 
     @pytest.mark.parametrize("edit", ["adapter_weights", "adapter_bias", "projection",
                                       "embedding", "head_bias", "whitening_factor",
@@ -641,5 +666,5 @@ class TestColumnMemo:
         _assert_same_bits([oc.score_table(model, stream, "scale", "enmd").scores], [expected])
         for call in [("mixed", 4, "scale", "enmd"), ("open", 3, "scale", "enmd")]:
             _assert_same_bits(_call(model, stream, *call), _call(fresh, stream, *call))
-        slot = model._inference_plan.columns
-        assert not any(a.flags.writeable for a in (slot[0], slot[3], slot[4]))
+        key, _detector, _scorer, classes, scores = model._inference_plan.columns
+        assert not any(a.flags.writeable for a in (*key, classes, scores))

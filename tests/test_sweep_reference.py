@@ -228,3 +228,16 @@ class TestRunSweep:
                                                               detector, scorer)
                 assert alone.tobytes() == scores[i, j].tobytes()
                 assert (alone_classes == classes).all()
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["buffer-free", "replay"])
+    def test_evaluate_closed_equals_the_sweep_at_every_step(self, four_task_cases, case):
+        # both read one pass over the same stacked rows, so they agree exactly
+        model, stream = four_task_cases[case]
+        report = oc.run_sweep(model, stream, DETECTORS, SCORERS)
+        for d in DETECTORS:
+            for s in SCORERS:
+                row = report.row(d.kind, s.kind)
+                for k in range(1, stream.num_tasks + 1):
+                    result = oc.evaluate_closed(model, stream, k, d, s)
+                    assert result.accuracy == row.step_accuracies[k - 1]
+                    assert list(result.per_task) == row.per_task_accuracies[k - 1]
