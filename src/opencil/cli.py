@@ -360,6 +360,8 @@ def _steps(settings: _Settings) -> list[int] | None:
         raise ConfigError(f"steps must be comma-separated integers, got {text!r}") from None
     if not steps:
         raise ConfigError(f"steps must name at least one step, got {text!r}")
+    if len(set(steps)) < len(steps):
+        raise ConfigError(f"steps must name each step once, got {text!r}")
     return steps
 
 

@@ -8,7 +8,8 @@ head per task. While training a task the gate slope anneals from
 gradient protection the saturated mask (slope = slope_max) is used.
 Gradients into an adapter hidden unit are scaled by one minus the
 strongest saturated mask any earlier task placed on that unit, so units
-fully claimed by earlier tasks are exactly frozen.
+fully claimed by earlier tasks are exactly frozen; training skips their
+gradient and update altogether.
 
 Two training paths exist: the buffer-free path trains each head only on
 its own task's data; the replay baseline adds a class-balanced memory
@@ -256,22 +257,38 @@ def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _adapter_relu(inputs, adapter_w, adapter_b, frozen_relu=None):
+    """ReLU(inputs @ adapter_w + adapter_b), followed by the columns of
+    ``frozen_relu`` if given, and the ReLU's derivative over the columns it
+    computed."""
+    relu = inputs @ adapter_w
+    relu += adapter_b
+    active = relu > 0  # taken before the ReLU clamps in place
+    np.maximum(relu, 0.0, out=relu)
+    if frozen_relu is not None:
+        relu = np.concatenate((relu, frozen_relu), axis=1)
+    return relu, active
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
-                   head_w, head_b, slope):
+                   head_w, head_b, slope, frozen_relu=None):
     """Mean cross-entropy of one batch and its analytic gradients.
 
     ``inputs`` are trunk outputs of shape (n, dim_trunk); the returned
     dict holds raw gradients before any protective gating. A diverging
     batch gives a non-finite loss, which the training loop turns into a
     ModelError, so numpy's floating-point warnings are silenced here.
+
+    Split form: with ``frozen_relu`` of shape (n, f), ``adapter_w`` and
+    ``adapter_b`` hold only the h - f learnable units, and the hidden
+    layer is those units followed by the frozen units' fixed ReLU outputs.
+    ``embedding`` and ``head_w`` run over all h units in that order; the
+    adapter gradients cover the learnable units alone.
     """
     n = len(inputs)
     rows = np.arange(n)
-    relu = inputs @ adapter_w
-    relu += adapter_b
-    active = relu > 0  # the ReLU's derivative, taken before it clamps in place
-    np.maximum(relu, 0.0, out=relu)
+    relu, active = _adapter_relu(inputs, adapter_w, adapter_b, frozen_relu)
     mask = hat_mask(embedding, slope)
     z = relu * mask
     logits = z @ head_w
@@ -291,8 +308,9 @@ def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
         "head_bias": dlogits.sum(axis=0),
         "embedding": relu.sum(axis=0) * mask * (1.0 - mask) * slope,
     }
-    dpre = dz
-    dpre *= mask
+    learnable = adapter_w.shape[1]
+    dpre = dz[:, :learnable]
+    dpre *= mask[:learnable]
     dpre *= active
     grads["adapter_weights"] = inputs.T @ dpre
     grads["adapter_bias"] = dpre.sum(axis=0)
@@ -333,7 +351,14 @@ def _descend(param: np.ndarray, grad: np.ndarray, *scales) -> None:
 
 
 def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
-    """Run the SGD loop for a fresh head and return (head_w, head_b, embedding)."""
+    """Run the SGD loop for a fresh head and return (head_w, head_b, embedding).
+
+    Units whose gate is exactly 0 are frozen: their ReLU outputs over the
+    task's inputs are computed once, and each step's adapter product,
+    gradient and update run over the other, learnable units alone, which
+    are written back when the task ends. Within the task the learnable
+    units come first, so every product runs on contiguous operands.
+    """
     init_rng = substream(hp.seed, f"init:task{task}")
     embedding = init_rng.uniform(-EMBEDDING_INIT_RANGE, EMBEDDING_INIT_RANGE,
                                  model.hidden_width)
@@ -342,8 +367,17 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
 
     # 1 - max of the earlier tasks' masks, the same for every batch of this task
     gate = hat_gradient_gate(np.ones(model.hidden_width), _saturated_masks(model))
-    batch_rng = substream(hp.seed, f"batch:task{task}")
+    learnable = np.flatnonzero(gate)
+    frozen = np.flatnonzero(gate == 0)
+    units = np.concatenate((learnable, frozen))
     adapter = model.adapters
+    # take keeps the copied columns C-ordered, as the gradients are
+    weights, bias = adapter.weights.take(learnable, axis=1), adapter.bias[learnable]
+    frozen_relu, _ = _adapter_relu(inputs, adapter.weights.take(frozen, axis=1),
+                                   adapter.bias[frozen])
+    gate = gate[learnable]
+    embedding, head_w = embedding[units], head_w[units]
+    batch_rng = substream(hp.seed, f"batch:task{task}")
     n = len(inputs)
     lr = hp.learning_rate
     num_batches = math.ceil(n / hp.batch_size)
@@ -352,40 +386,39 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
         started = time.perf_counter()
         order = batch_rng.permutation(n)
         epoch_inputs, epoch_labels = inputs[order], labels[order]
+        epoch_frozen = frozen_relu[order]
         loss_sum = 0.0
         for b in range(num_batches):
             rows = slice(b * hp.batch_size, (b + 1) * hp.batch_size)
             batch_labels = epoch_labels[rows]
             slope = _annealed_slope(b, num_batches, hp.slope_max)
-            loss, grads = loss_and_grads(epoch_inputs[rows], batch_labels, adapter.weights,
-                                         adapter.bias, embedding, head_w, head_b, slope)
+            loss, grads = loss_and_grads(epoch_inputs[rows], batch_labels, weights, bias,
+                                         embedding, head_w, head_b, slope,
+                                         epoch_frozen[rows])
             if not math.isfinite(loss):
                 raise ModelError(
                     f"non-finite loss at task {task}, epoch {epoch}, batch {b + 1}"
                 )
             loss_sum += loss * len(batch_labels)
-            # the adapter gradient stays full-width even where gate is 0: BLAS
-            # rounds a column of X^T D differently as the product's width
-            # changes, and a column-sliced D sums its axis 0 in another order,
-            # so updating the unfrozen columns alone would change the trained bits
-            _descend(adapter.weights, grads["adapter_weights"], gate, lr)
-            _descend(adapter.bias, grads["adapter_bias"], gate, lr)
+            _descend(weights, grads["adapter_weights"], gate, lr)
+            _descend(bias, grads["adapter_bias"], gate, lr)
             _descend(embedding, grads["embedding"], lr,
                      _embedding_compensation(embedding, slope, hp.slope_max))
             np.clip(embedding, -EMBEDDING_CLAMP, EMBEDDING_CLAMP, out=embedding)
             _descend(head_w, grads["head_weights"], lr)
             _descend(head_b, grads["head_bias"], lr)
         if epoch_hook is not None:
-            z = inputs @ adapter.weights
-            z += adapter.bias
-            np.maximum(z, 0.0, out=z)
+            z, _ = _adapter_relu(inputs, weights, bias, frozen_relu)
             z *= hat_mask(embedding, hp.slope_max)
             logits = z @ head_w
             logits += head_b
             epoch_hook(task=task, epoch=epoch, loss=loss_sum / n,
                        accuracy=float(np.mean(logits.argmax(axis=1) == labels)),
                        seconds=time.perf_counter() - started)
-    return head_w, head_b, embedding
+    adapter.weights[:, learnable] = weights
+    adapter.bias[learnable] = bias
+    restore = np.argsort(units)
+    return head_w[restore], head_b, embedding[restore]
 
 
 def _check_task_data(model: ModelState, task_data: Dataset) -> int:
@@ -462,32 +495,35 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
     task samples plus a ridge scaled to the mean unit variance (the raw
     coefficient when the scatter is exactly zero). The whitening factor is
     the lower Cholesky factor of its inverse, the only form inference
-    reads. The clip threshold is the nearest-rank percentile of all pooled
-    scalar activations.
+    reads; it comes from one Cholesky factorisation of the covariance
+    itself, with no explicit inverse. The clip threshold is the
+    nearest-rank percentile of all pooled scalar activations.
     """
     task = model.trained_tasks - 1 if task is None else task
     if not 0 <= task < model.trained_tasks:
         raise ModelError(f"head for task {task} is not trained")
     z = activations(model, task, task_data.features)
+    labels = task_data.labels
     n_classes = task_data.num_classes
     hidden = z.shape[1]
 
     means = np.empty((n_classes, hidden))
-    scatter = np.zeros((hidden, hidden))
     for c in range(n_classes):
-        zc = z[task_data.labels == c]
+        zc = z[labels == c]
         if len(zc) == 0:
             raise ModelError(f"class {c} has no training samples")
         means[c] = zc.mean(axis=0)
-        centered = zc - means[c]
-        scatter += centered.T @ centered
-    tied = scatter / len(z)
+    mean_activations = z.mean(axis=0)
+    react_threshold = percentile(z.ravel(), react_percentile)
+    z -= means[labels]  # centred in place: z is not read again
+    covariance = z.T @ z
+    covariance /= len(z)
 
-    trace = float(np.trace(tied))
+    trace = float(np.trace(covariance))
     ridge = ridge_coefficient * trace / hidden if trace > 0 else ridge_coefficient
-    covariance = tied + ridge * np.eye(hidden)
+    covariance[np.diag_indices(hidden)] += ridge
     try:
-        covariance_inv = np.linalg.inv(covariance)
+        factor = _covariance_whitening_factor(covariance)
     except np.linalg.LinAlgError:
         raise ModelError(
             f"singular covariance after ridge {ridge:g} for task {task}"
@@ -495,10 +531,43 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
 
     return TrainStats(
         class_means=means,
-        whitening_factor=_whitening_factor(covariance_inv),
-        mean_activations=z.mean(axis=0),
-        react_threshold=percentile(z.ravel(), react_percentile),
+        whitening_factor=factor,
+        mean_activations=mean_activations,
+        react_threshold=react_threshold,
     )
+
+
+def _covariance_whitening_factor(covariance: np.ndarray) -> np.ndarray:
+    """Lower F with F F^T = covariance^-1, from one Cholesky factorisation.
+
+    With P the reversal permutation and P covariance P = L L^T, the
+    inverse is P L^-T L^-1 P = F F^T for F = P L^-T P, which is lower
+    triangular. Raises np.linalg.LinAlgError if the covariance does not
+    factor.
+    """
+    lower = np.linalg.cholesky(covariance[::-1, ::-1])
+    return np.ascontiguousarray(_lower_inverse(lower).T[::-1, ::-1])
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, exactly zero above its diagonal.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], recursively;
+    blocks of at most 64 rows go through np.linalg.inv, whose result
+    holds rounding noise above the diagonal that np.tril clears (save_model
+    refuses a factor with any entry there).
+    """
+    n = len(lower)
+    if n <= 64:
+        return np.tril(np.linalg.inv(lower))
+    k = n // 2
+    head = _lower_inverse(lower[:k, :k])
+    tail = _lower_inverse(lower[k:, k:])
+    inverse = np.zeros_like(lower)
+    inverse[:k, :k] = head
+    inverse[k:, k:] = tail
+    inverse[k:, :k] = -(tail @ lower[k:, :k] @ head)
+    return inverse
 
 
 @dataclass

@@ -14,7 +14,9 @@ file is not text, but every record starts a line, so ``head`` and
 A task's Mahalanobis statistics are its whitening factor F, the lower
 Cholesky factor of the inverse tied covariance, stored as the packed lower
 triangle in row-major order (``stats_factor_<t>``, h(h+1)/2 values). Load
-checks that F's diagonal is positive instead of factorising anything.
+unpacks each factor as it reads it, through one packed buffer that all
+tasks share, and checks that F's diagonal is positive instead of
+factorising anything.
 
 Only version 5 loads: a file of any other version, such as the text files
 of versions 1 to 4, is refused with its version named. To convert an old
@@ -120,6 +122,11 @@ class _Reader:
         self.unread = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
         self.metas: dict[str, str] = {}
         self.arrays: dict[str, np.ndarray] = {}
+        # whitening factors unpacked as they are read, through one packed
+        # buffer reused across tasks, and the mask of their lower triangle
+        self.factors: dict[str, np.ndarray] = {}
+        self._packed: np.ndarray | None = None
+        self._lower: np.ndarray | None = None
 
     def fail(self, why: str):
         raise ModelIOError(f"{self.path}: {why}")
@@ -164,7 +171,7 @@ class _Reader:
         if len(fields) < 3:
             self.fail(f"malformed array record: {' '.join(fields)!r}")
         name = fields[1]
-        if name in self.arrays:
+        if name in self.arrays or name in self.factors:
             self.fail(f"duplicate array record {name!r}")
         try:
             shape = tuple(int(s) for s in fields[2:])
@@ -177,10 +184,14 @@ class _Reader:
         if 8 * math.prod(shape) + 1 > self.unread:
             self.fail(f"array {name!r} of shape {' '.join(fields[2:])} does not fit in "
                       f"the rest of the file (bad shape, or truncated model file)")
-        try:
-            values = np.empty(shape, dtype="<f8")
-        except (ValueError, MemoryError):  # a pipe's shape numpy cannot allocate
-            self.fail(f"bad shape in array record {name!r}")
+        width = self._factor_width(name, shape)
+        # one hidden_width gives every factor the shape of the reused buffer
+        values = self._packed if width else None
+        if values is None:
+            try:
+                values = np.empty(shape, dtype="<f8")
+            except (ValueError, MemoryError):  # a pipe's shape numpy cannot allocate
+                self.fail(f"bad shape in array record {name!r}")
         self._read_payload(name, values)
         if not np.isfinite(values).all():
             self.fail(f"non-finite value in array {name!r}")
@@ -189,7 +200,26 @@ class _Reader:
             self.fail(f"array {name!r} has no checksum record")
         if crc[2] != f"{zlib.crc32(values):08x}":
             self.fail(f"array {name!r} does not match its checksum")
-        self.arrays[name] = values
+        if not width:
+            self.arrays[name] = values
+            return
+        if self._lower is None:
+            self._lower = np.tri(width, dtype=bool)
+        self._packed = values
+        self.factors[name] = _unpack_lower(values, self._lower)
+
+    def _factor_width(self, name: str, shape: tuple) -> int:
+        """h if ``name`` is a whitening factor of the packed length that the
+        hidden_width already read implies, else 0: such a factor is unpacked
+        as it is read, and any other goes through the shape checks of load."""
+        try:
+            hidden = int(self.metas.get("hidden_width", ""))
+        except ValueError:
+            return 0
+        if (hidden >= 1 and name.startswith("stats_factor_")
+                and shape == (hidden * (hidden + 1) // 2,)):
+            return hidden
+        return 0
 
     def _read_payload(self, name: str, values: np.ndarray) -> None:
         """Fill ``values`` from its payload and the line break after it."""
@@ -256,7 +286,6 @@ def load_model(path: str) -> ModelState:
     )
     model = ModelState(trunk, adapters,
                        classes_per_task=None if classes_per_task < 0 else classes_per_task)
-    lower = np.tri(hidden, dtype=bool)
     for t in range(trained_tasks):
         adapters.task_embeddings.append(r.array(f"embedding_{t}", (hidden,)))
         ood = bool(r.meta(f"head_ood_{t}", int))
@@ -268,19 +297,29 @@ def load_model(path: str) -> ModelState:
         ))
         model.stats.append(TrainStats(
             class_means=r.array(f"stats_means_{t}", (classes_per_task, hidden)),
-            whitening_factor=_read_factor(r, t, hidden, lower),
+            whitening_factor=_read_factor(r, t, hidden),
             mean_activations=r.array(f"stats_meanact_{t}", (hidden,)),
             react_threshold=r.meta(f"stats_react_{t}"),
         ))
     return model
 
 
-def _read_factor(r: _Reader, task: int, hidden: int, lower) -> np.ndarray:
-    """One task's whitening factor; ``lower`` masks its lower triangle, whose
-    entries a boolean mask visits in row-major order, as the writer stored them."""
+def _unpack_lower(packed: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The square array whose lower triangle, masked by ``lower``, holds
+    ``packed``: a boolean mask visits its entries in row-major order, as the
+    writer stored them."""
+    factor = np.zeros(lower.shape)
+    factor[lower] = packed
+    return factor
+
+
+def _read_factor(r: _Reader, task: int, hidden: int) -> np.ndarray:
+    """One task's whitening factor, unpacked while the file was read or now."""
     name = f"stats_factor_{task}"
-    factor = np.zeros((hidden, hidden))
-    factor[lower] = r.array(name, (hidden * (hidden + 1) // 2,))
+    factor = r.factors.get(name)
+    if factor is None:
+        factor = _unpack_lower(r.array(name, (hidden * (hidden + 1) // 2,)),
+                               np.tri(hidden, dtype=bool))
     if not (np.diagonal(factor) > 0).all():
         r.fail(f"array {name!r} is not a whitening factor (a diagonal entry is not positive)")
     return factor

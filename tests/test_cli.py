@@ -440,6 +440,7 @@ class TestUsage:
         ["eval", "--react-percentile", "10"],  # ReAct uses the train-time threshold
         ["train", "--react-percentile", "150"],
         ["curve", "--steps", ""],
+        ["curve", "--steps", "2,2"],  # would write step 2 twice
         ["eval", "--temperature", "inf"],
         ["curve", "--grid-step", "1e-300"],  # 1e302 points
         ["train", "--replay", "--backupdate", "--backupdate-epochs", "-3"],  # no epochs
@@ -765,6 +766,8 @@ class TestSettingsBeforeWork:
     @pytest.mark.parametrize("argv", [
         ["--steps", "x"],
         ["--steps", " , "],
+        ["--steps", "2,2"],
+        ["--steps", "1, 2,01"],
         ["--grid-step", "7"],
         ["--grid-step", "1e-300"],
         ["--temperature", "0"],

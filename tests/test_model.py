@@ -13,7 +13,8 @@ from conftest import (manual_model, manual_stats, model_records, record_values,
                       version_five_bytes)
 from opencil.data import task_local
 from opencil.errors import ModelError, ModelIOError
-from opencil.model import activations, loss_and_grads
+from opencil.model import (EMBEDDING_CLAMP, _covariance_whitening_factor, _whitening_factor,
+                           activations, loss_and_grads)
 
 
 # a one-task model with its arrays as decimal rows; version_five_bytes makes
@@ -167,10 +168,23 @@ class TestForwardFeatures:
             oc.forward_features(model, 0, np.ones(5))
 
 
+def _split(params, inputs, learnable, frozen):
+    """Arguments of the split form: learnable units first, then the frozen
+    units' ReLU outputs computed from the full-width adapter."""
+    units = np.concatenate((learnable, frozen))
+    frozen_relu = np.maximum(
+        inputs @ params["adapter_weights"][:, frozen] + params["adapter_bias"][frozen], 0.0)
+    return {"adapter_weights": params["adapter_weights"][:, learnable].copy(),
+            "adapter_bias": params["adapter_bias"][learnable],
+            "embedding": params["embedding"][units],
+            "head_weights": params["head_weights"][units],
+            "head_bias": params["head_bias"]}, frozen_relu
+
+
 class TestGradientCheck:
-    def test_analytic_matches_central_differences(self):
-        rng = np.random.default_rng(33)
-        n, d, h, c = 5, 6, 7, 3
+    @staticmethod
+    def _problem(seed=33, n=5, d=6, h=7, c=3):
+        rng = np.random.default_rng(seed)
         inputs = rng.normal(size=(n, d))
         labels = rng.integers(0, c, n)
         params = {
@@ -180,12 +194,26 @@ class TestGradientCheck:
             "head_weights": rng.normal(size=(h, c)) * 0.5,
             "head_bias": rng.normal(size=c) * 0.1,
         }
+        return rng, inputs, labels, params
+
+    def test_analytic_matches_central_differences(self):
+        self._check_central_differences(frozen=[])
+
+    def test_split_form_matches_central_differences(self):
+        self._check_central_differences(frozen=[1, 4, 5])
+
+    def _check_central_differences(self, frozen):
+        rng, inputs, labels, params = self._problem()
         slope = 3.0
+        frozen_relu = None
+        if frozen:
+            learnable = np.setdiff1d(np.arange(7), frozen)
+            params, frozen_relu = _split(params, inputs, learnable, np.array(frozen))
 
         def loss_of(p):
             return loss_and_grads(inputs, labels, p["adapter_weights"],
                                   p["adapter_bias"], p["embedding"],
-                                  p["head_weights"], p["head_bias"], slope)[0]
+                                  p["head_weights"], p["head_bias"], slope, frozen_relu)[0]
 
         _, grads = loss_and_grads(inputs, labels, **{
             "adapter_w": params["adapter_weights"],
@@ -194,6 +222,7 @@ class TestGradientCheck:
             "head_w": params["head_weights"],
             "head_b": params["head_bias"],
             "slope": slope,
+            "frozen_relu": frozen_relu,
         })
         eps = 1e-6
         for name in params:
@@ -210,6 +239,33 @@ class TestGradientCheck:
                 analytic = grads[name].reshape(-1)[k]
                 denom = max(abs(numeric), 1e-8)
                 assert abs(analytic - numeric) / denom < 1e-4, (name, k)
+
+    @pytest.mark.parametrize("frozen", [[0], [2, 3, 6], [0, 1, 2, 3, 4, 5, 6]],
+                             ids=["one", "three", "all"])
+    def test_split_form_equals_the_full_form(self, frozen):
+        _, inputs, labels, params = self._problem(seed=8, n=9, d=5, h=7, c=4)
+        frozen = np.array(frozen)
+        learnable = np.setdiff1d(np.arange(7), frozen)
+        units = np.concatenate((learnable, frozen))
+        split, frozen_relu = _split(params, inputs, learnable, frozen)
+        full_loss, full = loss_and_grads(inputs, labels, params["adapter_weights"],
+                                         params["adapter_bias"], params["embedding"],
+                                         params["head_weights"], params["head_bias"], 2.0)
+        loss, grads = loss_and_grads(inputs, labels, split["adapter_weights"],
+                                     split["adapter_bias"], split["embedding"],
+                                     split["head_weights"], split["head_bias"], 2.0,
+                                     frozen_relu)
+        assert loss == pytest.approx(full_loss, rel=1e-12)
+        expected = {"adapter_weights": full["adapter_weights"][:, learnable],
+                    "adapter_bias": full["adapter_bias"][learnable],
+                    "embedding": full["embedding"][units],
+                    "head_weights": full["head_weights"][units],
+                    "head_bias": full["head_bias"]}
+        assert grads.keys() == expected.keys()
+        for name, want in expected.items():
+            assert grads[name].shape == want.shape, name
+            np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-15,
+                                       err_msg=name)
 
 
 class TestTrainTask:
@@ -266,6 +322,35 @@ class TestTrainTask:
         oc.train_task(model, task_local(small_stream.tasks[1][0], 1, 2), small_hp)
         assert np.array_equal(model.adapters.weights[:, frozen],
                               weights_before[:, frozen])
+
+    @pytest.mark.parametrize("claimed", [28, 32], ids=["most-frozen", "all-frozen"])
+    def test_frozen_columns_and_biases_bit_identical(self, claimed):
+        # an earlier task whose saturated mask is exactly 1 on `claimed` of 32 units
+        task = two_class_task(seed=7)
+        hp = oc.Hyperparams(epochs=4, learning_rate=0.05, batch_size=16, hidden_width=32,
+                            seed=3)
+        model = oc.new_model(task.dim, hp)
+        model.adapters.bias[:] = np.linspace(-0.2, 0.3, 32)
+        frozen = np.zeros(32, dtype=bool)
+        frozen[np.random.default_rng(1).permutation(32)[:claimed]] = True
+        model.adapters.task_embeddings.append(np.where(frozen, EMBEDDING_CLAMP, -1.0))
+        assert np.array_equal(oc.hat_mask(model.adapters.task_embeddings[0], 400.0) == 1.0,
+                              frozen)
+        model.heads.append(oc.TaskHead(np.zeros((32, 2)), np.zeros(2)))
+        model.classes_per_task = 2
+        weights, bias = model.adapters.weights.copy(), model.adapters.bias.copy()
+
+        oc.train_task(model, task, hp)
+
+        assert np.array_equal(model.adapters.weights[:, frozen], weights[:, frozen])
+        assert np.array_equal(model.adapters.bias[frozen], bias[frozen])
+        learnt = ~frozen
+        assert (model.adapters.weights[:, learnt] != weights[:, learnt]).any(axis=0).all()
+        assert (model.adapters.bias[learnt] != bias[learnt]).all()
+        # the new task's embedding and head still learn through the frozen units
+        z = activations(model, 1, task.features)
+        predictions = (z @ model.heads[1].weights + model.heads[1].bias).argmax(axis=1)
+        assert np.mean(predictions == task.labels) >= 0.9
 
     def test_wrong_class_count_rejected(self, small_stream, small_hp):
         model = oc.new_model(small_stream.tasks[0][0].dim, small_hp)
@@ -351,6 +436,32 @@ class TestComputeTrainStats:
         assert np.array_equal(stats.covariance_inv, factor @ factor.T)
         with pytest.raises(AttributeError):
             stats.covariance_inv = np.eye(len(factor))
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.sampled_from([1, 63, 64, 65, 129, 512]),
+           rows=st.sampled_from([0.5, 2.0]), seed=st.integers(0, 2**32 - 1))
+    def test_factor_of_the_covariance_equals_the_factor_of_its_inverse(self, width, rows,
+                                                                        seed):
+        # rows < 1 leaves the scatter rank-deficient, so the ridge carries it
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(max(2, int(rows * width)), width)) * rng.uniform(0.1, 3.0, width)
+        covariance = z.T @ z / len(z)
+        covariance[np.diag_indices(width)] += 1e-4 * np.trace(covariance) / width
+        factor = _covariance_whitening_factor(covariance)
+        assert not np.triu(factor, 1).any()
+        assert (np.diagonal(factor) > 0).all()
+        np.testing.assert_allclose(factor @ factor.T @ covariance, np.eye(width),
+                                   rtol=0, atol=1e-8)
+        expected = _whitening_factor(np.linalg.inv(covariance))
+        np.testing.assert_allclose(factor, expected, rtol=0,
+                                   atol=1e-9 * np.abs(expected).max())
+
+    def test_covariance_that_does_not_factor(self, small_model):
+        # one sample per class and no ridge leave an all-zero covariance
+        data = oc.Dataset(np.ones((2, small_model.trunk.dim_in)), np.array([0, 1]))
+        with pytest.raises(ModelError) as caught:
+            oc.compute_train_stats(small_model, data, task=0, ridge_coefficient=0.0)
+        assert str(caught.value) == "singular covariance after ridge 0 for task 0"
 
     def test_untrained_task_rejected(self, small_model):
         data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
@@ -568,6 +679,22 @@ class TestSerialization:
         assert oc.predict(model, "react", "enmd", np.array([1.0, 0.0])).predicted_class == 0
         oc.save_model(model, str(path))
         assert path.read_bytes() == version_five_bytes(DECIMAL_MODEL)
+
+    def test_factor_read_before_the_hidden_width_loads(self, tmp_path):
+        # the factor is then unpacked after the whole file is read, not as it is read
+        text = DECIMAL_MODEL.replace("meta hidden_width 2\n", "")
+        text = text.replace("end\n", "meta hidden_width 2\nend\n")
+        path = tmp_path / "model.bin"
+        path.write_bytes(version_five_bytes(text))
+        model = oc.load_model(str(path))
+        assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
+
+    def test_duplicate_factor_record_refused(self, tmp_path):
+        factor = f"array stats_factor_0 3\n{math.sqrt(0.5)!r} 0 0.5\n"
+        path = tmp_path / "model.bin"
+        path.write_bytes(version_five_bytes(DECIMAL_MODEL.replace(factor, factor * 2)))
+        with pytest.raises(ModelIOError, match="duplicate array record 'stats_factor_0'"):
+            oc.load_model(str(path))
 
     def test_rows_are_exact_little_endian_doubles(self, tmp_path):
         # values with long 17-digit decimal forms, plus -0.0 and a subnormal

@@ -6,6 +6,11 @@ subtracted, a gather of every batch from the unshuffled data, and a fresh
 temporary for every gradient expression. The library runs the same
 operations in the same order on the same operands, with fewer numpy calls
 and temporaries, so every trained array must be equal, not merely close.
+
+Both train a task over its units reordered learnable first: the adapter
+columns whose gate is not exactly 0 are copied out and trained, the
+frozen units' ReLU outputs are computed once per task, and the learned
+columns are written back when the task ends.
 """
 
 import math
@@ -33,10 +38,11 @@ def ref_hat_mask(embedding, slope):
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def ref_loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding, head_w, head_b,
-                       slope):
+                       slope, frozen_relu):
     n = len(inputs)
+    learnable = adapter_w.shape[1]
     pre = inputs @ adapter_w + adapter_b
-    relu = np.maximum(pre, 0.0)
+    relu = np.concatenate([np.maximum(pre, 0.0), frozen_relu], axis=1)
     mask = ref_hat_mask(embedding, slope)
     z = relu * mask
     logits = z @ head_w + head_b
@@ -56,7 +62,7 @@ def ref_loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding, head_w, 
         "head_bias": dlogits.sum(axis=0),
         "embedding": (dz * relu).sum(axis=0) * mask * (1.0 - mask) * slope,
     }
-    dpre = dz * mask * (pre > 0)
+    dpre = dz[:, :learnable] * mask[:learnable] * (pre > 0)
     grads["adapter_weights"] = inputs.T @ dpre
     grads["adapter_bias"] = dpre.sum(axis=0)
     return loss, grads
@@ -87,8 +93,17 @@ def ref_fit_new_head(model, inputs, labels, n_logits, hp, task, log):
     gate = np.ones(model.hidden_width)
     if masks:
         gate = gate * (1.0 - np.max(np.stack(masks), axis=0))
-    batch_rng = substream(hp.seed, f"batch:task{task}")
+    learnable, frozen = np.flatnonzero(gate != 0), np.flatnonzero(gate == 0)
+    units = np.concatenate([learnable, frozen])
     adapter = model.adapters
+    # copies in C order: the gradients and their updates are C-ordered
+    weights = adapter.weights[:, learnable].copy()
+    bias = adapter.bias[learnable]
+    frozen_relu = np.maximum(inputs @ adapter.weights[:, frozen].copy()
+                             + adapter.bias[frozen], 0.0)
+    gate = gate[learnable]
+    embedding, head_w = embedding[units], head_w[units]
+    batch_rng = substream(hp.seed, f"batch:task{task}")
     n = len(inputs)
     lr = hp.learning_rate
 
@@ -99,21 +114,26 @@ def ref_fit_new_head(model, inputs, labels, n_logits, hp, task, log):
         for b in range(num_batches):
             idx = order[b * hp.batch_size : (b + 1) * hp.batch_size]
             slope = ref_annealed_slope(b, num_batches, hp.slope_max)
-            loss, grads = ref_loss_and_grads(inputs[idx], labels[idx], adapter.weights,
-                                             adapter.bias, embedding, head_w, head_b, slope)
+            loss, grads = ref_loss_and_grads(inputs[idx], labels[idx], weights, bias,
+                                             embedding, head_w, head_b, slope,
+                                             frozen_relu[idx])
             loss_sum += loss * len(idx)
-            adapter.weights -= lr * (grads["adapter_weights"] * gate)
-            adapter.bias -= lr * (grads["adapter_bias"] * gate)
+            weights -= lr * (grads["adapter_weights"] * gate)
+            bias -= lr * (grads["adapter_bias"] * gate)
             compensation = ref_compensation(embedding, slope, hp.slope_max)
             embedding -= lr * grads["embedding"] * compensation
             np.clip(embedding, -EMBEDDING_CLAMP, EMBEDDING_CLAMP, out=embedding)
             head_w -= lr * grads["head_weights"]
             head_b -= lr * grads["head_bias"]
         mask = ref_hat_mask(embedding, hp.slope_max)
-        z = np.maximum(inputs @ adapter.weights + adapter.bias, 0.0) * mask
-        predictions = (z @ head_w + head_b).argmax(axis=1)
+        relu = np.concatenate([np.maximum(inputs @ weights + bias, 0.0), frozen_relu], axis=1)
+        predictions = (relu * mask @ head_w + head_b).argmax(axis=1)
         log.append((task, epoch, loss_sum / n, float(np.mean(predictions == labels))))
-    return head_w, head_b, embedding
+    adapter.weights[:, learnable] = weights
+    adapter.bias[learnable] = bias
+    trained_head_w, trained_embedding = np.empty_like(head_w), np.empty_like(embedding)
+    trained_head_w[units], trained_embedding[units] = head_w, embedding
+    return trained_head_w, head_b, trained_embedding
 
 
 def ref_back_update(model, buffer, hp, epochs):
@@ -191,11 +211,16 @@ def three_task_stream():
     return oc.split_tasks(train, test, 3)
 
 
-@pytest.mark.parametrize("replay,trunk_dim", [(False, None), (True, 7)],
-                         ids=["buffer-free", "replay-backupdate-trunk"])
-def test_train_stream_equals_the_reference_bit_for_bit(replay, trunk_dim, three_task_stream):
+@pytest.mark.parametrize("replay,trunk_dim,slope_max", [
+    (False, None, 50.0), (True, 7, 50.0), (False, None, 400.0), (True, 7, 400.0)],
+    ids=["buffer-free", "replay-backupdate-trunk", "buffer-free-frozen-units",
+         "replay-backupdate-trunk-frozen-units"])
+def test_train_stream_equals_the_reference_bit_for_bit(replay, trunk_dim, slope_max,
+                                                       three_task_stream):
+    # slope_max 50 leaves every unit learnable; at 400 earlier tasks freeze
+    # more than half of the 24 units before tasks 2 and 3
     hp = oc.Hyperparams(epochs=6, learning_rate=0.05, batch_size=16, hidden_width=24,
-                        seed=9, slope_max=50.0)
+                        seed=9, slope_max=slope_max)
     options = dict(replay=replay, backupdate_epochs=3 if replay else 0, buffer_capacity=18)
     log, ref_log = [], []
 
@@ -215,6 +240,8 @@ def test_train_stream_equals_the_reference_bit_for_bit(replay, trunk_dim, three_
     # the gate stack is non-trivial: later tasks find units claimed by earlier ones
     masks = [oc.hat_mask(e, hp.slope_max) for e in model.adapters.task_embeddings]
     assert (masks[0] > 0.5).any()
+    if slope_max == 400.0:
+        assert (masks[0] == 1.0).sum() > hp.hidden_width // 2
 
 
 _SPECIAL_BITS = [
