@@ -20,15 +20,7 @@ from .data import (
     synth_gaussian,
     task_local,
 )
-from .detectors import (
-    DETECTOR_KINDS,
-    Detector,
-    build_dice_mask,
-    detector_logits,
-    percentile,
-    rectify_react,
-    rectify_scale,
-)
+from .detectors import DETECTOR_KINDS, Detector, build_dice_mask, percentile
 from .errors import ConfigError, DataError, ModelError, ModelIOError, OpenCILError
 from .metrics import CurvePoint, EvalReport, ReportRow, af, aia, auc, aupr, lca, rejection_curve
 from .model import (
@@ -40,8 +32,6 @@ from .model import (
     back_update,
     buffer_update,
     compute_train_stats,
-    forward_features,
-    hat_gradient_gate,
     hat_mask,
     new_model,
     train_stream,
@@ -53,23 +43,12 @@ from .pipeline import (
     ScoreTable,
     evaluate_closed,
     evaluate_open,
-    head_score,
     mixed_scores,
     predict,
-    predict_class,
-    predict_task,
     run_sweep,
     score_table,
 )
-from .scorers import (
-    SCORER_KINDS,
-    Scorer,
-    mahalanobis_confidence,
-    md_coefficient,
-    score_combined,
-    score_energy,
-    score_sm,
-)
+from .scorers import SCORER_KINDS, Scorer
 from .serialize import load_model, save_model
 
 __version__ = "0.1.0"

@@ -235,6 +235,8 @@ def _require(settings: _Settings, key: str):
     value = settings.get(key)
     if value is None:
         raise ConfigError(f"missing required setting {key!r} (flag or config)")
+    if isinstance(value, str) and not value.strip():
+        raise ConfigError(f"setting {key!r} is empty; it must name a path")
     return value
 
 
@@ -242,12 +244,12 @@ def _inputs(settings: _Settings, model: bool) -> list[tuple[str, str]]:
     """The (name, path) pairs of the files a command must not overwrite: the
     config file, the data directory's train.csv and test.csv (a command reads
     one of them and overwrites neither) and, if ``model``, the model file."""
+    data = _require(settings, "data")
     files = [("the config file", settings.get("config"))]
-    if settings.get("data"):
-        files += [(f"the data file {split}.csv", str(Path(settings["data"]) / f"{split}.csv"))
-                  for split in ("train", "test")]
+    files += [(f"the data file {split}.csv", str(Path(data) / f"{split}.csv"))
+              for split in ("train", "test")]
     if model:
-        files.append(("the model file", settings.get("model")))
+        files.append(("the model file", _require(settings, "model")))
     return files
 
 
@@ -267,16 +269,17 @@ def _output(settings: _Settings, key: str, required: bool = False, taken=()):
     its directory must exist, it must not be a directory itself, and it must
     not be the same file as any path of ``taken``, the (name, path) pairs of
     the command's inputs and of its outputs checked before this one."""
-    path = _require(settings, key) if required else settings.get(key)
-    if path:
-        if Path(path).is_dir():
-            raise ConfigError(f"output path is a directory: {path}")
-        resolved = Path(path).resolve()
-        if not resolved.parent.is_dir():
-            raise ConfigError(f"output directory does not exist: {resolved.parent}")
-        for name, other in taken:
-            if other and _same_file(path, other):
-                raise ConfigError(f"output path {path} would overwrite {name}")
+    if not required and settings.get(key) is None:
+        return None
+    path = _require(settings, key)
+    if Path(path).is_dir():
+        raise ConfigError(f"output path is a directory: {path}")
+    resolved = Path(path).resolve()
+    if not resolved.parent.is_dir():
+        raise ConfigError(f"output directory does not exist: {resolved.parent}")
+    for name, other in taken:
+        if other and _same_file(path, other):
+            raise ConfigError(f"output path {path} would overwrite {name}")
     return path
 
 
@@ -388,6 +391,8 @@ def _cmd_synth(settings: _Settings) -> int:
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     out_dir = Path(_require(settings, "out"))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output directory is an existing file: {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     full = synth_gaussian(spec)
     train, test = holdout(full, test_fraction, spec.seed)

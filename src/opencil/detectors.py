@@ -1,11 +1,13 @@
-"""Post-hoc rectification of activations and weights.
+"""Detector values and the helpers that post-hoc rectification shares.
 
 Four detector kinds share one head-evaluation contract: Base applies the
 head unchanged, ReAct clips activations at a threshold fitted on training
 activations, DICE sparsifies the head weights by contribution, and SCALE
 multiplies activations by a per-sample factor derived from their own
-percentile mass. All percentile computations in the package use the
-nearest-rank convention implemented here.
+percentile mass. The rectifications themselves are computed batched, for
+every head at once, in ``pipeline``; this module holds the ``Detector``
+value, the DICE keep-mask and the nearest-rank percentile that every
+percentile computation in the package uses.
 """
 
 from __future__ import annotations
@@ -23,11 +25,8 @@ __all__ = [
     "DEFAULT_PERCENTILES",
     "Detector",
     "percentile",
-    "rectify_react",
     "build_dice_mask",
     "dice_keep_count",
-    "rectify_scale",
-    "detector_logits",
 ]
 
 
@@ -77,13 +76,6 @@ def percentile(values, p: float) -> float:
     return float(np.sort(arr)[_nearest_rank_index(p, arr.size) - 1])
 
 
-def rectify_react(z: np.ndarray, threshold: float) -> np.ndarray:
-    """Clip every activation at ``threshold`` from above."""
-    if threshold < 0:
-        raise ValueError(f"react threshold must be >= 0, got {threshold}")
-    return np.minimum(z, threshold)
-
-
 def dice_keep_count(p: float, width: int) -> int:
     """Entries kept per output row: ceil((100-p)/100 * width), at least 1."""
     k = math.ceil((100.0 - p) * width / 100.0 - 1e-9)
@@ -116,48 +108,3 @@ def build_dice_mask(weights: np.ndarray, mean_activations: np.ndarray, p: float)
     cols = order[:, :keep].ravel()
     mask[rows, cols] = 1.0
     return mask
-
-
-def rectify_scale(z: np.ndarray, p: float) -> np.ndarray:
-    """Scale all activations by exp(r), r the total-to-top activation ratio.
-
-    The top set holds the activations at or above the p-th percentile of
-    z; since activations are nonnegative, r >= 1 always. Raises on an
-    all-zero vector (callers fall back to the unrectified head there).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if not np.any(z > 0):
-        raise ValueError("all-zero activation vector; scale factor undefined")
-    threshold = percentile(z, p)
-    top_sum = z[z >= threshold].sum()
-    r = z.sum() / top_sum
-    return z * math.exp(r)
-
-
-def detector_logits(head, z: np.ndarray, detector: Detector, stats=None) -> np.ndarray:
-    """Head logits after the detector's rectification.
-
-    ``head`` carries weights of shape (H, C) and a bias of shape (C,);
-    ``stats`` must provide the fitted react threshold or mean activations
-    when the detector needs them.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    kind = detector.kind
-    if kind == "base":
-        return z @ head.weights + head.bias
-    if kind == "react":
-        if stats is None:
-            raise ValueError("react rectification needs train statistics")
-        return rectify_react(z, stats.react_threshold) @ head.weights + head.bias
-    if kind == "scale":
-        try:
-            scaled = rectify_scale(z, detector.percentile)
-        except ValueError:
-            scaled = z  # all-zero activations: fall back to the plain head
-        return scaled @ head.weights + head.bias
-    if kind == "dice":
-        if stats is None:
-            raise ValueError("dice sparsification needs train statistics")
-        mask = build_dice_mask(head.weights.T, stats.mean_activations, detector.percentile)
-        return z @ (head.weights * mask.T) + head.bias
-    raise ValueError(f"unknown detector {kind!r}")

@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``percentile`` stays in this namespace: it defines the rejection curve's
-# thresholds, which the curve reads from one sort via ``_nearest_rank_index``
-from .detectors import _nearest_rank_index, percentile  # noqa: F401
+from .detectors import _nearest_rank_index
 
 MAX_CURVE_POINTS = 10_000
 
@@ -168,7 +166,7 @@ def rejection_curve(system_scores, correctness_flags, grid_step: float = 5.0):
     """Accuracy over retained samples as score-quantile thresholds grow.
 
     For each rejection rate rho on the percent grid, the threshold is
-    the empirical nearest-rank rho-quantile of the scores (``percentile``);
+    the empirical nearest-rank rho-quantile of the scores (``detectors.percentile``);
     samples at or above it are retained, so the retained sets are nested as
     rho grows and rho = 0 keeps everything. The threshold is one of the
     scores, so no retained set is empty. Unclassifiable (out-of-distribution)

@@ -50,8 +50,6 @@ __all__ = [
     "Buffer",
     "new_model",
     "hat_mask",
-    "hat_gradient_gate",
-    "forward_features",
     "activations",
     "loss_and_grads",
     "train_task",
@@ -128,25 +126,9 @@ class TrainStats:
     """Everything inference needs about a task's training activations."""
 
     class_means: np.ndarray  # (C, hidden)
-    whitening_factor: np.ndarray  # (hidden, hidden) lower F, F F^T = covariance_inv
+    whitening_factor: np.ndarray  # (hidden, hidden) lower F, F F^T = covariance^-1
     mean_activations: np.ndarray  # (hidden,)
     react_threshold: float
-
-    @property
-    def covariance_inv(self) -> np.ndarray:
-        """F F^T, the inverse of the ridge-regularized covariance; derived, read-only."""
-        return self.whitening_factor @ self.whitening_factor.T
-
-
-def _whitening_factor(covariance_inv: np.ndarray) -> np.ndarray:
-    """Lower factor F with F F^T = (covariance_inv + covariance_inv^T) / 2.
-
-    Then (z - mu) covariance_inv (z - mu)^T = ||z F - mu F||^2.
-    """
-    try:
-        return np.linalg.cholesky((covariance_inv + covariance_inv.T) / 2.0)
-    except np.linalg.LinAlgError:
-        raise ModelError("inverse covariance is not positive definite") from None
 
 
 @dataclass
@@ -201,19 +183,6 @@ def hat_mask(embedding: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def hat_gradient_gate(grad: np.ndarray, prev_masks) -> np.ndarray:
-    """Scale gradient flow into hidden unit i by (1 - max of previous masks).
-
-    ``grad`` may be any tensor whose last axis runs over the adapter
-    hidden units; with no previous tasks the gradient passes unchanged.
-    """
-    prev_masks = list(prev_masks)
-    if not prev_masks:
-        return grad
-    strongest = np.max(np.stack(prev_masks), axis=0)
-    return grad * (1.0 - strongest)
-
-
 def _saturated_masks(model: ModelState, upto: int | None = None) -> list[np.ndarray]:
     upto = len(model.adapters.task_embeddings) if upto is None else upto
     s = model.adapters.slope_max
@@ -239,14 +208,6 @@ def activations(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
     if not 0 <= task < n_embeddings:
         raise ModelError(f"unknown task {task}; model has {n_embeddings} task(s)")
     return relu * hat_mask(model.adapters.task_embeddings[task], model.adapters.slope_max)
-
-
-def forward_features(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
-    """Gated adapter activations z_t for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ModelError(f"expected a single input vector, got shape {x.shape}")
-    return activations(model, task, x[None, :])[0]
 
 
 def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
@@ -366,7 +327,8 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     head_b = np.zeros(n_logits)
 
     # 1 - max of the earlier tasks' masks, the same for every batch of this task
-    gate = hat_gradient_gate(np.ones(model.hidden_width), _saturated_masks(model))
+    masks = _saturated_masks(model)
+    gate = 1.0 - np.max(np.stack(masks), axis=0) if masks else np.ones(model.hidden_width)
     learnable = np.flatnonzero(gate)
     frozen = np.flatnonzero(gate == 0)
     units = np.concatenate((learnable, frozen))

@@ -7,7 +7,8 @@ winning task comes from the head's original (unrectified) logits, which
 makes within-task accuracy identical across detectors. Replay heads
 carry an extra OOD logit that is excluded from both scoring and class
 prediction, so scores stay comparable across the buffer-free and replay
-paths.
+paths. The detector and scorer formulas are computed here and nowhere
+else, batched over rows and heads.
 
 Closed-world evaluation at step k restricts inference to the first k
 heads over the test sets of tasks 1..k; open-world evaluation scores
@@ -25,8 +26,8 @@ the arrays that read the gated activations z_t = relu * m_t:
 - per DICE percentile, diag(m_t) (W_t * keep-mask_t), stacked the same way;
 - for the md scorers, diag(m_t) F_t side by side as (h, T*h), F_t the
   task's stored ``whitening_factor``, and the whitened class means
-  mu_c F_t. Since (z - mu) covariance_inv (z - mu)^T = ||z F - mu F||^2
-  for covariance_inv = F F^T, d_min = min_c ||w||^2 - 2 w.mu_c F +
+  mu_c F_t. Since (z - mu) F F^T (z - mu)^T = ||z F - mu F||^2 for the
+  inverse covariance F F^T, d_min = min_c ||w||^2 - 2 w.mu_c F +
   ||mu_c F||^2 for w = relu (diag(m_t) F_t), with no loop over classes.
   This part is built only when an md scorer is asked for.
 
@@ -66,7 +67,7 @@ batch, plus the n x T columns; its arrays are read-only, and callers get
 copies or values derived from them. ``score_table``, ``evaluate_closed``,
 ``evaluate_open`` and ``mixed_scores`` read it, each over the whole
 stacked test set, so their scores of one row agree to the bit with each
-other and with ``run_sweep``. Single rows are not worth keeping.
+other and with ``run_sweep``. ``predict`` scores one row and keeps no slot.
 
 ``run_sweep`` makes one pass for all its pairs, then reads every step of a
 pair from that pass: a running maximum over heads gives each step's system
@@ -91,9 +92,6 @@ __all__ = [
     "Prediction",
     "ScoreTable",
     "ClosedWorldResult",
-    "head_score",
-    "predict_task",
-    "predict_class",
     "predict",
     "score_table",
     "evaluate_closed",
@@ -423,48 +421,19 @@ def _columns(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
     return _cut(slot[3], slot[4], upto)
 
 
-def _pair_forward(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
-    """``_forward`` for one detector-scorer pair: classes and (n, upto) scores."""
-    classes, scores = _forward(model, x, upto, [_as_detector(detector)], [_as_scorer(scorer)])
-    return classes, scores[0, 0]
-
-
-def head_score(model: ModelState, task: int, detector, scorer, x: np.ndarray) -> float:
-    """In-distribution score of one input under one head."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ModelError(f"expected a single input vector, got shape {x.shape}")
-    _, scores = _pair_forward(model, x[None, :], task + 1, detector, scorer)
-    return float(scores[0, task])
-
-
-def predict_task(model: ModelState, detector, scorer, x: np.ndarray,
-                 upto: int | None = None) -> int:
-    """Head with the highest score; ties break toward the lower task id."""
-    upto = model.trained_tasks if upto is None else upto
-    x = np.asarray(x, dtype=np.float64)
-    _, scores = _pair_forward(model, x[None, :], upto, detector, scorer)
-    return int(scores[0].argmax())
-
-
-def predict_class(model: ModelState, x: np.ndarray, task: int,
-                  ind_score: float = float("nan")) -> Prediction:
-    """Class inside ``task`` from the head's original unrectified logits.
-
-    The argmax over softmax probabilities equals the argmax over logits;
-    any OOD logit is excluded. The global class id offsets the local
-    argmax by the task's label base.
-    """
-    classes, _ = _forward(model, np.asarray(x, dtype=np.float64)[None, :], task + 1)
-    return Prediction(task, int(classes[0, task]), ind_score)
-
-
 def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
-    """Full open-world prediction: task-id, class, and system score."""
+    """Full open-world prediction of one input: task-id, class, and system score.
+
+    The task is the head with the highest score, ties going to the lower
+    task id; the class is the argmax of that head's unrectified logits,
+    any OOD logit excluded; the score is the winning head's.
+    """
     x = np.asarray(x, dtype=np.float64)
-    classes, scores = _pair_forward(model, x[None, :], model.trained_tasks, detector, scorer)
-    task = int(scores[0].argmax())
-    return Prediction(task, int(classes[0, task]), float(scores[0, task]))
+    classes, scores = _forward(model, x[None, :], model.trained_tasks,
+                               [_as_detector(detector)], [_as_scorer(scorer)])
+    row = scores[0, 0, 0]
+    task = int(row.argmax())
+    return Prediction(task, int(classes[0, task]), float(row[task]))
 
 
 def _stack_tests(stream):

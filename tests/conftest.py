@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import opencil as oc
-from opencil.model import (AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams,
-                           _whitening_factor)
+from opencil.model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams
+from per_vector import whitening_factor
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +62,7 @@ def manual_stats(class_means, covariance=None, mean_activations=None,
         mean_activations = class_means.mean(axis=0)
     return TrainStats(
         class_means=class_means,
-        whitening_factor=_whitening_factor(np.linalg.inv(covariance)),
+        whitening_factor=whitening_factor(np.linalg.inv(covariance)),
         mean_activations=np.asarray(mean_activations, dtype=np.float64),
         react_threshold=react_threshold,
     )

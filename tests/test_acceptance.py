@@ -15,8 +15,10 @@ import pytest
 import opencil as oc
 from opencil.cli import main as cli_main
 from opencil.data import task_local
-from opencil.detectors import Detector, detector_logits
-from opencil.model import _whitening_factor, activations, loss_and_grads
+from opencil.detectors import Detector
+from opencil.model import loss_and_grads
+from per_vector import (detector_logits, forward_features, mahalanobis_confidence,
+                        score_energy, score_sm, whitening_factor)
 from test_metrics import pr_area_by_exhaustive_thresholds, roc_area_by_threshold_sweep
 
 DATA_SEED = 7
@@ -49,7 +51,7 @@ def test_criterion_01_detector_degenerations(bufferfree_model):
     rng = np.random.default_rng(100)
     inputs = rng.normal(scale=3.0, size=(1000, 32))
     head = bufferfree_model.heads[0]
-    zs = [oc.forward_features(bufferfree_model, 0, x) for x in inputs]
+    zs = [forward_features(bufferfree_model, 0, x) for x in inputs]
     pooled_max = float(np.max(zs))
     open_stats = dataclasses.replace(bufferfree_model.stats[0],
                                      react_threshold=pooled_max)
@@ -176,10 +178,10 @@ def test_criterion_06_scorer_identities():
         logits = rng.normal(scale=4.0, size=rng.integers(1, 9))
         shift = float(rng.normal(scale=5.0))
         worst_energy = max(worst_energy,
-                           abs(oc.score_energy(logits + shift) -
-                               oc.score_energy(logits) - shift))
+                           abs(score_energy(logits + shift) -
+                               score_energy(logits) - shift))
         worst_sm = max(worst_sm,
-                       abs(oc.score_sm(logits + shift) - oc.score_sm(logits)))
+                       abs(score_sm(logits + shift) - score_sm(logits)))
     assert worst_energy <= 1e-12
     assert worst_sm <= 1e-12
 
@@ -188,7 +190,7 @@ def test_criterion_06_scorer_identities():
     basis = rng.normal(size=(dim, dim))
     covariance = basis @ basis.T + dim * np.eye(dim)
     stats = oc.TrainStats(class_means=means,
-                          whitening_factor=_whitening_factor(np.linalg.inv(covariance)),
+                          whitening_factor=whitening_factor(np.linalg.inv(covariance)),
                           mean_activations=means.mean(axis=0),
                           react_threshold=1.0)
     worst_maha = 0.0
@@ -202,7 +204,7 @@ def test_criterion_06_scorer_identities():
                 for j in range(dim):
                     quad += (z[i] - means[c, i]) * inv[i, j] * (z[j] - means[c, j])
             best = max(best, -quad)
-        worst_maha = max(worst_maha, abs(oc.mahalanobis_confidence(z, stats) - best))
+        worst_maha = max(worst_maha, abs(mahalanobis_confidence(z, stats) - best))
     assert worst_maha < 1e-9
     print(f"\nACCEPTANCE 6 PASS: energy shift {worst_energy:.1e}, sm shift "
           f"{worst_sm:.1e}, mahalanobis vs brute force {worst_maha:.1e}")

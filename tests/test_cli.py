@@ -661,6 +661,63 @@ class TestUsage:
         assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, key", [
+        ("synth", "out"), ("train", "data"), ("train", "model"), ("train", "log"),
+        ("eval", "data"), ("eval", "model"), ("eval", "out"),
+        ("curve", "data"), ("curve", "model"), ("curve", "out")])
+    @pytest.mark.parametrize("value", ["", "  "])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_empty_path_is_refused_before_any_work(self, command, key, value, via_config,
+                                                   data_dir, model_path, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("work started before the empty path was refused")
+
+        for name in ("load_csv", "load_model", "synth_gaussian"):
+            monkeypatch.setattr(cli, name, no_work)
+        # an empty path must not fall back to the current directory and its files
+        cwd = tmp_path / "cwd"
+        shutil.copytree(data_dir, cwd)
+        monkeypatch.chdir(cwd)
+        score = ["--model", str(model_path), "--data", str(data_dir)]
+        options = {"synth": ["--classes", "4", "--dim", "8", "--per-class", "30", "--sep", "8",
+                             "--out", str(tmp_path / "d")],
+                   "train": ["--data", str(data_dir), "--tasks", "2", "--epochs", "1",
+                             "--hidden", "4", "--model", str(tmp_path / "m.bin")],
+                   "eval": score, "curve": score}[command]
+        flag = f"--{key}"
+        if flag in options:
+            at = options.index(flag)
+            del options[at:at + 2]
+        if via_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key}={value}\n", encoding="utf-8")
+            options += ["--config", str(config)]
+        else:
+            options += [flag, value]
+        assert main([command, *options]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: setting {key!r} is empty; it must name a path\n"
+        assert sorted(p.name for p in cwd.iterdir()) == ["test.csv", "train.csv"]
+        made = sorted(p.name for p in tmp_path.iterdir())
+        assert made == (["cwd", "run.cfg"] if via_config else ["cwd"])
+
+    def test_synth_output_that_is_an_existing_file_is_refused(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def no_work(*args):
+            raise AssertionError("data made before the output path was refused")
+
+        monkeypatch.setattr(cli, "synth_gaussian", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["synth", "--classes", "4", "--dim", "8", "--per-class", "30", "--sep", "8",
+                     "-o", str(taken)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: output directory is an existing file: {taken}\n"
+        assert taken.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from(sorted(_MALFORMED)).flatmap(
         lambda flag: st.tuples(st.just(flag), _MALFORMED[flag][2])),

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import manual_stats
-from opencil.detectors import (
-    Detector,
-    build_dice_mask,
-    detector_logits,
-    dice_keep_count,
-    percentile,
-    rectify_react,
-    rectify_scale,
-)
+from conftest import manual_model, manual_stats
+from opencil.detectors import Detector, build_dice_mask, dice_keep_count, percentile
+from opencil.errors import ModelError
 from opencil.model import TaskHead
+from opencil.pipeline import predict
+from per_vector import detector_logits, rectify_react, rectify_scale
 
 
 class TestPercentile:
@@ -54,10 +49,6 @@ class TestRectifyReact:
 
     def test_full_clip(self):
         assert np.array_equal(rectify_react(np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            rectify_react(np.array([1.0]), -0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=16),
@@ -183,12 +174,12 @@ class TestDetectorLogits:
             assert np.all(clipped <= plain + 1e-12)
 
     def test_missing_stats_rejected(self):
-        head = self._head()
-        z = np.ones(4)
-        with pytest.raises(ValueError, match="statistics"):
-            detector_logits(head, z, Detector("react"))
-        with pytest.raises(ValueError, match="statistics"):
-            detector_logits(head, z, Detector("dice"))
+        # react and dice read the train statistics, so scoring without them is refused
+        model = manual_model(np.eye(4), np.zeros(4), [np.full(4, 10.0)],
+                             [(np.ones((4, 3)), np.zeros(3), False)], classes_per_task=3)
+        for kind in ("react", "dice"):
+            with pytest.raises(ModelError, match="train statistics"):
+                predict(model, kind, "sm", np.ones(4))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown detector"):

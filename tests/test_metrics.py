@@ -215,7 +215,7 @@ class TestRejectionCurve:
         def no_point(*args):
             raise AssertionError("a grid point was computed")
 
-        monkeypatch.setattr(metrics, "percentile", no_point)
+        monkeypatch.setattr(metrics, "_nearest_rank_index", no_point)
         with pytest.raises(ValueError, match="more than 10000 points"):
             rejection_curve([1.0, 2.0], [True, False], grid_step)
 

@@ -13,8 +13,9 @@ from conftest import (manual_model, manual_stats, model_records, record_values,
                       version_five_bytes)
 from opencil.data import task_local
 from opencil.errors import ModelError, ModelIOError
-from opencil.model import (EMBEDDING_CLAMP, _covariance_whitening_factor, _whitening_factor,
-                           activations, loss_and_grads)
+from opencil.model import (EMBEDDING_CLAMP, _covariance_whitening_factor, activations,
+                           loss_and_grads)
+from per_vector import covariance_inv, forward_features, whitening_factor
 
 
 # a one-task model with its arrays as decimal rows; version_five_bytes makes
@@ -99,28 +100,6 @@ class TestHatMask:
             oc.hat_mask(np.zeros(2), 0.0)
 
 
-class TestHatGradientGate:
-    def test_no_previous_tasks(self):
-        grad = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(oc.hat_gradient_gate(grad, []), grad)
-
-    def test_full_protection(self):
-        grad = np.ones((2, 3))
-        gated = oc.hat_gradient_gate(grad, [np.array([1.0, 0.0, 0.0])])
-        assert np.array_equal(gated[:, 0], [0.0, 0.0])
-        assert np.array_equal(gated[:, 1:], np.ones((2, 2)))
-
-    def test_linear_gate(self):
-        grad = np.full(3, 2.0)
-        gated = oc.hat_gradient_gate(grad, [np.array([0.5, 0.25, 0.0])])
-        assert np.array_equal(gated, [1.0, 1.5, 2.0])
-
-    def test_max_over_masks(self):
-        grad = np.ones(2)
-        masks = [np.array([0.2, 0.9]), np.array([0.7, 0.1])]
-        assert np.allclose(oc.hat_gradient_gate(grad, masks), [0.3, 0.1])
-
-
 class TestForwardFeatures:
     def _model(self, dim=4, hidden=6, seed=0):
         hp = oc.Hyperparams(hidden_width=hidden, seed=seed)
@@ -133,7 +112,7 @@ class TestForwardFeatures:
         model.adapters.weights[:] = 0.0
         model.adapters.bias[:] = np.array([1.0, -1.0, 0.5, 0.0, 2.0, -0.1])
         mask = oc.hat_mask(model.adapters.task_embeddings[0], 400.0)
-        z = oc.forward_features(model, 0, np.ones(4))
+        z = forward_features(model, 0, np.ones(4))
         expected = np.maximum(model.adapters.bias, 0.0) * mask
         assert np.array_equal(z, expected)
 
@@ -141,15 +120,15 @@ class TestForwardFeatures:
         model = self._model()
         model.adapters.task_embeddings[0] = np.full(6, 10.0)  # saturates to 1.0
         x = np.array([0.5, -1.0, 2.0, 0.1])
-        z = oc.forward_features(model, 0, x)
+        z = forward_features(model, 0, x)
         expected = np.maximum(x @ model.adapters.weights + model.adapters.bias, 0.0)
         assert np.array_equal(z, expected)
 
     def test_deterministic(self):
         model = self._model()
         x = np.array([0.3, 0.1, -0.2, 0.9])
-        assert np.array_equal(oc.forward_features(model, 0, x),
-                              oc.forward_features(model, 0, x))
+        assert np.array_equal(forward_features(model, 0, x),
+                              forward_features(model, 0, x))
 
     def test_nonnegative(self):
         model = self._model()
@@ -160,12 +139,12 @@ class TestForwardFeatures:
     def test_unknown_task(self):
         model = self._model()
         with pytest.raises(ModelError, match="unknown task"):
-            oc.forward_features(model, 3, np.ones(4))
+            forward_features(model, 3, np.ones(4))
 
     def test_dimension_mismatch(self):
         model = self._model()
         with pytest.raises(ModelError, match="dimension mismatch"):
-            oc.forward_features(model, 0, np.ones(5))
+            forward_features(model, 0, np.ones(5))
 
 
 def _split(params, inputs, learnable, frozen):
@@ -296,7 +275,7 @@ class TestTrainTask:
         assert np.array_equal(a.heads[0].weights, b.heads[0].weights)
         assert np.array_equal(a.adapters.task_embeddings[0],
                               b.adapters.task_embeddings[0])
-        assert np.array_equal(a.stats[0].covariance_inv, b.stats[0].covariance_inv)
+        assert np.array_equal(covariance_inv(a.stats[0]), covariance_inv(b.stats[0]))
 
     def test_parameter_isolation(self, small_stream, small_hp):
         model = oc.new_model(small_stream.tasks[0][0].dim, small_hp)
@@ -382,7 +361,7 @@ class TestComputeTrainStats:
         data = oc.Dataset(np.array([[1.0, 0.5, 0.2, 0.1], [0.0, 1.0, 0.3, 0.9]]),
                           np.array([0, 1]))
         stats = oc.compute_train_stats(model, data, task=0, ridge_coefficient=1e-4)
-        assert np.array_equal(stats.covariance_inv, np.linalg.inv(1e-4 * np.eye(8)))
+        assert np.array_equal(covariance_inv(stats), np.linalg.inv(1e-4 * np.eye(8)))
 
     def test_duplicating_samples_preserves_stats(self, small_stream, small_hp,
                                                  small_model):
@@ -393,8 +372,8 @@ class TestComputeTrainStats:
         b = oc.compute_train_stats(small_model, doubled, task=0)
         np.testing.assert_allclose(a.class_means, b.class_means, atol=1e-12)
         # the inverse's entries reach 1e4, so the bound scales with them
-        scale = np.abs(a.covariance_inv).max()
-        np.testing.assert_allclose(a.covariance_inv, b.covariance_inv, rtol=0,
+        scale = np.abs(covariance_inv(a)).max()
+        np.testing.assert_allclose(covariance_inv(a), covariance_inv(b), rtol=0,
                                    atol=1e-12 * scale)
         assert a.react_threshold == b.react_threshold
 
@@ -423,19 +402,11 @@ class TestComputeTrainStats:
         expected_cov = tied + ridge * np.eye(hidden)
 
         np.testing.assert_allclose(stats.class_means, np.stack(means), atol=1e-9)
-        np.testing.assert_allclose(stats.covariance_inv @ expected_cov, np.eye(hidden),
+        np.testing.assert_allclose(covariance_inv(stats) @ expected_cov, np.eye(hidden),
                                    atol=1e-9)
         np.testing.assert_allclose(stats.mean_activations, z.mean(axis=0), atol=1e-9)
         pooled = np.sort(z.ravel())
         assert stats.react_threshold == pooled[math.ceil(0.9 * pooled.size) - 1]
-
-    def test_covariance_inv_is_derived_from_the_factor(self, small_model):
-        stats = small_model.stats[0]
-        factor = stats.whitening_factor
-        assert np.array_equal(factor, np.tril(factor)) and (np.diagonal(factor) > 0).all()
-        assert np.array_equal(stats.covariance_inv, factor @ factor.T)
-        with pytest.raises(AttributeError):
-            stats.covariance_inv = np.eye(len(factor))
 
     @settings(max_examples=40, deadline=None)
     @given(width=st.sampled_from([1, 63, 64, 65, 129, 512]),
@@ -452,7 +423,7 @@ class TestComputeTrainStats:
         assert (np.diagonal(factor) > 0).all()
         np.testing.assert_allclose(factor @ factor.T @ covariance, np.eye(width),
                                    rtol=0, atol=1e-8)
-        expected = _whitening_factor(np.linalg.inv(covariance))
+        expected = whitening_factor(np.linalg.inv(covariance))
         np.testing.assert_allclose(factor, expected, rtol=0,
                                    atol=1e-9 * np.abs(expected).max())
 
@@ -645,8 +616,8 @@ class TestSerialization:
         oc.save_model(small_model, str(path))
         loaded = oc.load_model(str(path))
         x = np.random.default_rng(3).normal(size=8)
-        assert np.array_equal(oc.forward_features(small_model, 1, x),
-                              oc.forward_features(loaded, 1, x))
+        assert np.array_equal(forward_features(small_model, 1, x),
+                              forward_features(loaded, 1, x))
 
     def test_truncated_file(self, small_model, tmp_path):
         path = tmp_path / "model.txt"
@@ -821,5 +792,5 @@ class TestSerialization:
         loaded = oc.load_model(str(path))
         assert np.array_equal(loaded.trunk.projection, model.trunk.projection)
         x = np.random.default_rng(0).normal(size=6)
-        assert np.array_equal(oc.forward_features(model, 0, x),
-                              oc.forward_features(loaded, 0, x))
+        assert np.array_equal(forward_features(model, 0, x),
+                              forward_features(loaded, 0, x))

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 import opencil as oc
 from conftest import manual_model, manual_stats
 from opencil.data import task_local
-from opencil.detectors import detector_logits
 from opencil.errors import ModelError
-from opencil.model import TrainStats, _whitening_factor, activations
+from opencil.model import activations
 from opencil import pipeline
 from opencil.pipeline import _forward
-from opencil.scorers import score_combined
+from per_vector import (detector_logits, forward_features, score_combined, score_sm,
+                        whitening_factor)
 
 
 def toy_model():
@@ -43,18 +43,16 @@ class TestHeadScore:
                              stats=[manual_stats([[1.0, 0.0]])],
                              classes_per_task=2)
         x = np.array([2.0, 0.5])
-        z = oc.forward_features(model, 0, x)
-        expected = oc.score_sm(z)
-        assert oc.head_score(model, 0, "base", "sm", x) == pytest.approx(expected,
-                                                                         rel=1e-12)
+        z = forward_features(model, 0, x)
+        expected = score_sm(z)
+        assert oc.predict(model, "base", "sm", x).ind_score == pytest.approx(expected,
+                                                                            rel=1e-12)
 
     def test_matches_manual_three_step_composition(self, small_model, small_stream):
-        rng = np.random.default_rng(17)
-        x = rng.normal(size=8)
         features = np.concatenate([test.features for _, test in small_stream.tasks])
 
         def manual(task, sample, detector, scorer):
-            z = oc.forward_features(small_model, task, sample)
+            z = forward_features(small_model, task, sample)
             stats = small_model.stats[task]
             logits = detector_logits(small_model.heads[task], z, oc.Detector(detector),
                                      stats)
@@ -64,17 +62,14 @@ class TestHeadScore:
             for scorer in ("sm", "smmd", "en", "enmd"):
                 table = oc.score_table(small_model, small_stream, detector, scorer)
                 for t in range(small_model.trained_tasks):
-                    got = oc.head_score(small_model, t, detector, scorer, x)
-                    assert got == pytest.approx(manual(t, x, detector, scorer),
-                                                rel=1e-12), (detector, scorer, t)
                     expected = [manual(t, s, detector, scorer) for s in features]
                     np.testing.assert_allclose(table.scores[:, t], expected, rtol=1e-10,
                                                err_msg=f"{detector}/{scorer} head {t}")
 
     def test_deterministic(self, small_model):
         x = np.random.default_rng(2).normal(size=8)
-        a = oc.head_score(small_model, 0, "base", "enmd", x)
-        b = oc.head_score(small_model, 0, "base", "enmd", x)
+        a = oc.predict(small_model, "base", "enmd", x)
+        b = oc.predict(small_model, "base", "enmd", x)
         assert a == b
 
 
@@ -96,7 +91,7 @@ def random_md_model(seed, hidden, classes):
         inv = inv + 1e-13 * np.abs(inv).max() * (skew - skew.T)
         means = rng.uniform(0.0, 3.0, (classes, hidden))
         stats.append(dataclasses.replace(manual_stats(means),
-                                         whitening_factor=_whitening_factor(inv)))
+                                         whitening_factor=whitening_factor(inv)))
         heads.append((rng.normal(size=(hidden, classes)), rng.normal(size=classes), False))
     model = manual_model(np.eye(hidden), np.zeros(hidden), [np.full(hidden, 10.0)] * 2,
                          heads, stats=stats, classes_per_task=classes)
@@ -129,13 +124,6 @@ class TestWhitenedMahalanobis:
                     ]
                     np.testing.assert_allclose(table.scores[:, t], expected, rtol=1e-10,
                                                err_msg=f"{detector}/{scorer} head {t}")
-
-    def test_inverse_covariance_without_cholesky_factor_rejected(self):
-        # the factor is part of the statistics, so building them fails
-        with pytest.raises(ModelError, match="positive definite"):
-            _whitening_factor(np.diag([1.0, -1.0]))
-        with pytest.raises(ModelError, match="positive definite"):
-            manual_stats([[1.0, 0.0], [0.0, 1.0]], covariance=np.diag([1.0, -1.0]))
 
 
 def random_plan_model(seed, hidden, classes, tasks):
@@ -188,6 +176,40 @@ class TestPlanMatchesPerHeadReference:
                                 for lg, row in zip(logits, z)]
                     np.testing.assert_allclose(scores[i, j, :, t], expected, rtol=1e-10,
                                                err_msg=f"{detector}/{scorer.kind} head {t}")
+
+
+@pytest.fixture(scope="module")
+def five_task_case():
+    spec = oc.SynthSpec(num_classes=10, dim=12, per_class=40, mean_separation=5.0, seed=8)
+    train, test = oc.holdout(oc.synth_gaussian(spec), 0.25, 8)
+    stream = oc.split_tasks(train, test, 5)
+    hp = oc.Hyperparams(epochs=5, learning_rate=0.01, batch_size=32, hidden_width=24, seed=2)
+    return oc.train_stream(oc.new_model(12, hp), stream, hp), stream
+
+
+class TestDetectorDegenerations:
+    """Acceptance criterion 1 on the batched path that inference runs."""
+
+    @pytest.mark.parametrize("scorer", ["sm", "smmd", "en", "enmd"])
+    def test_dice_at_p0_is_base_bit_for_bit(self, scorer, five_task_case):
+        model, stream = five_task_case
+        base = oc.score_table(model, stream, "base", scorer).scores
+        dice = oc.score_table(model, stream, oc.Detector("dice", 0.0), scorer).scores
+        assert dice.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("scorer", ["sm", "smmd", "en", "enmd"])
+    def test_react_above_every_activation_is_base(self, scorer, five_task_case):
+        # react clips z_t before W_t, base folds m_t into W_t: equal up to rounding
+        model, stream = five_task_case
+        features = np.concatenate([test.features for _, test in stream.tasks])
+        top = max(float(activations(model, t, features).max())
+                  for t in range(model.trained_tasks))
+        base = oc.score_table(model, stream, "base", scorer).scores
+        for thresholds in ([top] * 5, [top, 2.0 * top, top + 1.0, 10.0 * top, top]):
+            opened = dataclasses.replace(model, stats=[
+                dataclasses.replace(s, react_threshold=r) for s, r in zip(model.stats, thresholds)])
+            react = oc.score_table(opened, stream, "react", scorer).scores
+            np.testing.assert_allclose(react, base, rtol=1e-12, atol=0)
 
 
 def predictions(model, features, pairs=(("dice", "enmd"), ("dice", "sm"), ("base", "smmd"))):
@@ -290,12 +312,14 @@ def _saved(model, tmp_path):
 class TestPredictTask:
     def test_argmax_wins(self):
         model = toy_model()
-        assert oc.predict_task(model, "base", "sm", np.array([5.0, 0.0, 0.0])) == 0
-        assert oc.predict_task(model, "base", "sm", np.array([0.0, 0.0, 5.0])) == 1
+        assert oc.predict(model, "base", "sm", np.array([5.0, 0.0, 0.0])).predicted_task == 0
+        assert oc.predict(model, "base", "sm", np.array([0.0, 0.0, 5.0])).predicted_task == 1
 
-    def test_single_head_always_zero(self, small_model):
-        x = np.random.default_rng(0).normal(size=8)
-        assert oc.predict_task(small_model, "base", "sm", x, upto=1) == 0
+    def test_single_head_always_zero(self):
+        model = toy_model()
+        del model.heads[1], model.stats[1], model.adapters.task_embeddings[1]
+        x = np.array([0.0, 0.0, 5.0])  # head 1 would win
+        assert oc.predict(model, "base", "sm", x).predicted_task == 0
 
     def test_tie_breaks_to_lower_index(self):
         model = toy_model()
@@ -304,29 +328,30 @@ class TestPredictTask:
         model.stats[1] = model.stats[0]
         model.adapters.task_embeddings[1] = model.adapters.task_embeddings[0]
         x = np.array([1.0, 1.0, 1.0])
-        assert oc.predict_task(model, "base", "sm", x) == 0
+        assert oc.predict(model, "base", "sm", x).predicted_task == 0
 
     def test_untrained_model_rejected(self):
         model = manual_model(np.eye(2), np.zeros(2), [], [], classes_per_task=2)
         with pytest.raises(ModelError):
-            oc.predict_task(model, "base", "sm", np.zeros(2))
+            oc.predict(model, "base", "sm", np.zeros(2))
 
 
 class TestPredictClass:
     def test_global_index_arithmetic(self):
         model = toy_model()
-        # head 1 logits for x = (0, 1, 2): (2, 4) -> local 1 -> global 3
-        prediction = oc.predict_class(model, np.array([0.0, 1.0, 2.0]), 1)
+        # x = (0, 0, 2): head 0 logits (0, 0), head 1 (0, 4) -> local 1 -> global 3
+        prediction = oc.predict(model, "base", "sm", np.array([0.0, 0.0, 2.0]))
         assert prediction.predicted_task == 1
         assert prediction.predicted_class == 3
 
     def test_choice_identical_across_detectors(self, small_model, small_stream):
-        x = small_stream.tasks[1][1].features[0]
+        test = small_stream.tasks[1][1]
         chosen = {
-            oc.predict_class(small_model, x, 1).predicted_class
-            for _ in range(2)
+            (p.predicted_task, p.predicted_class)
+            for p in (oc.predict(small_model, d, "sm", test.features[0])
+                      for d in ("base", "react", "dice", "scale"))
         }
-        assert len(chosen) == 1  # predict_class never consults a detector
+        assert chosen == {(1, test.labels[0])}  # the class comes from the unrectified logits
 
     def test_ood_logit_never_returned(self):
         # replay-style head whose OOD logit dominates everything
@@ -335,15 +360,16 @@ class TestPredictClass:
                              [(weights, np.zeros(3), True)],
                              stats=[manual_stats([[1.0, 0.0]])],
                              classes_per_task=2)
-        prediction = oc.predict_class(model, np.array([0.3, 0.9]), 0)
+        prediction = oc.predict(model, "base", "sm", np.array([0.3, 0.9]))
         assert prediction.predicted_class in (0, 1)
 
-    def test_full_predict_carries_winning_score(self, small_model):
-        x = np.random.default_rng(1).normal(size=8)
-        prediction = oc.predict(small_model, "base", "enmd", x)
-        expected = max(oc.head_score(small_model, t, "base", "enmd", x)
-                       for t in range(small_model.trained_tasks))
-        assert prediction.ind_score == pytest.approx(expected, rel=1e-12)
+    def test_full_predict_carries_winning_score(self, small_model, small_stream):
+        features = np.concatenate([test.features for _, test in small_stream.tasks])
+        table = oc.score_table(small_model, small_stream, "base", "enmd")
+        for row in (0, len(features) - 1):
+            prediction = oc.predict(small_model, "base", "enmd", features[row])
+            assert prediction.predicted_task == table.scores[row].argmax()
+            assert prediction.ind_score == pytest.approx(table.scores[row].max(), rel=1e-12)
 
 
 class TestEvaluateClosed:
@@ -512,8 +538,9 @@ class TestMixedScores:
         for detector, scorer in (("dice", "enmd"), ("scale", "sm"), ("base", "smmd")):
             for k in (2, 1, 2):
                 scores, correct = oc.mixed_scores(small_model, small_stream, k, detector, scorer)
-                classes, alone = pipeline._pair_forward(small_model, features, k, detector,
-                                                        scorer)
+                classes, alone = _forward(small_model, features, k, [oc.Detector(detector)],
+                                          [oc.Scorer(scorer)])
+                alone = alone[0, 0]
                 predicted = classes[np.arange(len(labels)), alone.argmax(axis=1)]
                 assert scores.tobytes() == alone.max(axis=1).tobytes()
                 assert np.array_equal(correct, (predicted == labels) & (tasks < k))

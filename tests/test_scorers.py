@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import manual_stats
-from opencil.scorers import (
-    Scorer,
-    mahalanobis_confidence,
-    md_coefficient,
-    score_combined,
-    score_energy,
-    score_sm,
-)
+from conftest import manual_model, manual_stats
+from opencil.errors import ModelError
+from opencil.pipeline import predict
+from opencil.scorers import Scorer
+from per_vector import (mahalanobis_confidence, md_coefficient, score_combined, score_energy,
+                        score_sm)
 
 finite_logits = st.lists(st.floats(-30, 30), min_size=1, max_size=8)
 
@@ -37,10 +34,6 @@ class TestScoreSm:
     def test_range(self, logits):
         assert 0.0 < score_sm(logits) <= 1.0
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            score_sm([1.0, float("inf")])
-
 
 class TestScoreEnergy:
     def test_logsumexp_of_zeros(self):
@@ -59,8 +52,8 @@ class TestScoreEnergy:
         assert abs(b - a - shift) <= 1e-12
 
     def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            score_energy([1.0], 0.0)
+        with pytest.raises(ValueError, match="temperature"):
+            Scorer("en", 0.0)
 
 
 class TestMahalanobis:
@@ -92,8 +85,11 @@ class TestMahalanobis:
         np.testing.assert_allclose(mahalanobis_confidence(z, stats), best, atol=1e-9)
 
     def test_missing_stats(self):
-        with pytest.raises(ValueError, match="statistics"):
-            mahalanobis_confidence([1.0], None)
+        # the md scorers read the train statistics, so scoring without them is refused
+        model = manual_model(np.eye(2), np.zeros(2), [np.full(2, 10.0)],
+                             [(np.eye(2), np.zeros(2), False)], classes_per_task=2)
+        with pytest.raises(ModelError, match="train statistics"):
+            predict(model, "base", "smmd", np.ones(2))
 
 
 class TestMdCoefficient:
@@ -154,10 +150,6 @@ class TestScoreCombined:
         near_e = score_combined("enmd", logits, [0.1, 0.0], stats)
         far_e = score_combined("enmd", logits, [4.0, 0.0], stats)
         assert near_e > far_e
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown scorer"):
-            score_combined("msp", [1.0])
 
     def test_scorer_config_validation(self):
         with pytest.raises(ValueError):

@@ -186,13 +186,18 @@ def four_task_cases():
     return cases
 
 
+def _lone_pass(model, features, upto, detector, scorer):
+    """A pass of one detector-scorer pair: classes and (n, upto) scores."""
+    classes, scores = pipeline._forward(model, features, upto, [detector], [scorer])
+    return classes, scores[0, 0]
+
+
 def _reference_report(model, stream, detectors, scorers):
     features, labels, tasks = pipeline._stack_tests(stream)
     rows = []
     for detector in detectors:
         for scorer in scorers:
-            classes, scores = pipeline._pair_forward(model, features, stream.num_tasks,
-                                                     detector, scorer)
+            classes, scores = _lone_pass(model, features, stream.num_tasks, detector, scorer)
             rows.append(reference_sweep_row(detector, scorer, scores, classes, labels,
                                             tasks, stream.num_tasks))
     return rows
@@ -224,8 +229,7 @@ class TestRunSweep:
         classes, scores = pipeline._forward(model, features, 4, detectors, scorers)
         for i, detector in enumerate(detectors):
             for j, scorer in enumerate(scorers):
-                alone_classes, alone = pipeline._pair_forward(model, features, 4,
-                                                              detector, scorer)
+                alone_classes, alone = _lone_pass(model, features, 4, detector, scorer)
                 assert alone.tobytes() == scores[i, j].tobytes()
                 assert (alone_classes == classes).all()
 
