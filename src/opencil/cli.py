@@ -393,6 +393,10 @@ def _cmd_synth(settings: _Settings) -> int:
     out_dir = Path(_require(settings, "out"))
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"output directory is an existing file: {out_dir}")
+    for parent in out_dir.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"output directory {out_dir} lies below an existing file: "
+                              f"{parent}")
     out_dir.mkdir(parents=True, exist_ok=True)
     full = synth_gaussian(spec)
     train, test = holdout(full, test_fraction, spec.seed)

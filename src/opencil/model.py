@@ -370,10 +370,12 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
             _descend(head_w, grads["head_weights"], lr)
             _descend(head_b, grads["head_bias"], lr)
         if epoch_hook is not None:
-            z, _ = _adapter_relu(inputs, weights, bias, frozen_relu)
-            z *= hat_mask(embedding, hp.slope_max)
-            logits = z @ head_w
-            logits += head_b
+            # a diverging run shows as a non-finite loss in the next epoch, not as a warning
+            with np.errstate(all="ignore"):
+                z, _ = _adapter_relu(inputs, weights, bias, frozen_relu)
+                z *= hat_mask(embedding, hp.slope_max)
+                logits = z @ head_w
+                logits += head_b
             epoch_hook(task=task, epoch=epoch, loss=loss_sum / n,
                        accuracy=float(np.mean(logits.argmax(axis=1) == labels)),
                        seconds=time.perf_counter() - started)

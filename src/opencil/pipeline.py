@@ -24,12 +24,15 @@ the arrays that read the gated activations z_t = relu * m_t:
 - the class columns of every head as diag(m_t) W_t, side by side in one
   (h, T*C) array, so one product gives the raw logits of every head;
 - per DICE percentile, diag(m_t) (W_t * keep-mask_t), stacked the same way;
-- for the md scorers, diag(m_t) F_t side by side as (h, T*h), F_t the
-  task's stored ``whitening_factor``, and the whitened class means
-  mu_c F_t. Since (z - mu) F F^T (z - mu)^T = ||z F - mu F||^2 for the
-  inverse covariance F F^T, d_min = min_c ||w||^2 - 2 w.mu_c F +
-  ||mu_c F||^2 for w = relu (diag(m_t) F_t), with no loop over classes.
-  This part is built only when an md scorer is asked for.
+- for the md scorers, diag(m_t) F_t, F_t the task's stored
+  ``whitening_factor``, and the whitened class means mu_c F_t. Since
+  (z - mu) F F^T (z - mu)^T = ||z F - mu F||^2 for the inverse covariance
+  F F^T, d_min = min_c ||w||^2 - 2 w.mu_c F + ||mu_c F||^2 for
+  w = relu (diag(m_t) F_t), with no loop over classes. F_t is
+  lower-triangular, so the columns are cut into blocks of about
+  ``_MD_BLOCK`` units and block [a, b) keeps only rows a..h-1, every head
+  side by side as (h - a, T*(b - a)): at hidden 512, 62.5 % of the full
+  (h, T*h). This part is built only when an md scorer is asked for.
 
 ReAct clips and SCALE rescales z_t itself, so they form z_t per head; SCALE
 then reuses the folded product, since (s z_t) W_t = s (z_t W_t). Rows are
@@ -40,9 +43,9 @@ the energy, and log of the md coefficient is taken once for every enmd.
 
 A pass always scores all T heads. The logits come from the one product
 over all of them; the whitened activations, the costly product, from one
-matrix-vector product over all T heads for a single row and from one
-product per head for more rows. A non-finite score is an error only among
-the columns a call returns.
+product per md block over all T heads, for one row as for many, each
+adding its columns' share to ||w||^2 and w.mu_c. A non-finite score is an
+error only among the columns a call returns.
 
 The plan is built on first use and kept on the model as a plain attribute,
 which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
@@ -142,6 +145,11 @@ def _as_scorer(scorer) -> Scorer:
 _CHUNK_ROWS = 128
 
 
+# Units per column block of the folded whitening factors: wide enough for an
+# efficient product, narrow enough that the zeros above each block are skipped.
+_MD_BLOCK = 128
+
+
 def _plan_inputs(model: ModelState):
     """Every value the plan is built from, as bytes compared on each call.
 
@@ -202,29 +210,44 @@ class _Plan:
         return self._dice[p]
 
     def mahalanobis(self, stats):
-        """(factors, centers, means, norms) of the whitened class distances.
+        """(blocks, centers, means, norms) of the whitened class distances.
 
         With F_t the task's ``whitening_factor``, the squared Mahalanobis
         distance of z_t to class mean mu_c is ||w - mu_c F_t||^2 for
-        w = relu (diag(m_t) F_t); ``factors`` holds those folded factors
-        side by side, (h, T h). The whitened means are kept relative to their
-        mean per head (``centers``), as (T, h, C) with squared norms (T, C),
-        so that ||w||^2 - 2 w.mu + ||mu||^2 cancels little. Rebuilt when a
-        head's ``whitening_factor`` or ``class_means`` is a different array.
+        w = relu (diag(m_t) F_t). F_t is lower-triangular, so columns a..b-1
+        of diag(m_t) F_t are zero above row a. The columns are cut into
+        h // ``_MD_BLOCK`` blocks [a, b), at least one, of near-equal width,
+        and ``blocks`` holds one (a, b, block) per block: rows a..h-1 of its
+        columns, every head side by side, (h - a, T (b - a)), each a view of
+        one buffer. The whitened means are kept relative to their mean per head
+        (``centers``), as (T, h, C) with squared norms (T, C), so that
+        ||w||^2 - 2 w.mu + ||mu||^2 cancels little. Rebuilt when a head's
+        ``whitening_factor`` or ``class_means`` is a different array.
         """
         sources = [a for s in stats[:len(self.masks)] for a in (s.whitening_factor, s.class_means)]
         if self._md is None or any(a is not b for a, b in zip(sources, self._md_sources)):
             tasks, hidden = self.masks.shape
-            factors = np.empty((hidden, tasks * hidden))
+            count = max(1, hidden // _MD_BLOCK)
+            bounds = [hidden * i // count for i in range(count + 1)]
+            spans = list(zip(bounds[:-1], bounds[1:]))
+            # one allocation, like the full square it replaces: with one per block,
+            # training and saving after a rebuild measured a little slower
+            buffer = np.empty(tasks * sum((hidden - a) * (b - a) for a, b in spans))
+            blocks, at = [], 0
+            for a, b in spans:
+                size = tasks * (hidden - a) * (b - a)
+                blocks.append((a, b, buffer[at:at + size].reshape(hidden - a, tasks * (b - a))))
+                at += size
             means = []
             for t, s in enumerate(stats[:tasks]):
-                np.multiply(self.masks[t][:, None], s.whitening_factor,
-                            out=factors[:, t * hidden:(t + 1) * hidden])
+                for a, b, block in blocks:
+                    np.multiply(self.masks[t][a:, None], s.whitening_factor[a:, a:b],
+                                out=block.reshape(hidden - a, tasks, b - a)[:, t])
                 means.append(s.class_means @ s.whitening_factor)
             means = np.stack(means)  # (T, C, h)
             centers = means.mean(axis=1)
             means -= centers[:, None, :]
-            self._md = (factors, centers, np.ascontiguousarray(means.transpose(0, 2, 1)),
+            self._md = (blocks, centers, np.ascontiguousarray(means.transpose(0, 2, 1)),
                         (means * means).sum(axis=2))
             self._md_sources = sources
             self.columns = None
@@ -257,17 +280,23 @@ def _scale_factors(z: np.ndarray, p: float) -> np.ndarray:
 
 def _md_coefficient(relu: np.ndarray, md) -> np.ndarray:
     """(n, T) coefficients 1 / (1 + d_min) of every head, d_min the squared
-    Mahalanobis distance of each head's activations to its closest class mean."""
-    factors, centers, means, norms = md
-    tasks, hidden, _ = means.shape
-    if len(relu) == 1:  # one matrix-vector product over every head
-        w = (relu @ factors).reshape(1, tasks, hidden).transpose(1, 0, 2)
-    else:  # one product per head
-        w = np.matmul(relu, factors.reshape(hidden, tasks, hidden).transpose(1, 0, 2))
-    w -= centers[:, None, :]  # (T, n, h)
-    nearest = (norms[:, None, :] - 2.0 * np.matmul(w, means)).min(axis=2)
-    d_min = np.maximum(np.einsum("tnh,tnh->tn", w, w) + nearest, 0.0)
-    return (1.0 / (1.0 + d_min)).T
+    Mahalanobis distance of each head's activations to its closest class mean.
+
+    One product per column block of ``_Plan.mahalanobis`` gives columns
+    a..b-1 of w for every head, without the rows above the block, which are
+    zero in every factor. Each block adds its columns' share to
+    ||w - center||^2 and (w - center).mu_c, so no (T, n, h) array is built."""
+    blocks, centers, means, norms = md
+    tasks, _, classes = means.shape
+    n = len(relu)
+    squares, dots = np.zeros((n, tasks)), np.zeros((tasks, n, classes))
+    for a, b, block in blocks:
+        w = (relu[:, a:] @ block).reshape(n, tasks, b - a)
+        w -= centers[:, a:b]
+        squares += np.einsum("ntb,ntb->nt", w, w)
+        dots += np.matmul(w.transpose(1, 0, 2), means[:, a:b])
+    nearest = (norms[:, None, :] - 2.0 * dots).min(axis=2)
+    return 1.0 / (1.0 + np.maximum(squares + nearest.T, 0.0))
 
 
 def _base_key(scorer: Scorer):

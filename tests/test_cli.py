@@ -718,6 +718,23 @@ class TestUsage:
         assert taken.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [taken]
 
+    @pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+    def test_synth_output_below_an_existing_file_is_refused(self, below, tmp_path,
+                                                            monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("data made before the output path was refused")
+
+        monkeypatch.setattr(cli, "synth_gaussian", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / below
+        assert main(["synth", "--classes", "4", "--dim", "8", "--per-class", "10", "--sep", "8",
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: output directory {out} lies below an existing file: {taken}\n"
+        assert taken.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from(sorted(_MALFORMED)).flatmap(
         lambda flag: st.tuples(st.just(flag), _MALFORMED[flag][2])),
@@ -791,6 +808,22 @@ class TestUsage:
         assert result.returncode == 2
         assert result.stderr.startswith("error: non-finite loss")
         assert result.stderr.count("\n") == 1
+
+    def test_overflowing_training_prints_one_error_line(self, data_dir, tmp_path):
+        # at this rate the first step overflows the epoch log's forward pass; a subprocess,
+        # so that a numpy warning would reach stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run(
+            [sys.executable, "-m", "opencil", "train", "--data", str(data_dir),
+             "--tasks", "2", "--epochs", "2", "--lr", "1e300", "--hidden", "16",
+             "-o", str(tmp_path / "m.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert re.fullmatch(r"error: non-finite loss at task 0, epoch 2, batch 1\n",
+                            result.stderr)
+        assert not (tmp_path / "m.txt").exists()
 
     def test_no_command(self, capsys):
         assert main([]) == 1

@@ -351,6 +351,17 @@ class TestTrainTask:
         assert all(e["task"] == 0 for e in seen)
         assert all(math.isfinite(e["loss"]) and e["seconds"] >= 0 for e in seen)
 
+    def test_diverging_run_with_an_epoch_hook_raises_model_error(self, small_stream):
+        # one batch an epoch: the hook's forward pass overflows after epoch 1, and the loss
+        # of epoch 2 reports it
+        hp = oc.Hyperparams(epochs=2, learning_rate=1e300, batch_size=128, hidden_width=16,
+                            seed=5)
+        seen = []
+        with pytest.raises(ModelError, match="non-finite loss at task 0, epoch 2"):
+            oc.train_stream(oc.new_model(small_stream.tasks[0][0].dim, hp), small_stream, hp,
+                            epoch_hook=lambda **kw: seen.append(kw))
+        assert [e["epoch"] for e in seen] == [1]
+
 
 class TestComputeTrainStats:
     def test_one_sample_per_class_gives_ridge_identity(self):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,111 @@ class TestWhitenedMahalanobis:
                                                err_msg=f"{detector}/{scorer} head {t}")
 
 
+def md_pairs():
+    return [(oc.Detector(d), oc.Scorer(s)) for d in ("base", "dice") for s in ("smmd", "enmd")]
+
+
+def per_vector_scores(model, features, detector, scorer):
+    """(n, T) scores of the per-vector reference."""
+    rows = []
+    for x in features:
+        row = []
+        for t, (head, stats) in enumerate(zip(model.heads, model.stats)):
+            z = forward_features(model, t, x)
+            row.append(score_combined(scorer.kind, detector_logits(head, z, detector, stats),
+                                      z, stats))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestMahalanobisBlocks:
+    """The md product skips the zeros above each column block of the
+    lower-triangular whitening factors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 5), st.integers(1, 5))
+    def test_uneven_blocks_match_per_vector_reference(self, seed, hidden, classes, width):
+        model, stream = random_md_model(seed, hidden, classes)
+        features = np.concatenate([test.features for _, test in stream.tasks])
+        with mock.patch.object(pipeline, "_MD_BLOCK", width):
+            blocks = pipeline._plan(model).mahalanobis(model.stats)[0]
+            count = max(1, hidden // width)
+            assert [(a, b) for a, b, _ in blocks] == \
+                [(hidden * i // count, hidden * (i + 1) // count) for i in range(count)]
+            for detector, scorer in md_pairs():
+                expected = per_vector_scores(model, features, detector, scorer)
+                table = oc.score_table(model, stream, detector, scorer)
+                np.testing.assert_allclose(table.scores, expected, rtol=1e-10,
+                                           err_msg=f"{detector}/{scorer} table")
+                for x, row in zip(features, expected):
+                    _, scores = _forward(model, x[None, :], 2, [detector], [scorer])
+                    np.testing.assert_allclose(scores[0, 0, 0], row, rtol=1e-10,
+                                               err_msg=f"{detector}/{scorer} one row")
+                    assert oc.predict(model, detector, scorer, x).ind_score == \
+                        pytest.approx(row.max(), rel=1e-10)
+
+    def test_default_split_matches_per_vector_reference(self, wide_case):
+        model, stream = wide_case
+        blocks = pipeline._plan(model).mahalanobis(model.stats)[0]
+        assert [(a, b) for a, b, _ in blocks] == [(0, 128), (128, 256), (256, 384), (384, 512)]
+        features = np.concatenate([test.features for _, test in stream.tasks])
+        for detector, scorer in md_pairs():
+            table = oc.score_table(model, stream, detector, scorer)
+            np.testing.assert_allclose(table.scores,
+                                       per_vector_scores(model, features, detector, scorer),
+                                       rtol=1e-10, err_msg=f"{detector}/{scorer}")
+
+    def test_predict_equals_score_table_row(self, wide_case):
+        model, stream = wide_case
+        features = np.concatenate([test.features for _, test in stream.tasks])
+        for detector, scorer in md_pairs():
+            table = oc.score_table(model, stream, detector, scorer).scores
+            for row in range(0, len(features), 7):
+                _, scores = _forward(model, features[row][None, :], 2, [detector], [scorer])
+                np.testing.assert_allclose(scores[0, 0, 0], table[row], rtol=1e-12)
+                prediction = oc.predict(model, detector, scorer, features[row])
+                assert prediction.predicted_task == table[row].argmax()
+                assert prediction.ind_score == pytest.approx(table[row].max(), rel=1e-12)
+
+    def test_blocks_hold_the_lower_triangle(self, wide_case):
+        model, _ = wide_case
+        tasks, hidden = model.trained_tasks, model.hidden_width
+        plan = pipeline._plan(model)
+        blocks = plan.mahalanobis(model.stats)[0]
+        assert sum(block.size for *_, block in blocks) <= 0.65 * tasks * hidden * hidden
+        for a, b, block in blocks:
+            for t, stats in enumerate(model.stats):
+                folded = plan.masks[t][:, None] * stats.whitening_factor
+                assert not folded[:a, a:b].any()  # the rows a block leaves out are zero
+                assert np.array_equal(block.reshape(hidden - a, tasks, b - a)[:, t],
+                                      folded[a:, a:b])
+
+    def test_plan_of_ten_tasks_at_hidden_512_holds_at_most_13_2_mb(self):
+        model, _ = random_plan_model(3, 512, 2, 10)
+        blocks = pipeline._plan(model).mahalanobis(model.stats)[0]
+        assert sum(block.nbytes for *_, block in blocks) <= 13.2e6
+
+    @pytest.mark.parametrize("hidden", [24, 128, 255])
+    def test_one_block_below_hidden_256_is_bit_for_bit(self, hidden):
+        model, _ = random_plan_model(11, hidden, 3, 3)
+        features = np.random.default_rng(hidden).normal(size=(300, 3))
+        plan = pipeline._plan(model)
+        md = plan.mahalanobis(model.stats)
+        blocks, centers, means, norms = md
+        folded = np.concatenate([m[:, None] * s.whitening_factor
+                                 for m, s in zip(plan.masks, model.stats)], axis=1)
+        assert len(blocks) == 1 and np.array_equal(blocks[0][2], folded)
+        for rows in (features[:1], features):
+            relu = pipeline._adapter(model, rows)
+            # the whitened activations of every head from the whole folded factor
+            w = np.matmul(relu, folded.reshape(hidden, 3, hidden).transpose(1, 0, 2))
+            w -= centers[:, None, :]
+            nearest = (norms[:, None, :] - 2.0 * np.matmul(w, means)).min(axis=2)
+            d_min = np.maximum(np.einsum("tnh,tnh->tn", w, w) + nearest, 0.0)
+            expected = (1.0 / (1.0 + d_min)).T
+            assert pipeline._md_coefficient(relu, md).tobytes() == expected.tobytes()
+
+
 def random_plan_model(seed, hidden, classes, tasks):
     """A random model whose masks are fractional or saturated per unit, with
     replay heads (an OOD logit) mixed in and random positive-definite covariances."""
@@ -185,6 +291,16 @@ def five_task_case():
     stream = oc.split_tasks(train, test, 5)
     hp = oc.Hyperparams(epochs=5, learning_rate=0.01, batch_size=32, hidden_width=24, seed=2)
     return oc.train_stream(oc.new_model(12, hp), stream, hp), stream
+
+
+@pytest.fixture(scope="module")
+def wide_case():
+    """A trained two-task model at hidden 512, four md blocks by default."""
+    spec = oc.SynthSpec(num_classes=4, dim=8, per_class=40, mean_separation=6.0, seed=9)
+    train, test = oc.holdout(oc.synth_gaussian(spec), 0.25, 9)
+    stream = oc.split_tasks(train, test, 2)
+    hp = oc.Hyperparams(epochs=3, learning_rate=0.01, batch_size=32, hidden_width=512, seed=4)
+    return oc.train_stream(oc.new_model(8, hp), stream, hp), stream
 
 
 class TestDetectorDegenerations:
