@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DETECTOR_KINDS = ("base", "react", "dice", "scale")
-DEFAULT_PERCENTILES = {"base": 0.0, "react": 90.0, "dice": 85.0, "scale": 85.0}
+DEFAULT_PERCENTILES = {"dice": 85.0, "scale": 85.0}
 
 __all__ = [
     "DETECTOR_KINDS",
@@ -34,8 +34,9 @@ __all__ = [
 class Detector:
     """A detector kind plus its percentile parameter.
 
-    Leaving ``percentile`` unset selects the kind's default (90 for
-    react, 85 for dice and scale).
+    Only dice and scale read a percentile; leaving it unset selects their
+    default of 85. Base reads none, and react clips at the threshold fitted
+    at train time, so both refuse one and keep ``percentile`` None.
     """
 
     kind: str
@@ -47,6 +48,10 @@ class Detector:
                 f"unknown detector {self.kind!r}; expected one of {DETECTOR_KINDS}"
             )
         p = self.percentile
+        if self.kind not in DEFAULT_PERCENTILES:
+            if p is not None:
+                raise ValueError(f"detector {self.kind!r} reads no percentile, got {p}")
+            return
         if p is None:
             p = DEFAULT_PERCENTILES[self.kind]
         if not 0.0 <= p <= 100.0:
@@ -78,8 +83,7 @@ def percentile(values, p: float) -> float:
 
 def dice_keep_count(p: float, width: int) -> int:
     """Entries kept per output row: ceil((100-p)/100 * width), at least 1."""
-    k = math.ceil((100.0 - p) * width / 100.0 - 1e-9)
-    return min(max(k, 1), width)
+    return _nearest_rank_index(100.0 - p, width)
 
 
 def build_dice_mask(weights: np.ndarray, mean_activations: np.ndarray, p: float) -> np.ndarray:

@@ -311,6 +311,7 @@ def _descend(param: np.ndarray, grad: np.ndarray, *scales) -> None:
     param -= grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     """Run the SGD loop for a fresh head and return (head_w, head_b, embedding).
 
@@ -319,6 +320,10 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     gradient and update run over the other, learnable units alone, which
     are written back when the task ends. Within the task the learnable
     units come first, so every product runs on contiguous operands.
+
+    A diverging run raises ModelError, at its first non-finite batch loss or
+    at the end of the task if a parameter is then non-finite, so numpy's
+    floating-point warnings are silenced here.
     """
     init_rng = substream(hp.seed, f"init:task{task}")
     embedding = init_rng.uniform(-EMBEDDING_INIT_RANGE, EMBEDDING_INIT_RANGE,
@@ -370,19 +375,25 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
             _descend(head_w, grads["head_weights"], lr)
             _descend(head_b, grads["head_bias"], lr)
         if epoch_hook is not None:
-            # a diverging run shows as a non-finite loss in the next epoch, not as a warning
-            with np.errstate(all="ignore"):
-                z, _ = _adapter_relu(inputs, weights, bias, frozen_relu)
-                z *= hat_mask(embedding, hp.slope_max)
-                logits = z @ head_w
-                logits += head_b
+            z, _ = _adapter_relu(inputs, weights, bias, frozen_relu)
+            z *= hat_mask(embedding, hp.slope_max)
+            logits = z @ head_w
+            logits += head_b
             epoch_hook(task=task, epoch=epoch, loss=loss_sum / n,
                        accuracy=float(np.mean(logits.argmax(axis=1) == labels)),
                        seconds=time.perf_counter() - started)
+    # the batch losses check every step but the last
+    if not all(np.isfinite(a).all() for a in (weights, bias, embedding, head_w, head_b)):
+        raise ModelError(f"non-finite parameters at the end of task {task}")
     adapter.weights[:, learnable] = weights
     adapter.bias[learnable] = bias
     restore = np.argsort(units)
     return head_w[restore], head_b, embedding[restore]
+
+
+def _check_react_percentile(react_percentile: float) -> None:
+    if not 0.0 <= react_percentile <= 100.0:
+        raise ModelError(f"react_percentile must lie in [0, 100], got {react_percentile}")
 
 
 def _check_task_data(model: ModelState, task_data: Dataset) -> int:
@@ -411,6 +422,7 @@ def train_task(model: ModelState, task_data: Dataset, hp: Hyperparams, *,
     head, one gating embedding, and the task's train statistics; earlier
     heads and embeddings are untouched.
     """
+    _check_react_percentile(react_percentile)
     n_classes = _check_task_data(model, task_data)
     task = model.trained_tasks
     inputs = model.trunk.apply(task_data.features)
@@ -431,6 +443,7 @@ def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
                       epoch_hook=None) -> ModelState:
     """Replay-baseline forward step: task samples keep their class labels,
     buffered samples train an extra OOD logit appended to the head."""
+    _check_react_percentile(react_percentile)
     n_classes = _check_task_data(model, task_data)
     task = model.trained_tasks
     inputs = model.trunk.apply(task_data.features)
@@ -449,6 +462,7 @@ def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
     return model
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_train_stats(model: ModelState, task_data: Dataset, *,
                         task: int | None = None,
                         ridge_coefficient: float = 1e-4,
@@ -461,12 +475,15 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
     the lower Cholesky factor of its inverse, the only form inference
     reads; it comes from one Cholesky factorisation of the covariance
     itself, with no explicit inverse. The clip threshold is the
-    nearest-rank percentile of all pooled scalar activations.
+    nearest-rank percentile of all pooled scalar activations. Non-finite
+    activations or covariance, as a diverged run gives, raise ModelError.
     """
     task = model.trained_tasks - 1 if task is None else task
     if not 0 <= task < model.trained_tasks:
         raise ModelError(f"head for task {task} is not trained")
     z = activations(model, task, task_data.features)
+    if not np.isfinite(z).all():
+        raise ModelError(f"non-finite activations for task {task}")
     labels = task_data.labels
     n_classes = task_data.num_classes
     hidden = z.shape[1]
@@ -486,6 +503,8 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
     trace = float(np.trace(covariance))
     ridge = ridge_coefficient * trace / hidden if trace > 0 else ridge_coefficient
     covariance[np.diag_indices(hidden)] += ridge
+    if not np.isfinite(covariance).all():
+        raise ModelError(f"non-finite covariance for task {task}")
     try:
         factor = _covariance_whitening_factor(covariance)
     except np.linalg.LinAlgError:
@@ -597,6 +616,7 @@ def buffer_update(buffer: Buffer, task_data: Dataset, task_id: int, seed: int) -
                   np.concatenate(kept_labels), np.concatenate(kept_tasks))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
                 epochs: int = DEFAULT_BACKUPDATE_EPOCHS) -> ModelState:
     """Fine-tune every earlier head on buffered samples (full replay baseline).
@@ -604,7 +624,8 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
     For head j, buffered task-j samples keep their class labels and all
     other buffered samples carry the OOD label; only the head's weights
     move, the adapter and embeddings stay untouched. A single trained
-    task is a no-op.
+    task is a no-op. A head that ends with a non-finite value raises
+    ModelError.
     """
     if epochs < 1:
         raise ModelError(f"back-update epochs must be >= 1, got {epochs}")
@@ -639,6 +660,8 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
                 dlogits /= len(batch_z)
                 _descend(head.weights, batch_z.T @ dlogits, lr)
                 _descend(head.bias, dlogits.sum(axis=0), lr)
+        if not (np.isfinite(head.weights).all() and np.isfinite(head.bias).all()):
+            raise ModelError(f"non-finite head {j} after back-update")
     return model
 
 
@@ -648,11 +671,17 @@ def train_stream(model: ModelState, stream, hp: Hyperparams, *,
                  backupdate_epochs: int = DEFAULT_BACKUPDATE_EPOCHS,
                  react_percentile: float = DEFAULT_REACT_PERCENTILE,
                  epoch_hook=None) -> ModelState:
-    """Train all tasks of a stream in order, buffer-free or with replay."""
+    """Train all tasks of a stream in order, buffer-free or with replay.
+
+    Every setting is checked before the first task trains.
+    """
     from .data import task_local  # local import keeps module load order simple
 
     if backupdate and not replay:
         raise ModelError("back-update requires the replay path")
+    if backupdate and backupdate_epochs < 1:
+        raise ModelError(f"back-update epochs must be >= 1, got {backupdate_epochs}")
+    _check_react_percentile(react_percentile)
     buffer = None
     if replay:
         first_train = stream.tasks[0][0]

@@ -11,12 +11,16 @@ exactly, so save -> load -> save reproduces the file byte for byte. The
 file is not text, but every record starts a line, so ``head`` and
 ``grep -a`` still show the records.
 
+The records come in one fixed order, and load reads them in the order save
+writes them: each read names the record that must come next, so a missing,
+duplicate, unknown or moved record fails as "expected record X, got Y".
+
 A task's Mahalanobis statistics are its whitening factor F, the lower
 Cholesky factor of the inverse tied covariance, stored as the packed lower
-triangle in row-major order (``stats_factor_<t>``, h(h+1)/2 values). Load
-unpacks each factor as it reads it, through one packed buffer that all
-tasks share, and checks that F's diagonal is positive instead of
-factorising anything.
+triangle in row-major order (``stats_factor_<t>``, h(h+1)/2 values). The
+hidden width h comes earlier in the file, so load reads every factor
+through one packed buffer that all tasks share, unpacks it, and checks
+that F's diagonal is positive instead of factorising anything.
 
 Only version 5 loads: a file of any other version, such as the text files
 of versions 1 to 4, is refused with its version named. To convert an old
@@ -112,7 +116,8 @@ def save_model(model: ModelState, path: str) -> None:
 
 
 class _Reader:
-    """Reads the records of a model file opened in binary mode."""
+    """Reads the records of a model file opened in binary mode, in the order
+    :func:`save_model` writes them."""
 
     def __init__(self, path: str, fh) -> None:
         self.fh = fh
@@ -120,106 +125,97 @@ class _Reader:
         # bytes not read yet; a pipe's are unknown
         info = os.fstat(fh.fileno())
         self.unread = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
-        self.metas: dict[str, str] = {}
-        self.arrays: dict[str, np.ndarray] = {}
-        # whitening factors unpacked as they are read, through one packed
-        # buffer reused across tasks, and the mask of their lower triangle
-        self.factors: dict[str, np.ndarray] = {}
+        # the packed buffer that every whitening factor is read through, and
+        # the mask of the factors' lower triangle
         self._packed: np.ndarray | None = None
         self._lower: np.ndarray | None = None
+        header = fh.readline()
+        self.unread -= len(header)
+        fields = header.split()
+        if len(fields) != 2 or fields[0] != FORMAT_NAME.encode():
+            self.fail("not a model file (bad header)")
+        if fields[1] != str(FORMAT_VERSION).encode():
+            self.fail(f"unsupported model file version {fields[1].decode(errors='replace')} "
+                      f"(this build reads version {FORMAT_VERSION} only; re-save an older "
+                      f"file with an earlier build)")
 
     def fail(self, why: str):
         raise ModelIOError(f"{self.path}: {why}")
 
-    def next_record(self) -> list[str]:
-        """The fields of the next line, which must be UTF-8 text."""
+    def record(self, *want: str) -> list[str]:
+        """The fields after ``want`` of the next line, which must be UTF-8
+        text whose fields start with ``want``."""
+        expected = " ".join(want)
         line = self.fh.readline()
         if not line:
-            self.fail("truncated model file (missing 'end')")
+            self.fail(f"truncated model file (expected record {expected!r})")
         self.unread -= len(line)
         try:
-            return line.decode("utf-8").split()
+            fields = line.decode("utf-8").split()
         except UnicodeDecodeError:
             self.fail(f"not a model file (not UTF-8 text: {line[:80]!r})")
+        if fields[:len(want)] != list(want):
+            self.fail(f"expected record {expected!r}, got {' '.join(fields)[:80]!r}")
+        return fields[len(want):]
 
-    def parse(self) -> None:
-        header = self.next_record()
-        if len(header) != 2 or header[0] != FORMAT_NAME:
-            self.fail("not a model file (bad header)")
-        if header[1] != str(FORMAT_VERSION):
-            self.fail(f"unsupported model file version {header[1]} (this build reads "
-                      f"version {FORMAT_VERSION} only; re-save an older file with an "
-                      f"earlier build)")
-        while True:
-            fields = self.next_record()
-            if not fields:
-                self.fail("blank line inside model file")
-            if fields[0] == "end":
-                return
-            if fields[0] == "meta":
-                if len(fields) != 3:
-                    self.fail(f"malformed meta record: {' '.join(fields)!r}")
-                if fields[1] in self.metas:
-                    self.fail(f"duplicate meta record {fields[1]!r}")
-                self.metas[fields[1]] = fields[2]
-            elif fields[0] == "array":
-                self._read_array(fields)
-            else:
-                self.fail(f"unknown record type {fields[0]!r}")
-
-    def _read_array(self, fields: list[str]) -> None:
-        if len(fields) < 3:
-            self.fail(f"malformed array record: {' '.join(fields)!r}")
-        name = fields[1]
-        if name in self.arrays or name in self.factors:
-            self.fail(f"duplicate array record {name!r}")
+    def meta(self, name: str, cast=float):
+        values = self.record("meta", name)
         try:
-            shape = tuple(int(s) for s in fields[2:])
+            (text,) = values
+            value = cast(text)
+        except ValueError:
+            self.fail(f"bad value in meta record {name!r}")
+        if not math.isfinite(value):
+            self.fail(f"non-finite value in meta record {name!r}")
+        return value
+
+    def array(self, name: str, shape: tuple, values: np.ndarray | None = None) -> np.ndarray:
+        """The values of array ``name``, which must have ``shape`` (None
+        matches any length), read into ``values`` if given."""
+        dims = self.record("array", name)
+        try:
+            got = tuple(int(s) for s in dims)
         except ValueError:
             self.fail(f"bad shape in array record {name!r}")
-        if len(shape) > 2 or min(shape) < 0:
+        if not 0 < len(got) <= 2 or min(got) < 0:
             self.fail(f"bad shape in array record {name!r}")
+        self.check_shape(name, got, shape)
         # the payload and its line break, so that a size the file cannot
         # hold is refused before anything is allocated
-        if 8 * math.prod(shape) + 1 > self.unread:
-            self.fail(f"array {name!r} of shape {' '.join(fields[2:])} does not fit in "
-                      f"the rest of the file (bad shape, or truncated model file)")
-        width = self._factor_width(name, shape)
-        # one hidden_width gives every factor the shape of the reused buffer
-        values = self._packed if width else None
+        if 8 * math.prod(got) + 1 > self.unread:
+            self.fail(f"array {name!r} of shape {' '.join(dims)} does not fit in the rest "
+                      f"of the file (bad shape, or truncated model file)")
         if values is None:
             try:
-                values = np.empty(shape, dtype="<f8")
+                values = np.empty(got, dtype="<f8")
             except (ValueError, MemoryError):  # a pipe's shape numpy cannot allocate
                 self.fail(f"bad shape in array record {name!r}")
         self._read_payload(name, values)
         if not np.isfinite(values).all():
             self.fail(f"non-finite value in array {name!r}")
-        crc = self.next_record()
-        if len(crc) != 3 or crc[:2] != ["crc32", name]:
-            self.fail(f"array {name!r} has no checksum record")
-        if crc[2] != f"{zlib.crc32(values):08x}":
+        if self.record("crc32", name) != [f"{zlib.crc32(values):08x}"]:
             self.fail(f"array {name!r} does not match its checksum")
-        if not width:
-            self.arrays[name] = values
-            return
-        if self._lower is None:
-            self._lower = np.tri(width, dtype=bool)
-        self._packed = values
-        self.factors[name] = _unpack_lower(values, self._lower)
+        return values
 
-    def _factor_width(self, name: str, shape: tuple) -> int:
-        """h if ``name`` is a whitening factor of the packed length that the
-        hidden_width already read implies, else 0: such a factor is unpacked
-        as it is read, and any other goes through the shape checks of load."""
-        try:
-            hidden = int(self.metas.get("hidden_width", ""))
-        except ValueError:
-            return 0
-        if (hidden >= 1 and name.startswith("stats_factor_")
-                and shape == (hidden * (hidden + 1) // 2,)):
-            return hidden
-        return 0
+    def check_shape(self, name: str, got: tuple, shape: tuple) -> None:
+        if len(got) != len(shape) or any(
+                want is not None and g != want for g, want in zip(got, shape)):
+            expected = " ".join("*" if s is None else str(s) for s in shape)
+            self.fail(f"array {name!r} has shape {' '.join(map(str, got))}, "
+                      f"expected {expected}")
+
+    def factor(self, name: str, hidden: int) -> np.ndarray:
+        """A whitening factor, read packed through the one reused buffer."""
+        self._packed = self.array(name, (hidden * (hidden + 1) // 2,), self._packed)
+        if self._lower is None:
+            self._lower = np.tri(hidden, dtype=bool)
+        # a boolean mask visits its entries in row-major order, as save_model stored them
+        factor = np.zeros((hidden, hidden))
+        factor[self._lower] = self._packed
+        if not (np.diagonal(factor) > 0).all():
+            self.fail(f"array {name!r} is not a whitening factor (a diagonal entry is not "
+                      f"positive)")
+        return factor
 
     def _read_payload(self, name: str, values: np.ndarray) -> None:
         """Fill ``values`` from its payload and the line break after it."""
@@ -231,95 +227,56 @@ class _Reader:
         if self.fh.read(1) != b"\n":
             self.fail(f"array {name!r} is not {values.nbytes} bytes followed by a line break")
 
-    def meta(self, name: str, cast=float):
-        if name not in self.metas:
-            self.fail(f"missing meta record {name!r}")
-        try:
-            value = cast(self.metas[name])
-        except ValueError:
-            self.fail(f"bad value in meta record {name!r}")
-        if not math.isfinite(value):
-            self.fail(f"non-finite value in meta record {name!r}")
-        return value
-
-    def array(self, name: str, shape: tuple) -> np.ndarray:
-        """The named array, which must have ``shape`` (None matches any length)."""
-        if name not in self.arrays:
-            self.fail(f"missing array record {name!r}")
-        arr = self.arrays[name]
-        if len(arr.shape) != len(shape) or any(
-                want is not None and got != want for got, want in zip(arr.shape, shape)):
-            expected = " ".join("*" if s is None else str(s) for s in shape)
-            self.fail(f"array {name!r} has shape {' '.join(map(str, arr.shape))}, "
-                      f"expected {expected}")
-        return arr
-
 
 def load_model(path: str) -> ModelState:
     """Rebuild a model from a file written by :func:`save_model`.
 
-    Every array must have the shape that ``dim_in``, ``hidden_width``,
-    ``classes_per_task`` and the head's OOD flag imply, and every whitening
-    factor a positive diagonal. Only version 5 files load.
+    The records are read in the order the writer writes them, so a missing,
+    duplicate, unknown or moved record fails as the record that was expected
+    there. Every array must have the shape that ``dim_in``,
+    ``hidden_width``, ``classes_per_task`` and the head's OOD flag imply,
+    and every whitening factor a positive diagonal. Only version 5 files
+    load.
     """
     with open(path, "rb") as fh:
         r = _Reader(path, fh)
-        r.parse()
-
-    dim_in = r.meta("dim_in", int)
-    hidden = r.meta("hidden_width", int)
-    trained_tasks = r.meta("trained_tasks", int)
-    classes_per_task = r.meta("classes_per_task", int)
-    if dim_in < 1 or hidden < 1 or trained_tasks < 0:
-        r.fail(f"bad sizes: dim_in {dim_in}, hidden_width {hidden}, "
-               f"trained_tasks {trained_tasks}")
-    if classes_per_task < 1 and (classes_per_task != -1 or trained_tasks > 0):
-        r.fail(f"bad classes_per_task {classes_per_task} for {trained_tasks} trained task(s)")
-    projection = (r.array("trunk_projection", (dim_in, None))
-                  if r.meta("has_projection", int) else None)
-    trunk = TrunkParams(dim_in, projection)
-    adapters = AdapterBank(
-        weights=r.array("adapter_weights", (trunk.dim_out, hidden)),
-        bias=r.array("adapter_bias", (hidden,)),
-        task_embeddings=[],
-        slope_max=r.meta("slope_max"),
-    )
-    model = ModelState(trunk, adapters,
-                       classes_per_task=None if classes_per_task < 0 else classes_per_task)
-    for t in range(trained_tasks):
-        adapters.task_embeddings.append(r.array(f"embedding_{t}", (hidden,)))
-        ood = bool(r.meta(f"head_ood_{t}", int))
-        logits = classes_per_task + (1 if ood else 0)
-        model.heads.append(TaskHead(
-            weights=r.array(f"head_weights_{t}", (hidden, logits)),
-            bias=r.array(f"head_bias_{t}", (logits,)),
-            ood_logit_present=ood,
-        ))
-        model.stats.append(TrainStats(
-            class_means=r.array(f"stats_means_{t}", (classes_per_task, hidden)),
-            whitening_factor=_read_factor(r, t, hidden),
-            mean_activations=r.array(f"stats_meanact_{t}", (hidden,)),
-            react_threshold=r.meta(f"stats_react_{t}"),
-        ))
+        dim_in = r.meta("dim_in", int)
+        projection = (r.array("trunk_projection", (dim_in, None))
+                      if r.meta("has_projection", int) else None)
+        hidden = r.meta("hidden_width", int)
+        slope_max = r.meta("slope_max")
+        trained_tasks = r.meta("trained_tasks", int)
+        classes_per_task = r.meta("classes_per_task", int)
+        if dim_in < 1 or hidden < 1 or trained_tasks < 0:
+            r.fail(f"bad sizes: dim_in {dim_in}, hidden_width {hidden}, "
+                   f"trained_tasks {trained_tasks}")
+        if classes_per_task < 1 and (classes_per_task != -1 or trained_tasks > 0):
+            r.fail(f"bad classes_per_task {classes_per_task} for {trained_tasks} "
+                   f"trained task(s)")
+        trunk = TrunkParams(dim_in, projection)
+        adapters = AdapterBank(
+            weights=r.array("adapter_weights", (trunk.dim_out, hidden)),
+            bias=r.array("adapter_bias", (hidden,)),
+            task_embeddings=[],
+            slope_max=slope_max,
+        )
+        model = ModelState(trunk, adapters,
+                           classes_per_task=None if classes_per_task < 0 else classes_per_task)
+        for t in range(trained_tasks):
+            adapters.task_embeddings.append(r.array(f"embedding_{t}", (hidden,)))
+            # the OOD flag that sets the head's width follows the head
+            weights = r.array(f"head_weights_{t}", (hidden, None))
+            bias = r.array(f"head_bias_{t}", (None,))
+            ood = bool(r.meta(f"head_ood_{t}", int))
+            logits = classes_per_task + (1 if ood else 0)
+            r.check_shape(f"head_weights_{t}", weights.shape, (hidden, logits))
+            r.check_shape(f"head_bias_{t}", bias.shape, (logits,))
+            model.heads.append(TaskHead(weights, bias, ood_logit_present=ood))
+            model.stats.append(TrainStats(
+                class_means=r.array(f"stats_means_{t}", (classes_per_task, hidden)),
+                whitening_factor=r.factor(f"stats_factor_{t}", hidden),
+                mean_activations=r.array(f"stats_meanact_{t}", (hidden,)),
+                react_threshold=r.meta(f"stats_react_{t}"),
+            ))
+        r.record("end")
     return model
-
-
-def _unpack_lower(packed: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The square array whose lower triangle, masked by ``lower``, holds
-    ``packed``: a boolean mask visits its entries in row-major order, as the
-    writer stored them."""
-    factor = np.zeros(lower.shape)
-    factor[lower] = packed
-    return factor
-
-
-def _read_factor(r: _Reader, task: int, hidden: int) -> np.ndarray:
-    """One task's whitening factor, unpacked while the file was read or now."""
-    name = f"stats_factor_{task}"
-    factor = r.factors.get(name)
-    if factor is None:
-        factor = _unpack_lower(r.array(name, (hidden * (hidden + 1) // 2,)),
-                               np.tri(hidden, dtype=bool))
-    if not (np.diagonal(factor) > 0).all():
-        r.fail(f"array {name!r} is not a whitening factor (a diagonal entry is not positive)")
-    return factor

@@ -140,6 +140,28 @@ def model_path(tmp_path_factory, data_dir):
     return path
 
 
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """The records of small saved models of dim 8, by (replay, trunk projection,
+    trained tasks), each task two classes; replay runs back-update."""
+    hp = oc.Hyperparams(epochs=1, batch_size=16, hidden_width=4, seed=2)
+    path = tmp_path_factory.mktemp("saved") / "model.bin"
+    models = {}
+    for replay in (False, True):
+        for trunk_dim in (None, 3):
+            for tasks in range(4):
+                model = oc.new_model(8, hp, trunk_dim=trunk_dim)
+                if tasks:
+                    spec = oc.SynthSpec(num_classes=2 * tasks, dim=8, per_class=12,
+                                        mean_separation=6.0, seed=tasks)
+                    train, test = oc.holdout(oc.synth_gaussian(spec), 0.25, 1)
+                    oc.train_stream(model, oc.split_tasks(train, test, tasks), hp,
+                                    replay=replay, backupdate=replay, buffer_capacity=8)
+                oc.save_model(model, str(path))
+                models[replay, trunk_dim, tasks] = model_records(path.read_bytes())
+    return models
+
+
 class TestSynth:
     def test_writes_train_and_test(self, data_dir):
         assert (data_dir / "train.csv").exists()
@@ -545,6 +567,38 @@ class TestUsage:
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         assert "Traceback" not in err
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_records_out_of_the_written_order_are_refused(self, data, saved_models,
+                                                          data_dir):
+        key = data.draw(st.sampled_from(sorted(saved_models, key=str)), label="model")
+        records = saved_models[key]
+        edit = data.draw(st.sampled_from(["swap", "drop", "repeat"]), label="edit")
+        # any record after the header; what follows 'end' is not read, so it is not repeated
+        at = data.draw(st.integers(1, len(records) - (1 if edit == "drop" else 2)),
+                       label="at")
+        edited = list(records)
+        if edit == "swap":
+            edited[at:at + 2] = [records[at + 1], records[at]]
+        elif edit == "drop":
+            del edited[at]
+        else:
+            edited.insert(at, records[at])
+        # the first record out of place is the one the reader names as expected
+        first = next((i for i, (r, e) in enumerate(zip(records, edited)) if r != e),
+                     len(edited))
+        expected = " ".join(records[first].split(b"\n")[0].decode().split()[:2])
+        bad = data_dir.parent / "reordered.bin"
+        bad.write_bytes(b"".join(edited))
+        with pytest.raises(oc.ModelIOError, match=f"expected record '{expected}'"):
+            oc.load_model(str(bad))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--model", str(bad), "--data", str(data_dir)])
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert f"expected record '{expected}'" in err.getvalue()
+
     def test_old_model_file_version_is_a_runtime_error(self, data_dir, tmp_path, capsys):
         old = tmp_path / "old.bin"
         old.write_text("opencil-model 4\nmeta dim_in 8\nend\n")
@@ -824,6 +878,25 @@ class TestUsage:
         assert re.fullmatch(r"error: non-finite loss at task 0, epoch 2, batch 1\n",
                             result.stderr)
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("classes,tasks", [(2, 1), (4, 2)])
+    def test_diverged_training_writes_no_model(self, classes, tasks, tmp_path):
+        # one epoch: no batch loss is non-finite, but the trained task's statistics are
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = [sys.executable, "-m", "opencil"]
+        data, model = tmp_path / "d", tmp_path / "m.bin"
+        subprocess.run(run + ["synth", "--classes", str(classes), "--dim", "8",
+                              "--per-class", "30", "--sep", "8", "-o", str(data)],
+                       check=True, capture_output=True, env=env, timeout=120)
+        result = subprocess.run(
+            run + ["train", "--data", str(data), "--tasks", str(tasks), "--epochs", "1",
+                   "--lr", "1e300", "--hidden", "16", "-o", str(model)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert re.fullmatch(r"error: non-finite [^\n]*\n", result.stderr)
+        assert not model.exists()
 
     def test_no_command(self, capsys):
         assert main([]) == 1

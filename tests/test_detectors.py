@@ -188,3 +188,19 @@ class TestDetectorLogits:
     def test_percentile_range_checked(self):
         with pytest.raises(ValueError, match="percentile"):
             Detector("react", 101.0)
+
+    @pytest.mark.parametrize("kind", ["dice", "scale"])
+    def test_percentile_range_checked_where_it_is_read(self, kind):
+        assert Detector(kind).percentile == 85.0
+        for p in (-1.0, 100.5, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                Detector(kind, p)
+
+    @pytest.mark.parametrize("kind", ["base", "react"])
+    def test_percentile_refused_where_none_is_read(self, kind):
+        # react clips at the threshold fitted at train time
+        for p in (0.0, 50.0, 90.0):
+            with pytest.raises(ValueError, match=f"detector '{kind}' reads no percentile"):
+                Detector(kind, p)
+        assert Detector(kind).percentile is None
+        assert Detector(kind) == Detector(kind)

@@ -53,6 +53,13 @@ end
 """
 
 
+def _projection_record(dim_in, shape):
+    """The start of a model file up to the record line of its first array, a
+    trunk projection of the declared ``shape``."""
+    return (f"opencil-model 5\nmeta dim_in {dim_in}\nmeta has_projection 1\n"
+            f"array trunk_projection {shape}\n").encode()
+
+
 def two_class_task(dim=8, per_class=40, separation=8.0, seed=21):
     spec = oc.SynthSpec(num_classes=2, dim=dim, per_class=per_class,
                         mean_separation=separation, seed=seed)
@@ -362,6 +369,48 @@ class TestTrainTask:
                             epoch_hook=lambda **kw: seen.append(kw))
         assert [e["epoch"] for e in seen] == [1]
 
+    def test_non_finite_parameters_after_the_last_step_are_refused(self):
+        # one batch: its loss is finite, and the step after it overflows the adapter
+        task = two_class_task(separation=1e4)
+        hp = oc.Hyperparams(epochs=1, learning_rate=1e306, batch_size=128, hidden_width=16)
+        model = oc.new_model(task.dim, hp)
+        adapter = model.adapters.weights.copy()
+        with pytest.raises(ModelError, match="non-finite parameters at the end of task 0"):
+            oc.train_task(model, task, hp)
+        assert model.trained_tasks == 0
+        assert np.array_equal(model.adapters.weights, adapter)
+
+    def test_diverged_run_with_finite_parameters_is_refused(self):
+        # the parameters end finite, but the covariance of their activations overflows
+        task = two_class_task()
+        hp = oc.Hyperparams(epochs=1, learning_rate=1e300, batch_size=128, hidden_width=16)
+        with pytest.raises(ModelError, match="non-finite covariance for task 0"):
+            oc.train_task(oc.new_model(task.dim, hp), task, hp)
+
+    @pytest.mark.parametrize("percentile", [-1.0, 100.5, math.nan])
+    @pytest.mark.parametrize("train", ["task", "replay", "stream"])
+    def test_react_percentile_checked_before_training(self, train, percentile,
+                                                      small_stream, small_hp):
+        model = oc.new_model(8, small_hp)
+        local = task_local(small_stream.tasks[0][0], 0, 2)
+        with pytest.raises(ModelError, match="react_percentile must lie in"):
+            if train == "task":
+                oc.train_task(model, local, small_hp, react_percentile=percentile)
+            elif train == "replay":
+                oc.train_task_replay(model, local, oc.Buffer.empty(10, 8), small_hp,
+                                     react_percentile=percentile)
+            else:
+                oc.train_stream(model, small_stream, small_hp, react_percentile=percentile)
+        assert model.trained_tasks == 0 and model.classes_per_task is None
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_backupdate_epochs_checked_before_training(self, epochs, small_stream, small_hp):
+        model = oc.new_model(8, small_hp)
+        with pytest.raises(ModelError, match="epochs must be >= 1"):
+            oc.train_stream(model, small_stream, small_hp, replay=True, backupdate=True,
+                            backupdate_epochs=epochs)
+        assert model.trained_tasks == 0
+
 
 class TestComputeTrainStats:
     def test_one_sample_per_class_gives_ridge_identity(self):
@@ -444,6 +493,14 @@ class TestComputeTrainStats:
         with pytest.raises(ModelError) as caught:
             oc.compute_train_stats(small_model, data, task=0, ridge_coefficient=0.0)
         assert str(caught.value) == "singular covariance after ridge 0 for task 0"
+
+    def test_non_finite_activations_rejected(self, small_stream):
+        # finite weights whose activations overflow
+        data = task_local(small_stream.tasks[0][0], 0, 2)
+        model = manual_model(np.full((8, 4), 1e308), np.zeros(4), [np.full(4, 10.0)],
+                             [(np.zeros((4, 2)), np.zeros(2), False)], classes_per_task=2)
+        with pytest.raises(ModelError, match="non-finite activations for task 0"):
+            oc.compute_train_stats(model, data)
 
     def test_untrained_task_rejected(self, small_model):
         data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
@@ -594,6 +651,13 @@ class TestBackUpdate:
             oc.back_update(oc.new_model(8, small_hp), oc.Buffer.empty(10, 8), small_hp,
                            epochs=epochs)
 
+    def test_non_finite_head_refused(self, small_stream, small_hp):
+        model, buffer = self._trained_replay(small_stream, small_hp)
+        hp = oc.Hyperparams(learning_rate=1e308, batch_size=small_hp.batch_size,
+                            hidden_width=small_hp.hidden_width, seed=small_hp.seed)
+        with pytest.raises(ModelError, match="non-finite head 0 after back-update"):
+            oc.back_update(model, buffer, hp, epochs=1)
+
     def test_empty_buffer_rejected(self, small_stream, small_hp):
         model, _ = self._trained_replay(small_stream, small_hp)
         with pytest.raises(ModelError, match="non-empty buffer"):
@@ -662,20 +726,23 @@ class TestSerialization:
         oc.save_model(model, str(path))
         assert path.read_bytes() == version_five_bytes(DECIMAL_MODEL)
 
-    def test_factor_read_before_the_hidden_width_loads(self, tmp_path):
-        # the factor is then unpacked after the whole file is read, not as it is read
+    def test_factor_read_before_the_hidden_width_refused(self, tmp_path):
+        # records load in the order they are saved, so the hidden width is
+        # always known when a factor is read
         text = DECIMAL_MODEL.replace("meta hidden_width 2\n", "")
         text = text.replace("end\n", "meta hidden_width 2\nend\n")
         path = tmp_path / "model.bin"
         path.write_bytes(version_five_bytes(text))
-        model = oc.load_model(str(path))
-        assert np.array_equal(model.stats[0].whitening_factor, np.diag([math.sqrt(0.5), 0.5]))
+        with pytest.raises(ModelIOError, match="expected record 'meta hidden_width', "
+                                               "got 'meta slope_max 400'"):
+            oc.load_model(str(path))
 
     def test_duplicate_factor_record_refused(self, tmp_path):
         factor = f"array stats_factor_0 3\n{math.sqrt(0.5)!r} 0 0.5\n"
         path = tmp_path / "model.bin"
         path.write_bytes(version_five_bytes(DECIMAL_MODEL.replace(factor, factor * 2)))
-        with pytest.raises(ModelIOError, match="duplicate array record 'stats_factor_0'"):
+        with pytest.raises(ModelIOError, match="expected record 'array stats_meanact_0', "
+                                               "got 'array stats_factor_0 3'"):
             oc.load_model(str(path))
 
     def test_rows_are_exact_little_endian_doubles(self, tmp_path):
@@ -721,7 +788,7 @@ class TestSerialization:
         path, fifo = tmp_path / "model.txt", tmp_path / "model.fifo"
         oc.save_model(small_model, str(path))
         data = {"whole": path.read_bytes(), "cut": path.read_bytes()[:1000],
-                "huge-shape": b"opencil-model 5\narray x 4000000000 4000000000\n"}[fed]
+                "huge-shape": _projection_record(4000000000, "4000000000 4000000000")}[fed]
         os.mkfifo(fifo)
 
         def feed():
@@ -778,16 +845,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("shape", ["2 2 2", "-1 2", "1e3", "100000000000000000000000 0"])
     def test_bad_version_five_shape(self, shape, tmp_path):
+        # a dim_in that the last shape's row count matches, so that only numpy refuses it
         path = tmp_path / "model.txt"
-        path.write_bytes(f"opencil-model 5\narray x {shape}\n".encode() + bytes(33) + b"end\n")
-        with pytest.raises(ModelIOError, match="bad shape in array record 'x'"):
+        path.write_bytes(_projection_record(10**23, shape) + bytes(33) + b"end\n")
+        with pytest.raises(ModelIOError, match="bad shape in array record 'trunk_projection'"):
             oc.load_model(str(path))
 
     def test_oversized_shape_refused_before_allocation(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_bytes(b"opencil-model 5\narray x 4000000000 4000000000\n"
+        path.write_bytes(_projection_record(4000000000, "4000000000 4000000000")
                          + bytes(17) + b"end\n")
-        with pytest.raises(ModelIOError, match="'x' of shape 4000000000 4000000000 does not fit"):
+        with pytest.raises(ModelIOError, match="'trunk_projection' of shape 4000000000 "
+                                               "4000000000 does not fit"):
             oc.load_model(str(path))
 
     def test_projection_trunk_round_trip(self, tmp_path):
