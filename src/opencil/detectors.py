@@ -78,7 +78,9 @@ def percentile(values, p: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must lie in [0, 100], got {p}")
-    return float(np.sort(arr)[_nearest_rank_index(p, arr.size) - 1])
+    k = _nearest_rank_index(p, arr.size) - 1
+    # partition places at k the element an ascending sort would put there
+    return float(np.partition(arr, k)[k])
 
 
 def dice_keep_count(p: float, width: int) -> int:

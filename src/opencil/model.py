@@ -17,8 +17,9 @@ buffer, an extra OOD logit per head, and an optional second pass that
 fine-tunes earlier heads against buffered samples.
 
 Training is single-writer: the train functions mutate the passed model
-in place and return it. After training, a model is frozen by convention
-and safe to share for read-only inference.
+in place and return it. A task or back-update that raises leaves the model
+as it was before that task or back-update. After training, a model is
+frozen by convention and safe to share for read-only inference.
 """
 
 from __future__ import annotations
@@ -218,16 +219,12 @@ def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _adapter_relu(inputs, adapter_w, adapter_b, frozen_relu=None):
-    """ReLU(inputs @ adapter_w + adapter_b), followed by the columns of
-    ``frozen_relu`` if given, and the ReLU's derivative over the columns it
-    computed."""
+def _adapter_relu(inputs, adapter_w, adapter_b):
+    """ReLU(inputs @ adapter_w + adapter_b) and the ReLU's derivative."""
     relu = inputs @ adapter_w
     relu += adapter_b
     active = relu > 0  # taken before the ReLU clamps in place
     np.maximum(relu, 0.0, out=relu)
-    if frozen_relu is not None:
-        relu = np.concatenate((relu, frozen_relu), axis=1)
     return relu, active
 
 
@@ -248,12 +245,35 @@ def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
     adapter gradients cover the learnable units alone.
     """
     n = len(inputs)
+    return _sgd_step(inputs, labels, adapter_w, adapter_b, embedding, head_w, head_b,
+                     slope, np.empty((n, 0)) if frozen_relu is None else frozen_relu,
+                     np.empty(n, dtype=np.intp))
+
+
+def _sgd_step(inputs, labels, adapter_w, adapter_b, embedding, head_w, head_b, slope,
+              frozen_relu, predictions):
+    """:func:`loss_and_grads` with the HAT mask folded into the head.
+
+    With m the mask, the gated layer z = relu diag(m) only ever meets the
+    head, so the step multiplies the (h, C) head by m instead of the
+    (n, h) activations: logits = relu W' + b with W' = diag(m) W, and
+    with G = relu^T dlogits the head gradient is diag(m) G and the
+    embedding gradient rowsum(W * G) m (1 - m) slope. The learnable
+    units' pre-activation gradient is (dlogits W'^T) times the ReLU's
+    derivative; the frozen units, possibly none, enter through their own
+    products. The argmax of each row's logits is written into
+    ``predictions``. Callers silence numpy's floating-point warnings.
+    """
+    n = len(inputs)
     rows = np.arange(n)
-    relu, active = _adapter_relu(inputs, adapter_w, adapter_b, frozen_relu)
+    learnable = adapter_w.shape[1]
+    relu, active = _adapter_relu(inputs, adapter_w, adapter_b)
     mask = hat_mask(embedding, slope)
-    z = relu * mask
-    logits = z @ head_w
+    folded = head_w * mask[:, None]
+    logits = relu @ folded[:learnable]
+    logits += frozen_relu @ folded[learnable:]
     logits += head_b
+    logits.argmax(axis=1, out=predictions)
 
     probs = _softmax_in_place(logits)
     loss = -float(np.log(probs[rows, labels]).sum() / n)
@@ -262,20 +282,20 @@ def loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding,
     dlogits[rows, labels] -= 1.0
     dlogits /= n
 
-    dz = dlogits @ head_w.T
-    relu *= dz  # relu is not read again; dz is, until it becomes dpre below
-    grads = {
-        "head_weights": z.T @ dlogits,
-        "head_bias": dlogits.sum(axis=0),
-        "embedding": relu.sum(axis=0) * mask * (1.0 - mask) * slope,
-    }
-    learnable = adapter_w.shape[1]
-    dpre = dz[:, :learnable]
-    dpre *= mask[:learnable]
+    outer = np.empty_like(head_w)  # G = relu^T dlogits, learnable rows first
+    np.matmul(relu.T, dlogits, out=outer[:learnable])
+    np.matmul(frozen_relu.T, dlogits, out=outer[learnable:])
+    embedding_grad = (head_w * outer).sum(axis=1) * mask * (1.0 - mask) * slope
+    outer *= mask[:, None]  # G becomes the head gradient
+    dpre = dlogits @ folded[:learnable].T
     dpre *= active
-    grads["adapter_weights"] = inputs.T @ dpre
-    grads["adapter_bias"] = dpre.sum(axis=0)
-    return loss, grads
+    return loss, {
+        "head_weights": outer,
+        "head_bias": dlogits.sum(axis=0),
+        "embedding": embedding_grad,
+        "adapter_weights": inputs.T @ dpre,
+        "adapter_bias": dpre.sum(axis=0),
+    }
 
 
 def _annealed_slope(batch: int, num_batches: int, slope_max: float) -> float:
@@ -311,15 +331,23 @@ def _descend(param: np.ndarray, grad: np.ndarray, *scales) -> None:
     param -= grad
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
-    """Run the SGD loop for a fresh head and return (head_w, head_b, embedding).
+    """Run the SGD loop for a fresh head without touching the model.
+
+    Returns (learnable, weights, bias, head_w, head_b, embedding): the
+    indices of the adapter units that trained, their learned adapter
+    columns and bias, and the new head and gating embedding over all units.
 
     Units whose gate is exactly 0 are frozen: their ReLU outputs over the
     task's inputs are computed once, and each step's adapter product,
-    gradient and update run over the other, learnable units alone, which
-    are written back when the task ends. Within the task the learnable
-    units come first, so every product runs on contiguous operands.
+    gradient and update run over the other, learnable units alone. Within
+    the task the learnable units come first, so every product runs on
+    contiguous operands.
+
+    With an ``epoch_hook``, each epoch reports its mean batch loss and the
+    running training accuracy: every batch scored by its logits' argmax at
+    that step's parameters, before the update.
 
     A diverging run raises ModelError, at its first non-finite batch loss or
     at the end of the task if a parameter is then non-finite, so numpy's
@@ -348,6 +376,7 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     n = len(inputs)
     lr = hp.learning_rate
     num_batches = math.ceil(n / hp.batch_size)
+    predictions = np.empty(n, dtype=np.intp)
 
     for epoch in range(1, hp.epochs + 1):
         started = time.perf_counter()
@@ -359,9 +388,9 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
             rows = slice(b * hp.batch_size, (b + 1) * hp.batch_size)
             batch_labels = epoch_labels[rows]
             slope = _annealed_slope(b, num_batches, hp.slope_max)
-            loss, grads = loss_and_grads(epoch_inputs[rows], batch_labels, weights, bias,
-                                         embedding, head_w, head_b, slope,
-                                         epoch_frozen[rows])
+            loss, grads = _sgd_step(epoch_inputs[rows], batch_labels, weights, bias,
+                                    embedding, head_w, head_b, slope, epoch_frozen[rows],
+                                    predictions[rows])
             if not math.isfinite(loss):
                 raise ModelError(
                     f"non-finite loss at task {task}, epoch {epoch}, batch {b + 1}"
@@ -375,20 +404,14 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
             _descend(head_w, grads["head_weights"], lr)
             _descend(head_b, grads["head_bias"], lr)
         if epoch_hook is not None:
-            z, _ = _adapter_relu(inputs, weights, bias, frozen_relu)
-            z *= hat_mask(embedding, hp.slope_max)
-            logits = z @ head_w
-            logits += head_b
-            epoch_hook(task=task, epoch=epoch, loss=loss_sum / n,
-                       accuracy=float(np.mean(logits.argmax(axis=1) == labels)),
+            hits = np.count_nonzero(predictions == epoch_labels)
+            epoch_hook(task=task, epoch=epoch, loss=loss_sum / n, accuracy=hits / n,
                        seconds=time.perf_counter() - started)
     # the batch losses check every step but the last
     if not all(np.isfinite(a).all() for a in (weights, bias, embedding, head_w, head_b)):
         raise ModelError(f"non-finite parameters at the end of task {task}")
-    adapter.weights[:, learnable] = weights
-    adapter.bias[learnable] = bias
     restore = np.argsort(units)
-    return head_w[restore], head_b, embedding[restore]
+    return learnable, weights, bias, head_w[restore], head_b, embedding[restore]
 
 
 def _check_react_percentile(react_percentile: float) -> None:
@@ -403,9 +426,7 @@ def _check_task_data(model: ModelState, task_data: Dataset) -> int:
             f"dim {model.trunk.dim_in}"
         )
     n_classes = task_data.num_classes
-    if model.classes_per_task is None:
-        model.classes_per_task = n_classes
-    elif n_classes != model.classes_per_task:
+    if model.classes_per_task not in (None, n_classes):
         raise ModelError(
             f"task has {n_classes} classes; model expects "
             f"{model.classes_per_task} per task"
@@ -420,21 +441,14 @@ def train_task(model: ModelState, task_data: Dataset, hp: Hyperparams, *,
 
     ``task_data`` labels must already be remapped to [0, C). Appends one
     head, one gating embedding, and the task's train statistics; earlier
-    heads and embeddings are untouched.
+    heads and embeddings are untouched. A task that raises leaves the
+    model as it was.
     """
     _check_react_percentile(react_percentile)
     n_classes = _check_task_data(model, task_data)
-    task = model.trained_tasks
     inputs = model.trunk.apply(task_data.features)
-    head_w, head_b, embedding = _fit_new_head(
-        model, inputs, task_data.labels, n_classes, hp, task, epoch_hook
-    )
-    model.adapters.task_embeddings.append(embedding)
-    model.heads.append(TaskHead(head_w, head_b, ood_logit_present=False))
-    model.stats.append(compute_train_stats(model, task_data, task=task,
-                                           ridge_coefficient=hp.covariance_ridge,
-                                           react_percentile=react_percentile))
-    return model
+    return _add_task(model, task_data, inputs, task_data.labels, n_classes, hp,
+                     react_percentile, epoch_hook, ood_logit_present=False)
 
 
 def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
@@ -442,23 +456,51 @@ def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
                       react_percentile: float = DEFAULT_REACT_PERCENTILE,
                       epoch_hook=None) -> ModelState:
     """Replay-baseline forward step: task samples keep their class labels,
-    buffered samples train an extra OOD logit appended to the head."""
+    buffered samples train an extra OOD logit appended to the head. A task
+    that raises leaves the model as it was."""
     _check_react_percentile(react_percentile)
     n_classes = _check_task_data(model, task_data)
-    task = model.trained_tasks
     inputs = model.trunk.apply(task_data.features)
     labels = task_data.labels
     if len(buffer):
         inputs = np.concatenate([inputs, model.trunk.apply(buffer.features)])
         labels = np.concatenate([labels, np.full(len(buffer), n_classes, dtype=np.int64)])
-    head_w, head_b, embedding = _fit_new_head(
-        model, inputs, labels, n_classes + 1, hp, task, epoch_hook
+    return _add_task(model, task_data, inputs, labels, n_classes + 1, hp,
+                     react_percentile, epoch_hook, ood_logit_present=True)
+
+
+def _add_task(model, task_data, inputs, labels, n_logits, hp, react_percentile,
+              epoch_hook, ood_logit_present):
+    """Fit the next task's head and statistics, then commit them whole.
+
+    The statistics come from a candidate model: the adapter with the
+    learned columns written into a copy, and the new embedding and head
+    appended to copies of the lists. Only once they exist is the model
+    itself changed, by assignments and appends that cannot raise.
+    """
+    task = model.trained_tasks
+    learnable, weights, bias, head_w, head_b, embedding = _fit_new_head(
+        model, inputs, labels, n_logits, hp, task, epoch_hook
     )
-    model.adapters.task_embeddings.append(embedding)
-    model.heads.append(TaskHead(head_w, head_b, ood_logit_present=True))
-    model.stats.append(compute_train_stats(model, task_data, task=task,
-                                           ridge_coefficient=hp.covariance_ridge,
-                                           react_percentile=react_percentile))
+    adapter = model.adapters
+    adapter_w, adapter_b = adapter.weights.copy(), adapter.bias.copy()
+    adapter_w[:, learnable] = weights
+    adapter_b[learnable] = bias
+    head = TaskHead(head_w, head_b, ood_logit_present=ood_logit_present)
+    candidate = ModelState(
+        model.trunk,
+        AdapterBank(adapter_w, adapter_b, [*adapter.task_embeddings, embedding],
+                    adapter.slope_max),
+        [*model.heads, head])
+    stats = compute_train_stats(candidate, task_data, task=task,
+                                ridge_coefficient=hp.covariance_ridge,
+                                react_percentile=react_percentile)
+    adapter.weights[:, learnable] = weights
+    adapter.bias[learnable] = bias
+    adapter.task_embeddings.append(embedding)
+    model.heads.append(head)
+    model.stats.append(stats)
+    model.classes_per_task = task_data.num_classes
     return model
 
 
@@ -624,8 +666,9 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
     For head j, buffered task-j samples keep their class labels and all
     other buffered samples carry the OOD label; only the head's weights
     move, the adapter and embeddings stay untouched. A single trained
-    task is a no-op. A head that ends with a non-finite value raises
-    ModelError.
+    task is a no-op. Every head is fitted on a copy and the copies replace
+    the heads only once all are finite: a head that ends with a non-finite
+    value raises ModelError and leaves every head as it was.
     """
     if epochs < 1:
         raise ModelError(f"back-update epochs must be >= 1, got {epochs}")
@@ -637,11 +680,14 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
         raise ModelError("model has no trained tasks")
     n_classes = model.classes_per_task
     lr = hp.learning_rate
-
-    for j in range(model.trained_tasks - 1):
-        head = model.heads[j]
+    earlier = model.heads[:-1]
+    for j, head in enumerate(earlier):
         if not head.ood_logit_present:
             raise ModelError(f"head {j} has no OOD logit; back-update needs the replay path")
+
+    fitted = []
+    for j, head in enumerate(earlier):
+        weights, bias = head.weights.copy(), head.bias.copy()
         z = activations(model, j, buffer.features)
         is_own = buffer.tasks == j
         labels = np.where(is_own, buffer.labels - j * n_classes, n_classes)
@@ -653,15 +699,18 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
             for b in range(math.ceil(len(z) / hp.batch_size)):
                 rows = slice(b * hp.batch_size, (b + 1) * hp.batch_size)
                 batch_z = epoch_z[rows]
-                dlogits = batch_z @ head.weights
-                dlogits += head.bias
+                dlogits = batch_z @ weights
+                dlogits += bias
                 _softmax_in_place(dlogits)
                 dlogits[np.arange(len(batch_z)), epoch_labels[rows]] -= 1.0
                 dlogits /= len(batch_z)
-                _descend(head.weights, batch_z.T @ dlogits, lr)
-                _descend(head.bias, dlogits.sum(axis=0), lr)
-        if not (np.isfinite(head.weights).all() and np.isfinite(head.bias).all()):
+                _descend(weights, batch_z.T @ dlogits, lr)
+                _descend(bias, dlogits.sum(axis=0), lr)
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ModelError(f"non-finite head {j} after back-update")
+        fitted.append((weights, bias))
+    for head, (weights, bias) in zip(earlier, fitted):
+        head.weights, head.bias = weights, bias
     return model
 
 

@@ -233,10 +233,10 @@ def load_model(path: str) -> ModelState:
 
     The records are read in the order the writer writes them, so a missing,
     duplicate, unknown or moved record fails as the record that was expected
-    there. Every array must have the shape that ``dim_in``,
-    ``hidden_width``, ``classes_per_task`` and the head's OOD flag imply,
-    and every whitening factor a positive diagonal. Only version 5 files
-    load.
+    there, and the file must end at its ``end`` record. Every array must
+    have the shape that ``dim_in``, ``hidden_width``, ``classes_per_task``
+    and the head's OOD flag imply, and every whitening factor a positive
+    diagonal. Only version 5 files load.
     """
     with open(path, "rb") as fh:
         r = _Reader(path, fh)
@@ -279,4 +279,6 @@ def load_model(path: str) -> ModelState:
                 react_threshold=r.meta(f"stats_react_{t}"),
             ))
         r.record("end")
+        if fh.read(1):
+            r.fail("unexpected bytes after end")
     return model

@@ -574,8 +574,8 @@ class TestUsage:
         key = data.draw(st.sampled_from(sorted(saved_models, key=str)), label="model")
         records = saved_models[key]
         edit = data.draw(st.sampled_from(["swap", "drop", "repeat"]), label="edit")
-        # any record after the header; what follows 'end' is not read, so it is not repeated
-        at = data.draw(st.integers(1, len(records) - (1 if edit == "drop" else 2)),
+        # any record after the header; 'end' has no record after it to swap with
+        at = data.draw(st.integers(1, len(records) - (2 if edit == "swap" else 1)),
                        label="at")
         edited = list(records)
         if edit == "swap":
@@ -584,20 +584,37 @@ class TestUsage:
             del edited[at]
         else:
             edited.insert(at, records[at])
-        # the first record out of place is the one the reader names as expected
+        # the first record out of place is the one the reader names as expected;
+        # a repeated 'end' is the first record after the file should have ended
         first = next((i for i, (r, e) in enumerate(zip(records, edited)) if r != e),
-                     len(edited))
-        expected = " ".join(records[first].split(b"\n")[0].decode().split()[:2])
+                     min(len(records), len(edited)))
+        if first < len(records):
+            expected = " ".join(records[first].split(b"\n")[0].decode().split()[:2])
+            message = f"expected record '{expected}'"
+        else:
+            message = "unexpected bytes after end"
         bad = data_dir.parent / "reordered.bin"
         bad.write_bytes(b"".join(edited))
-        with pytest.raises(oc.ModelIOError, match=f"expected record '{expected}'"):
+        with pytest.raises(oc.ModelIOError, match=message):
             oc.load_model(str(bad))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["eval", "--model", str(bad), "--data", str(data_dir)])
         assert code == 2
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert f"expected record '{expected}'" in err.getvalue()
+        assert message in err.getvalue()
+
+    @pytest.mark.parametrize("tail", [b"\n", b"x", b"end\n", b"opencil-model 5\n"],
+                             ids=["line-break", "byte", "second-end", "second-header"])
+    def test_bytes_after_end_are_refused(self, tail, data_dir, model_path, tmp_path, capsys):
+        bad = tmp_path / "appended.bin"
+        bad.write_bytes(model_path.read_bytes() + tail)
+        with pytest.raises(oc.ModelIOError, match="unexpected bytes after end"):
+            oc.load_model(str(bad))
+        assert main(["eval", "--model", str(bad), "--data", str(data_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "unexpected bytes after end" in err
 
     def test_old_model_file_version_is_a_runtime_error(self, data_dir, tmp_path, capsys):
         old = tmp_path / "old.bin"
@@ -864,7 +881,7 @@ class TestUsage:
         assert result.stderr.count("\n") == 1
 
     def test_overflowing_training_prints_one_error_line(self, data_dir, tmp_path):
-        # at this rate the first step overflows the epoch log's forward pass; a subprocess,
+        # at this rate the first step's update overflows the parameters; a subprocess,
         # so that a numpy warning would reach stderr
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -37,6 +37,27 @@ class TestPercentile:
     def test_unsorted_input(self):
         assert percentile([4, 2, 1, 3], 75) == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan,
+                                float(np.array(0xFFF8000000000123, np.uint64)
+                                      .view(np.float64))]),
+               st.floats(width=64)), min_size=1, max_size=300),
+           p=st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 50.0, 90.0, 100.0])))
+    def test_selection_equals_the_sorted_element(self, values, p):
+        a = np.array(values)
+        k = math.ceil(p * len(a) / 100.0 - 1e-9) if p > 0 else 1
+        want = np.sort(a)[min(max(k, 1), len(a)) - 1]
+        got = percentile(a, p)
+        # equal-comparing elements may sit at the index in either order: a zero's
+        # sign and a NaN's payload are the only bits that may differ
+        if math.isnan(want):
+            assert math.isnan(got)
+        elif want == 0.0:
+            assert got == 0.0
+        else:
+            assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
 
 class TestRectifyReact:
     def test_elementwise_min(self):

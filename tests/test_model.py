@@ -254,6 +254,85 @@ class TestGradientCheck:
                                        err_msg=name)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def unfolded_loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding, head_w,
+                            head_b, slope, frozen_relu=None):
+    """The SGD step unfolded: the HAT mask gates the (n, h) activations,
+    z = relu * m, and every gradient is taken through z."""
+    n = len(inputs)
+    learnable = adapter_w.shape[1]
+    if frozen_relu is None:
+        frozen_relu = np.empty((n, 0))
+    pre = inputs @ adapter_w + adapter_b
+    relu = np.concatenate([np.maximum(pre, 0.0), frozen_relu], axis=1)
+    mask = 1.0 / (1.0 + np.exp(-slope * embedding))
+    z = relu * mask
+    logits = z @ head_w + head_b
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
+
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+
+    dz = dlogits @ head_w.T
+    dpre = dz[:, :learnable] * mask[:learnable] * (pre > 0)
+    return loss, {
+        "head_weights": z.T @ dlogits,
+        "head_bias": dlogits.sum(axis=0),
+        "embedding": (dz * relu).sum(axis=0) * mask * (1.0 - mask) * slope,
+        "adapter_weights": inputs.T @ dpre,
+        "adapter_bias": dpre.sum(axis=0),
+    }
+
+
+class TestFoldedStep:
+    """loss_and_grads folds the mask into the head; the unfolded form is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           shape=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 10),
+                           st.integers(1, 4)),
+           ood_logit=st.booleans(),
+           slope=st.one_of(st.floats(1 / 400, 400.0), st.sampled_from([1 / 400, 400.0])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_folded_step_equals_the_unfolded_step(self, data, shape, ood_logit, slope, seed):
+        n, d, h, c = shape
+        logits = c + ood_logit
+        frozen = np.array(data.draw(st.sampled_from(
+            [[], list(range(h))] + [sorted(data.draw(st.sets(st.integers(0, h - 1),
+                                                              max_size=h), label="some"))]),
+            label="frozen"), dtype=np.intp)
+        rng = np.random.default_rng(seed)
+        inputs = rng.normal(size=(n, d))
+        labels = rng.integers(0, logits, n)
+        params = {
+            "adapter_weights": rng.normal(size=(d, h)),
+            "adapter_bias": rng.normal(size=h) * 0.5,
+            "embedding": rng.uniform(-1.0, 1.0, h),
+            "head_weights": rng.normal(size=(h, logits)),
+            "head_bias": rng.normal(size=logits) * 0.1,
+        }
+        frozen_relu = None
+        if len(frozen):
+            learnable = np.setdiff1d(np.arange(h), frozen)
+            params, frozen_relu = _split(params, inputs, learnable, frozen)
+        args = (inputs, labels, params["adapter_weights"], params["adapter_bias"],
+                params["embedding"], params["head_weights"], params["head_bias"], slope,
+                frozen_relu)
+        loss, grads = loss_and_grads(*args)
+        want_loss, want = unfolded_loss_and_grads(*args)
+        assert loss == pytest.approx(want_loss, rel=1e-9, abs=1e-12)
+        assert grads.keys() == want.keys()
+        for name, expected in want.items():
+            assert grads[name].shape == expected.shape, name
+            scale = np.abs(expected).max(initial=0.0)
+            np.testing.assert_allclose(grads[name], expected, rtol=1e-9,
+                                       atol=1e-12 * scale, err_msg=name)
+
+
 class TestTrainTask:
     def test_separable_task_reaches_high_accuracy(self):
         task = two_class_task()
@@ -359,8 +438,8 @@ class TestTrainTask:
         assert all(math.isfinite(e["loss"]) and e["seconds"] >= 0 for e in seen)
 
     def test_diverging_run_with_an_epoch_hook_raises_model_error(self, small_stream):
-        # one batch an epoch: the hook's forward pass overflows after epoch 1, and the loss
-        # of epoch 2 reports it
+        # one batch an epoch: the update after epoch 1 overflows, and the loss of epoch 2
+        # reports it
         hp = oc.Hyperparams(epochs=2, learning_rate=1e300, batch_size=128, hidden_width=16,
                             seed=5)
         seen = []
@@ -633,7 +712,7 @@ class TestBackUpdate:
         assert after >= before - 0.05
 
     def test_runs_on_a_loaded_model(self, small_stream, small_hp, tmp_path):
-        # back_update writes head weights in place, so loaded arrays must be writable
+        # a loaded model back-updates as the model it was saved from
         model, buffer = self._trained_replay(small_stream, small_hp)
         path = tmp_path / "model.txt"
         oc.save_model(model, str(path))
@@ -662,6 +741,109 @@ class TestBackUpdate:
         model, _ = self._trained_replay(small_stream, small_hp)
         with pytest.raises(ModelError, match="non-empty buffer"):
             oc.back_update(model, oc.Buffer.empty(10, 8), small_hp)
+
+
+def _model_bits(model):
+    """Every array of a model as (shape, bytes), with its class and task counts."""
+    arrays = [model.adapters.weights, model.adapters.bias, *model.adapters.task_embeddings]
+    if model.trunk.projection is not None:
+        arrays.append(model.trunk.projection)
+    for head in model.heads:
+        arrays += [head.weights, head.bias, np.float64(head.ood_logit_present)]
+    for stats in model.stats:
+        arrays += [stats.class_means, stats.whitening_factor, stats.mean_activations,
+                   np.float64(stats.react_threshold)]
+    return ([(a.shape, a.tobytes()) for a in arrays], model.classes_per_task,
+            model.trained_tasks, len(model.adapters.task_embeddings), len(model.stats))
+
+
+class TestTaskCommitsWhole:
+    """A training call that raises leaves every model array as it was."""
+
+    STEP_GRADIENTS = ["adapter_weights", "adapter_bias", "embedding", "head_weights",
+                      "head_bias"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage=st.sampled_from(["loss", "parameters", "activations", "singular",
+                                  "back-update"]),
+           replay=st.booleans(), earlier=st.integers(0, 2), trunk=st.booleans(),
+           at=st.integers(0, 10**6), gradient=st.sampled_from(STEP_GRADIENTS))
+    def test_a_failure_at_any_stage_leaves_the_model_bit_equal(self, stage, replay, earlier,
+                                                               trunk, at, gradient):
+        if stage == "back-update":
+            replay, earlier = True, max(earlier, 1)
+        spec = oc.SynthSpec(num_classes=6, dim=6, per_class=10, mean_separation=4.0, seed=7)
+        train, test = oc.holdout(oc.synth_gaussian(spec), 0.25, 7)
+        stream = oc.split_tasks(train, test, 3)
+        hp = oc.Hyperparams(epochs=2, learning_rate=0.05, batch_size=8, hidden_width=8,
+                            seed=3, slope_max=50.0)
+        model = oc.new_model(6, hp, trunk_dim=4 if trunk else None)
+        buffer = oc.Buffer.empty(6, 6)
+
+        def train_task(t):
+            local = task_local(stream.tasks[t][0], t, 2)
+            if replay:
+                oc.train_task_replay(model, local, buffer, hp)
+            else:
+                oc.train_task(model, local, hp)
+
+        for t in range(earlier + (stage == "back-update")):
+            train_task(t)
+            if replay:
+                buffer = oc.buffer_update(buffer, stream.tasks[t][0], t, hp.seed)
+        before = _model_bits(model)
+        real_step, real_activations = oc.model._sgd_step, oc.model.activations
+        real_softmax = oc.model._softmax_in_place
+        calls = []
+
+        def step(*args):
+            loss, grads = real_step(*args)
+            calls.append(None)
+            if stage == "loss" and len(calls) == 1 + at % steps:
+                loss = math.nan
+            if stage == "parameters" and len(calls) == steps:
+                grads[gradient][...] = np.nan  # a clipped embedding keeps a NaN, not an inf
+            return loss, grads
+
+        def activations_with_a_nan(model, task, x):
+            z = real_activations(model, task, x)
+            z.flat[at % z.size] = np.nan
+            return z
+
+        def singular(covariance):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        def softmax(logits):
+            calls.append(None)
+            out = real_softmax(logits)
+            if len(calls) == 1 + at % steps:
+                out[0, 0] = np.nan
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            if stage == "back-update":
+                batches = math.ceil(len(buffer) / hp.batch_size)
+                steps = earlier * oc.model.DEFAULT_BACKUPDATE_EPOCHS * batches
+                head = (at % steps) // (oc.model.DEFAULT_BACKUPDATE_EPOCHS * batches)
+                patch.setattr(oc.model, "_softmax_in_place", softmax)
+                with pytest.raises(ModelError, match=f"non-finite head {head} after"):
+                    oc.back_update(model, buffer, hp)
+            else:
+                n = len(task_local(stream.tasks[earlier][0], earlier, 2))
+                n += len(buffer) if replay else 0
+                steps = hp.epochs * math.ceil(n / hp.batch_size)
+                patch.setattr(oc.model, "_sgd_step", step)
+                if stage == "activations":
+                    patch.setattr(oc.model, "activations", activations_with_a_nan)
+                elif stage == "singular":
+                    patch.setattr(oc.model, "_covariance_whitening_factor", singular)
+                message = {"loss": f"non-finite loss at task {earlier}",
+                           "parameters": f"non-finite parameters at the end of task {earlier}",
+                           "activations": f"non-finite activations for task {earlier}",
+                           "singular": f"singular covariance .* for task {earlier}"}[stage]
+                with pytest.raises(ModelError, match=message):
+                    train_task(earlier)
+        assert _model_bits(model) == before
 
 
 class TestSerialization:

@@ -7,6 +7,16 @@ temporary for every gradient expression. The library runs the same
 operations in the same order on the same operands, with fewer numpy calls
 and temporaries, so every trained array must be equal, not merely close.
 
+The step is the folded one: the HAT mask m scales the (h, C) head, W' =
+diag(m) W, rather than the (n, h) activations, so logits = relu W' + b,
+and with G = relu^T dlogits the head gradient is diag(m) G and the
+embedding gradient rowsum(W * G) m (1 - m) slope. ``test_model.py`` checks
+this form against the unfolded one, z = relu * m, to rounding.
+
+The epoch log's accuracy is the running training accuracy: each batch's
+logits argmax at that step's parameters, before the update, counted over
+the epoch.
+
 Both train a task over its units reordered learnable first: the adapter
 columns whose gate is not exactly 0 are copied out and trained, the
 frozen units' ReLU outputs are computed once per task, and the learned
@@ -39,13 +49,15 @@ def ref_hat_mask(embedding, slope):
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def ref_loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding, head_w, head_b,
                        slope, frozen_relu):
+    """Loss, gradients and the batch's predicted labels."""
     n = len(inputs)
     learnable = adapter_w.shape[1]
     pre = inputs @ adapter_w + adapter_b
-    relu = np.concatenate([np.maximum(pre, 0.0), frozen_relu], axis=1)
+    relu = np.maximum(pre, 0.0)
     mask = ref_hat_mask(embedding, slope)
-    z = relu * mask
-    logits = z @ head_w + head_b
+    folded = head_w * mask[:, None]
+    logits = relu @ folded[:learnable] + frozen_relu @ folded[learnable:] + head_b
+    predictions = logits.argmax(axis=1)
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
@@ -56,16 +68,16 @@ def ref_loss_and_grads(inputs, labels, adapter_w, adapter_b, embedding, head_w, 
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
 
-    dz = dlogits @ head_w.T
+    outer = np.concatenate([relu.T @ dlogits, frozen_relu.T @ dlogits])
     grads = {
-        "head_weights": z.T @ dlogits,
+        "head_weights": mask[:, None] * outer,
         "head_bias": dlogits.sum(axis=0),
-        "embedding": (dz * relu).sum(axis=0) * mask * (1.0 - mask) * slope,
+        "embedding": (head_w * outer).sum(axis=1) * mask * (1.0 - mask) * slope,
     }
-    dpre = dz[:, :learnable] * mask[:learnable] * (pre > 0)
+    dpre = (dlogits @ folded[:learnable].T) * (pre > 0)
     grads["adapter_weights"] = inputs.T @ dpre
     grads["adapter_bias"] = dpre.sum(axis=0)
-    return loss, grads
+    return loss, grads, predictions
 
 
 def ref_annealed_slope(batch, num_batches, slope_max):
@@ -110,14 +122,15 @@ def ref_fit_new_head(model, inputs, labels, n_logits, hp, task, log):
     for epoch in range(1, hp.epochs + 1):
         order = batch_rng.permutation(n)
         num_batches = math.ceil(n / hp.batch_size)
-        loss_sum = 0.0
+        loss_sum, hits = 0.0, 0
         for b in range(num_batches):
             idx = order[b * hp.batch_size : (b + 1) * hp.batch_size]
             slope = ref_annealed_slope(b, num_batches, hp.slope_max)
-            loss, grads = ref_loss_and_grads(inputs[idx], labels[idx], weights, bias,
-                                             embedding, head_w, head_b, slope,
-                                             frozen_relu[idx])
+            loss, grads, predictions = ref_loss_and_grads(
+                inputs[idx], labels[idx], weights, bias, embedding, head_w, head_b, slope,
+                frozen_relu[idx])
             loss_sum += loss * len(idx)
+            hits += int(np.sum(predictions == labels[idx]))
             weights -= lr * (grads["adapter_weights"] * gate)
             bias -= lr * (grads["adapter_bias"] * gate)
             compensation = ref_compensation(embedding, slope, hp.slope_max)
@@ -125,10 +138,7 @@ def ref_fit_new_head(model, inputs, labels, n_logits, hp, task, log):
             np.clip(embedding, -EMBEDDING_CLAMP, EMBEDDING_CLAMP, out=embedding)
             head_w -= lr * grads["head_weights"]
             head_b -= lr * grads["head_bias"]
-        mask = ref_hat_mask(embedding, hp.slope_max)
-        relu = np.concatenate([np.maximum(inputs @ weights + bias, 0.0), frozen_relu], axis=1)
-        predictions = (relu * mask @ head_w + head_b).argmax(axis=1)
-        log.append((task, epoch, loss_sum / n, float(np.mean(predictions == labels))))
+        log.append((task, epoch, loss_sum / n, hits / n))
     adapter.weights[:, learnable] = weights
     adapter.bias[learnable] = bias
     trained_head_w, trained_embedding = np.empty_like(head_w), np.empty_like(embedding)
