@@ -16,85 +16,87 @@ configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .data import Dataset, SynthSpec, holdout, load_csv, save_csv, split_tasks, synth_gaussian
 from .detectors import DEFAULT_PERCENTILES, DETECTOR_KINDS, Detector
 from .errors import ConfigError, DataError, ModelError, OpenCILError
 from .metrics import grid_points, rejection_curve
-from .model import (
-    DEFAULT_BACKUPDATE_EPOCHS,
-    DEFAULT_REACT_PERCENTILE,
-    Hyperparams,
-    new_model,
-    train_stream,
-)
+from .model import Hyperparams, new_model, train_stream
 from .pipeline import mixed_scores, run_sweep
 from .scorers import SCORER_KINDS, Scorer
 from .serialize import load_model, save_model
 
-CONFIG_KEYS = {
-    "classes": int,
-    "dim": int,
-    "per_class": int,
-    "separation": float,
-    "test_fraction": float,
-    "seed": int,
-    "out": str,
-    "data": str,
-    "tasks": int,
-    "epochs": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "hidden_width": int,
-    "slope_max": float,
-    "covariance_ridge": float,
-    "trunk_dim": int,
-    "react_percentile": float,
-    "dice_percentile": float,
-    "scale_percentile": float,
-    "replay": bool,
-    "buffer_capacity": int,
-    "backupdate": bool,
-    "backupdate_epochs": int,
-    "model": str,
-    "log": str,
-    "detectors": str,
-    "scorers": str,
-    "temperature": float,
-    "detector": str,
-    "scorer": str,
-    "steps": str,
-    "grid_step": float,
-}
 
-_DEFAULTS = {
-    "test_fraction": 0.2,
-    "seed": 0,
-    "tasks": 5,
-    "epochs": 20,
-    "learning_rate": 0.005,
-    "batch_size": 64,
-    "hidden_width": 64,
-    "slope_max": 400.0,
-    "covariance_ridge": 1e-4,
-    "react_percentile": DEFAULT_REACT_PERCENTILE,
-    "dice_percentile": DEFAULT_PERCENTILES["dice"],
-    "scale_percentile": DEFAULT_PERCENTILES["scale"],
-    "replay": False,
-    "buffer_capacity": 200,
-    "backupdate": False,
-    "backupdate_epochs": DEFAULT_BACKUPDATE_EPOCHS,
-    "detectors": ",".join(DETECTOR_KINDS),
-    "scorers": ",".join(SCORER_KINDS),
-    "temperature": 1.0,
-    "detector": "base",
-    "scorer": "enmd",
-    "grid_step": 5.0,
+def _library_default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
+# Every setting once, named by its config key: its type, its default (None:
+# none, so a command that reads it must be given it), the commands that take
+# it, its flag and the flag's help. A library setting's default is the library's.
+_SETTINGS = {
+    "classes": (int, None, "synth", "--classes", "number of classes"),
+    "dim": (int, None, "synth", "--dim", "feature dimension"),
+    "per_class": (int, None, "synth", "--per-class", "samples per class"),
+    "separation": (float, None, "synth", "--sep", "distance between class means"),
+    "test_fraction": (float, 0.2, "synth", "--test-fraction", "share of each class in test.csv"),
+    "data": (str, None, "train eval curve", "--data", "directory of train.csv and test.csv"),
+    "tasks": (int, 5, "train", "--tasks", "number of tasks"),
+    "epochs": (int, Hyperparams.epochs, "train", "--epochs", "SGD epochs per task"),
+    "learning_rate": (float, Hyperparams.learning_rate, "train", "--lr", "SGD learning rate"),
+    "batch_size": (int, Hyperparams.batch_size, "train", "--batch", "SGD batch size"),
+    "hidden_width": (int, Hyperparams.hidden_width, "train", "--hidden", "adapter units"),
+    "slope_max": (float, Hyperparams.slope_max, "train", "--slope-max", "largest gate slope"),
+    "covariance_ridge": (float, Hyperparams.covariance_ridge, "train", "--ridge",
+                         "covariance ridge coefficient"),
+    "trunk_dim": (int, None, "train", "--trunk-dim", "random trunk projection width"),
+    "seed": (int, Hyperparams.seed, "synth train", "--seed", "random seed"),
+    "react_percentile": (float, Hyperparams.react_percentile, "train", "--react-percentile",
+                         "ReAct clip percentile"),
+    "replay": (bool, _library_default(train_stream, "replay"), "train", "--replay",
+               "train the replay baseline"),
+    "buffer_capacity": (int, _library_default(train_stream, "buffer_capacity"), "train",
+                        "--buffer", "replay buffer capacity"),
+    "backupdate": (bool, _library_default(train_stream, "backupdate"), "train",
+                   "--backupdate", "fine-tune earlier heads on the buffer"),
+    "backupdate_epochs": (int, Hyperparams.backupdate_epochs, "train", "--backupdate-epochs",
+                          "back-update epochs"),
+    "model": (str, None, "train eval curve", "--model", "model file (train writes it)"),
+    "log": (str, None, "train", "--log", "per-epoch training log file"),
+    "detectors": (str, ",".join(DETECTOR_KINDS), "eval", "--detectors",
+                  "comma-separated detector kinds"),
+    "scorers": (str, ",".join(SCORER_KINDS), "eval", "--scorers",
+                "comma-separated scorer kinds"),
+    "steps": (str, None, "curve", "--steps", "comma-separated 1-based steps (default: all)"),
+    "detector": (str, "base", "curve", "--detector", "detector kind"),
+    "scorer": (str, "enmd", "curve", "--scorer", "scorer kind"),
+    "temperature": (float, Scorer.temperature, "eval curve", "--temperature",
+                    "softmax and energy temperature"),
+    "dice_percentile": (float, DEFAULT_PERCENTILES["dice"], "eval curve",
+                        "--dice-percentile", "DICE sparsity percentile"),
+    "scale_percentile": (float, DEFAULT_PERCENTILES["scale"], "eval curve",
+                         "--scale-percentile", "SCALE percentile"),
+    "grid_step": (float, _library_default(rejection_curve, "grid_step"), "curve",
+                  "--grid-step", "rejection grid step in percent"),
+    "out": (str, None, "synth eval curve", "--out",
+            "output directory (synth) or CSV file (eval, curve; default stdout)"),
 }
+CONFIG_KEYS = {key: row[0] for key, row in _SETTINGS.items()}
+_DEFAULTS = {key: row[1] for key, row in _SETTINGS.items() if row[1] is not None}
+_COMMAND_HELP = {
+    "synth": "write synthetic train/test CSVs",
+    "train": "train the incremental model",
+    "eval": "sweep detectors and scorers into a report CSV",
+    "curve": "write accuracy-rejection curves",
+}
+# -o names each command's output
+_SHORT_OUTPUT = {"synth": "out", "train": "model", "eval": "out", "curve": "out"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,7 +119,7 @@ def _load_config(path: str | None) -> dict:
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -173,61 +175,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="opencil",
                      description="Buffer-free open-world class-incremental learning")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    synth = sub.add_parser("synth", help="write synthetic train/test CSVs")
-    synth.add_argument("--classes", type=int)
-    synth.add_argument("--dim", type=int)
-    synth.add_argument("--per-class", dest="per_class", type=int)
-    synth.add_argument("--sep", dest="separation", type=float)
-    synth.add_argument("--seed", type=int)
-    synth.add_argument("--test-fraction", dest="test_fraction", type=float)
-    synth.add_argument("-o", "--out", help="output directory")
-    synth.add_argument("--config")
-
-    train = sub.add_parser("train", help="train the incremental model")
-    train.add_argument("--data", help="directory holding train.csv and test.csv")
-    train.add_argument("--tasks", type=int)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--lr", dest="learning_rate", type=float)
-    train.add_argument("--batch", dest="batch_size", type=int)
-    train.add_argument("--hidden", dest="hidden_width", type=int)
-    train.add_argument("--slope-max", dest="slope_max", type=float)
-    train.add_argument("--ridge", dest="covariance_ridge", type=float)
-    train.add_argument("--trunk-dim", dest="trunk_dim", type=int)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--react-percentile", dest="react_percentile", type=float)
-    train.add_argument("--replay", action="store_const", const=True, default=None)
-    train.add_argument("--buffer", dest="buffer_capacity", type=int)
-    train.add_argument("--backupdate", action="store_const", const=True, default=None)
-    train.add_argument("--backupdate-epochs", dest="backupdate_epochs", type=int)
-    train.add_argument("-o", "--model", help="output model file")
-    train.add_argument("--log", help="per-epoch training log file")
-    train.add_argument("--config")
-
-    evaluate = sub.add_parser("eval", help="sweep detectors and scorers into a report CSV")
-    evaluate.add_argument("--model")
-    evaluate.add_argument("--data")
-    evaluate.add_argument("--detectors", help="comma-separated detector kinds")
-    evaluate.add_argument("--scorers", help="comma-separated scorer kinds")
-    evaluate.add_argument("--temperature", type=float)
-    evaluate.add_argument("--dice-percentile", dest="dice_percentile", type=float)
-    evaluate.add_argument("--scale-percentile", dest="scale_percentile", type=float)
-    evaluate.add_argument("-o", "--out", help="report CSV path")
-    evaluate.add_argument("--config")
-
-    curve = sub.add_parser("curve", help="write accuracy-rejection curves")
-    curve.add_argument("--model")
-    curve.add_argument("--data")
-    curve.add_argument("--steps", help="comma-separated 1-based step indices")
-    curve.add_argument("--detector")
-    curve.add_argument("--scorer")
-    curve.add_argument("--temperature", type=float)
-    curve.add_argument("--dice-percentile", dest="dice_percentile", type=float)
-    curve.add_argument("--scale-percentile", dest="scale_percentile", type=float)
-    curve.add_argument("--grid-step", dest="grid_step", type=float)
-    curve.add_argument("-o", "--out", help="curve CSV path")
-    curve.add_argument("--config")
-
+    for command, summary in _COMMAND_HELP.items():
+        options = sub.add_parser(command, help=summary)
+        for key, (kind, _, commands, flag, help_text) in _SETTINGS.items():
+            if command not in commands.split():
+                continue
+            flags = ["-o", flag] if _SHORT_OUTPUT[command] == key else [flag]
+            if kind is bool:
+                options.add_argument(*flags, dest=key, action="store_const", const=True,
+                                     help=help_text)
+            else:
+                options.add_argument(*flags, dest=key, type=kind, help=help_text)
+        options.add_argument("--config", help="flat key=value settings file")
     return parser
 
 
@@ -299,15 +258,7 @@ def _load_stream(settings: _Settings, num_tasks: int, split: str):
 
 def _hyperparams(settings: _Settings) -> Hyperparams:
     try:
-        return Hyperparams(
-            epochs=settings["epochs"],
-            learning_rate=settings["learning_rate"],
-            batch_size=settings["batch_size"],
-            hidden_width=settings["hidden_width"],
-            seed=settings["seed"],
-            slope_max=settings["slope_max"],
-            covariance_ridge=settings["covariance_ridge"],
-        )
+        return Hyperparams(**{f.name: settings[f.name] for f in fields(Hyperparams)})
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -422,12 +373,6 @@ def _cmd_train(settings: _Settings) -> int:
     inputs = _inputs(settings, model=False)
     model_path = _output(settings, "model", required=True, taken=inputs)
     log_path = _output(settings, "log", taken=[*inputs, ("the model file", model_path)])
-    react_percentile = settings["react_percentile"]
-    if not 0.0 <= react_percentile <= 100.0:
-        raise ConfigError(f"react_percentile must lie in [0, 100], got {react_percentile}")
-    backupdate_epochs = settings["backupdate_epochs"]
-    if backupdate_epochs < 1:
-        raise ConfigError(f"backupdate_epochs must be >= 1, got {backupdate_epochs}")
     buffer_capacity = settings["buffer_capacity"]
     if buffer_capacity < 1:
         raise ConfigError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
@@ -451,10 +396,7 @@ def _cmd_train(settings: _Settings) -> int:
 
     started = time.perf_counter()
     train_stream(model, stream, hp, replay=replay, backupdate=backupdate,
-                 buffer_capacity=buffer_capacity,
-                 backupdate_epochs=backupdate_epochs,
-                 react_percentile=react_percentile,
-                 epoch_hook=epoch_hook)
+                 buffer_capacity=buffer_capacity, epoch_hook=epoch_hook)
     elapsed = time.perf_counter() - started
 
     save_model(model, model_path)
@@ -538,11 +480,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OpenCILError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OpenCILError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -99,10 +99,18 @@ def load_csv(path: str) -> Dataset:
     """Read a dataset from CSV with header ``label,f0,...,f{d-1}``.
 
     Rows are numbered from 1 with the header as row 1; every parse
-    failure reports the offending row.
+    failure reports the offending row. A label that leaves a class empty
+    whatever the other rows hold, one at or above the number of data rows,
+    is refused before any array is sized by it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the row of the first bad byte; the sentinel stands in for that byte
+        row = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        raise DataError(f"{path}: row {row} is not UTF-8 text") from None
     if not lines or not lines[0].strip():
         raise DataError(f"empty file: {path}")
 
@@ -142,6 +150,13 @@ def load_csv(path: str) -> Dataset:
         rownums.append(rownum)
     if not features:
         raise DataError(f"no data rows in {path}")
+    top, n = max(labels), len(labels)
+    if top >= n:  # n rows cannot fill classes 0..top
+        seen = set(labels)
+        empty = next(c for c in range(n) if c not in seen)
+        raise DataError(f"class {empty} has no samples: label {top} at row "
+                        f"{rownums[labels.index(top)]} is not below the {n} data rows "
+                        f"(labels must be dense integers from 0)")
     features = np.asarray(features)
     non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if non_finite.size:

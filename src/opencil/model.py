@@ -64,7 +64,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Knobs of the SGD training loop; all values must be positive and finite."""
+    """Every training setting, checked once when made: the SGD loop's, the
+    ReAct clip percentile fitted with each task's statistics, and the replay
+    baseline's back-update epochs."""
 
     epochs: int = 20
     learning_rate: float = 0.005
@@ -73,6 +75,8 @@ class Hyperparams:
     seed: int = 0
     slope_max: float = 400.0
     covariance_ridge: float = 1e-4
+    react_percentile: float = DEFAULT_REACT_PERCENTILE
+    backupdate_epochs: int = DEFAULT_BACKUPDATE_EPOCHS
 
     def __post_init__(self) -> None:
         for name in ("epochs", "learning_rate", "batch_size", "hidden_width",
@@ -82,6 +86,11 @@ class Hyperparams:
                                  f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ModelError(f"seed must be non-negative, got {self.seed}")
+        if not 0.0 <= self.react_percentile <= 100.0:
+            raise ModelError(f"react_percentile must lie in [0, 100], "
+                             f"got {self.react_percentile}")
+        if not 1 <= self.backupdate_epochs < math.inf:
+            raise ModelError(f"backupdate_epochs must be >= 1, got {self.backupdate_epochs}")
 
 
 @dataclass
@@ -106,7 +115,7 @@ class AdapterBank:
     weights: np.ndarray  # (dim_trunk, hidden)
     bias: np.ndarray  # (hidden,)
     task_embeddings: list[np.ndarray] = field(default_factory=list)
-    slope_max: float = 400.0
+    slope_max: float = Hyperparams.slope_max
 
 
 @dataclass
@@ -414,11 +423,6 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     return learnable, weights, bias, head_w[restore], head_b, embedding[restore]
 
 
-def _check_react_percentile(react_percentile: float) -> None:
-    if not 0.0 <= react_percentile <= 100.0:
-        raise ModelError(f"react_percentile must lie in [0, 100], got {react_percentile}")
-
-
 def _check_task_data(model: ModelState, task_data: Dataset) -> int:
     if task_data.dim != model.trunk.dim_in:
         raise ModelError(
@@ -435,7 +439,6 @@ def _check_task_data(model: ModelState, task_data: Dataset) -> int:
 
 
 def train_task(model: ModelState, task_data: Dataset, hp: Hyperparams, *,
-               react_percentile: float = DEFAULT_REACT_PERCENTILE,
                epoch_hook=None) -> ModelState:
     """Train one new head on its task data alone (buffer-free path).
 
@@ -444,21 +447,17 @@ def train_task(model: ModelState, task_data: Dataset, hp: Hyperparams, *,
     heads and embeddings are untouched. A task that raises leaves the
     model as it was.
     """
-    _check_react_percentile(react_percentile)
     n_classes = _check_task_data(model, task_data)
     inputs = model.trunk.apply(task_data.features)
     return _add_task(model, task_data, inputs, task_data.labels, n_classes, hp,
-                     react_percentile, epoch_hook, ood_logit_present=False)
+                     epoch_hook, ood_logit_present=False)
 
 
 def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
-                      hp: Hyperparams, *,
-                      react_percentile: float = DEFAULT_REACT_PERCENTILE,
-                      epoch_hook=None) -> ModelState:
+                      hp: Hyperparams, *, epoch_hook=None) -> ModelState:
     """Replay-baseline forward step: task samples keep their class labels,
     buffered samples train an extra OOD logit appended to the head. A task
     that raises leaves the model as it was."""
-    _check_react_percentile(react_percentile)
     n_classes = _check_task_data(model, task_data)
     inputs = model.trunk.apply(task_data.features)
     labels = task_data.labels
@@ -466,11 +465,11 @@ def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
         inputs = np.concatenate([inputs, model.trunk.apply(buffer.features)])
         labels = np.concatenate([labels, np.full(len(buffer), n_classes, dtype=np.int64)])
     return _add_task(model, task_data, inputs, labels, n_classes + 1, hp,
-                     react_percentile, epoch_hook, ood_logit_present=True)
+                     epoch_hook, ood_logit_present=True)
 
 
-def _add_task(model, task_data, inputs, labels, n_logits, hp, react_percentile,
-              epoch_hook, ood_logit_present):
+def _add_task(model, task_data, inputs, labels, n_logits, hp, epoch_hook,
+              ood_logit_present):
     """Fit the next task's head and statistics, then commit them whole.
 
     The statistics come from a candidate model: the adapter with the
@@ -494,7 +493,7 @@ def _add_task(model, task_data, inputs, labels, n_logits, hp, react_percentile,
         [*model.heads, head])
     stats = compute_train_stats(candidate, task_data, task=task,
                                 ridge_coefficient=hp.covariance_ridge,
-                                react_percentile=react_percentile)
+                                react_percentile=hp.react_percentile)
     adapter.weights[:, learnable] = weights
     adapter.bias[learnable] = bias
     adapter.task_embeddings.append(embedding)
@@ -507,7 +506,7 @@ def _add_task(model, task_data, inputs, labels, n_logits, hp, react_percentile,
 @np.errstate(over="ignore", invalid="ignore")
 def compute_train_stats(model: ModelState, task_data: Dataset, *,
                         task: int | None = None,
-                        ridge_coefficient: float = 1e-4,
+                        ridge_coefficient: float = Hyperparams.covariance_ridge,
                         react_percentile: float = DEFAULT_REACT_PERCENTILE) -> TrainStats:
     """Class means, whitening factor, mean activations, and clip threshold.
 
@@ -659,19 +658,17 @@ def buffer_update(buffer: Buffer, task_data: Dataset, task_id: int, seed: int) -
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
-                epochs: int = DEFAULT_BACKUPDATE_EPOCHS) -> ModelState:
+def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams) -> ModelState:
     """Fine-tune every earlier head on buffered samples (full replay baseline).
 
     For head j, buffered task-j samples keep their class labels and all
     other buffered samples carry the OOD label; only the head's weights
-    move, the adapter and embeddings stay untouched. A single trained
-    task is a no-op. Every head is fitted on a copy and the copies replace
-    the heads only once all are finite: a head that ends with a non-finite
-    value raises ModelError and leaves every head as it was.
+    move, for ``hp.backupdate_epochs`` epochs; the adapter and embeddings
+    stay untouched. A single trained task is a no-op. Every head is fitted
+    on a copy and the copies replace the heads only once all are finite: a
+    head that ends with a non-finite value raises ModelError and leaves
+    every head as it was.
     """
-    if epochs < 1:
-        raise ModelError(f"back-update epochs must be >= 1, got {epochs}")
     if model.trained_tasks < 2:
         return model
     if len(buffer) == 0:
@@ -693,7 +690,7 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
         labels = np.where(is_own, buffer.labels - j * n_classes, n_classes)
 
         rng = substream(hp.seed, f"backupdate:{model.trained_tasks}:head{j}")
-        for _ in range(epochs):
+        for _ in range(hp.backupdate_epochs):
             order = rng.permutation(len(z))
             epoch_z, epoch_labels = z[order], labels[order]
             for b in range(math.ceil(len(z) / hp.batch_size)):
@@ -716,10 +713,7 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams, *,
 
 def train_stream(model: ModelState, stream, hp: Hyperparams, *,
                  replay: bool = False, backupdate: bool = False,
-                 buffer_capacity: int = 200,
-                 backupdate_epochs: int = DEFAULT_BACKUPDATE_EPOCHS,
-                 react_percentile: float = DEFAULT_REACT_PERCENTILE,
-                 epoch_hook=None) -> ModelState:
+                 buffer_capacity: int = 200, epoch_hook=None) -> ModelState:
     """Train all tasks of a stream in order, buffer-free or with replay.
 
     Every setting is checked before the first task trains.
@@ -728,9 +722,6 @@ def train_stream(model: ModelState, stream, hp: Hyperparams, *,
 
     if backupdate and not replay:
         raise ModelError("back-update requires the replay path")
-    if backupdate and backupdate_epochs < 1:
-        raise ModelError(f"back-update epochs must be >= 1, got {backupdate_epochs}")
-    _check_react_percentile(react_percentile)
     buffer = None
     if replay:
         first_train = stream.tasks[0][0]
@@ -739,13 +730,10 @@ def train_stream(model: ModelState, stream, hp: Hyperparams, *,
     for t, (train_ds, _test_ds) in enumerate(stream.tasks):
         local = task_local(train_ds, t, stream.classes_per_task)
         if replay:
-            train_task_replay(model, local, buffer, hp,
-                              react_percentile=react_percentile,
-                              epoch_hook=epoch_hook)
+            train_task_replay(model, local, buffer, hp, epoch_hook=epoch_hook)
             buffer = buffer_update(buffer, train_ds, t, hp.seed)
             if backupdate and model.trained_tasks >= 2:
-                back_update(model, buffer, hp, epochs=backupdate_epochs)
+                back_update(model, buffer, hp)
         else:
-            train_task(model, local, hp, react_percentile=react_percentile,
-                       epoch_hook=epoch_hook)
+            train_task(model, local, hp, epoch_hook=epoch_hook)
     return model

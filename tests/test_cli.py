@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -111,6 +112,56 @@ _MALFORMED = {
     "--hidden": ("train", "hidden_width", _bad_ints(st.integers(max_value=0))),
     "--backupdate-epochs": ("train", "backupdate_epochs",
                             _bad_ints(st.integers(max_value=0))),
+}
+
+
+# each command's option strings, with the setting each sets and its value type
+# ("flag": takes no value), and each config key with its type
+_OPTIONS = {
+    "synth": {"--classes": "classes:int", "--dim": "dim:int", "--per-class": "per_class:int",
+              "--sep": "separation:float", "--seed": "seed:int",
+              "--test-fraction": "test_fraction:float", "-o": "out:str", "--out": "out:str",
+              "--config": "config:str"},
+    "train": {"--data": "data:str", "--tasks": "tasks:int", "--epochs": "epochs:int",
+              "--lr": "learning_rate:float", "--batch": "batch_size:int",
+              "--hidden": "hidden_width:int", "--slope-max": "slope_max:float",
+              "--ridge": "covariance_ridge:float", "--trunk-dim": "trunk_dim:int",
+              "--seed": "seed:int", "--react-percentile": "react_percentile:float",
+              "--replay": "replay:flag", "--buffer": "buffer_capacity:int",
+              "--backupdate": "backupdate:flag",
+              "--backupdate-epochs": "backupdate_epochs:int", "-o": "model:str",
+              "--model": "model:str", "--log": "log:str", "--config": "config:str"},
+    "eval": {"--model": "model:str", "--data": "data:str", "--detectors": "detectors:str",
+             "--scorers": "scorers:str", "--temperature": "temperature:float",
+             "--dice-percentile": "dice_percentile:float",
+             "--scale-percentile": "scale_percentile:float", "-o": "out:str",
+             "--out": "out:str", "--config": "config:str"},
+    "curve": {"--model": "model:str", "--data": "data:str", "--steps": "steps:str",
+              "--detector": "detector:str", "--scorer": "scorer:str",
+              "--temperature": "temperature:float",
+              "--dice-percentile": "dice_percentile:float",
+              "--scale-percentile": "scale_percentile:float",
+              "--grid-step": "grid_step:float", "-o": "out:str", "--out": "out:str",
+              "--config": "config:str"},
+}
+_CONFIG_KEYS = {
+    "classes": "int", "dim": "int", "per_class": "int", "separation": "float",
+    "test_fraction": "float", "seed": "int", "out": "str", "data": "str", "tasks": "int",
+    "epochs": "int", "learning_rate": "float", "batch_size": "int", "hidden_width": "int",
+    "slope_max": "float", "covariance_ridge": "float", "trunk_dim": "int",
+    "react_percentile": "float", "dice_percentile": "float", "scale_percentile": "float",
+    "replay": "bool", "buffer_capacity": "int", "backupdate": "bool",
+    "backupdate_epochs": "int", "model": "str", "log": "str", "detectors": "str",
+    "scorers": "str", "temperature": "float", "detector": "str", "scorer": "str",
+    "steps": "str", "grid_step": "float",
+}
+_DEFAULT_VALUES = {
+    "test_fraction": 0.2, "seed": 0, "tasks": 5, "epochs": 20, "learning_rate": 0.005,
+    "batch_size": 64, "hidden_width": 64, "slope_max": 400.0, "covariance_ridge": 1e-4,
+    "react_percentile": 90.0, "dice_percentile": 85.0, "scale_percentile": 85.0,
+    "replay": False, "buffer_capacity": 200, "backupdate": False, "backupdate_epochs": 10,
+    "detectors": "base,react,dice,scale", "scorers": "sm,smmd,en,enmd", "temperature": 1.0,
+    "detector": "base", "scorer": "enmd", "grid_step": 5.0,
 }
 
 
@@ -441,6 +492,15 @@ class TestConfigFile:
         model = oc.load_model(str(tmp_path / "m.txt"))
         assert model.heads[0].ood_logit_present
 
+    def test_config_file_that_is_not_utf8_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"epochs=3\n\xff\xfe\n")
+        assert main(["train", "--data", str(data_dir), "--tasks", "2",
+                     "--config", str(config), "-o", str(tmp_path / "m.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {config}: ")
+        assert err.count("\n") == 1 and not (tmp_path / "m.txt").exists()
+
     def test_missing_config_file(self, data_dir, tmp_path, capsys):
         code = main(["train", "--data", str(data_dir), "--tasks", "2",
                      "--config", str(tmp_path / "absent.cfg"),
@@ -449,9 +509,71 @@ class TestConfigFile:
         assert "config" in capsys.readouterr().err.lower()
 
 
+class TestSettingsTable:
+    def test_each_command_keeps_its_options(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sub.choices.keys() == _OPTIONS.keys()
+        for command, options in sub.choices.items():
+            found = {option: f"{a.dest}:{'flag' if a.nargs == 0 else (a.type or str).__name__}"
+                     for a in options._actions for option in a.option_strings
+                     if option not in ("-h", "--help")}
+            assert found == _OPTIONS[command], command
+            assert options.format_help().startswith(f"usage: opencil {command}")
+
+    def test_config_keys_keep_their_types(self):
+        assert {key: kind.__name__ for key, kind in cli.CONFIG_KEYS.items()} == _CONFIG_KEYS
+
+    def test_defaults_keep_their_values(self):
+        assert _DEFAULTS == _DEFAULT_VALUES
+        assert all(type(_DEFAULTS[key]).__name__ == _CONFIG_KEYS[key] for key in _DEFAULTS)
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys):
+        # a 71.1 PiB array, which the allocator refuses at once
+        assert main(["synth", "--classes", "2", "--dim", "100000000", "--per-class", "2",
+                     "--sep", "3", "-o", str(tmp_path / "h")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+
+    @pytest.mark.parametrize("command,split,tail", [
+        ("train", "train", b"1,0.5,\xff\n"),
+        ("eval", "test", b"1,\xc3(,0\n"),
+    ])
+    def test_csv_that_is_not_utf8_is_a_runtime_error(self, command, split, tail, data_dir,
+                                                     model_path, tmp_path, capsys):
+        data = tmp_path / "d"
+        shutil.copytree(data_dir, data)
+        rows = len((data / f"{split}.csv").read_text().splitlines())
+        with open(data / f"{split}.csv", "ab") as fh:
+            fh.write(tail)
+        rest = ["--tasks", "2", "-o", str(tmp_path / "m.bin")] if command == "train" else \
+            ["--model", str(model_path)]
+        assert main([command, "--data", str(data)] + rest) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data / split}.csv: row {rows + 1} is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command,split,label", [
+        ("train", "train", "4000000000000000000"),
+        ("eval", "test", "100000000000000000000000000000"),
+    ])
+    def test_label_beyond_the_rows_is_a_runtime_error(self, command, split, label, data_dir,
+                                                     model_path, tmp_path, capsys):
+        data = tmp_path / "d"
+        shutil.copytree(data_dir, data)
+        lines = (data / f"{split}.csv").read_text().splitlines()
+        lines[2] = label + lines[2][lines[2].index(","):]
+        (data / f"{split}.csv").write_text("\n".join(lines) + "\n")
+        rest = ["--tasks", "2", "-o", str(tmp_path / "m.bin")] if command == "train" else \
+            ["--model", str(model_path)]
+        assert main([command, "--data", str(data)] + rest) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: class ") and err.count("\n") == 1
+        assert f"label {label} at row 3" in err
 
     @pytest.mark.parametrize("argv", [
         ["curve", "--steps", "x"],

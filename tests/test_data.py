@@ -62,6 +62,28 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="malformed header"):
             oc.load_csv(path)
 
+    @pytest.mark.parametrize("text,row", [
+        (b"label,f0\xff\n0,1.0\n", 1),
+        (b"label,f0\n0,1.0\n1,2.\xfe0\n", 3),
+        (b"label,f0\r\n0,1.0\r\n\r\n1,\xc3\n", 4),  # a cut two-byte sequence
+    ], ids=["header", "field", "crlf-after-a-blank-row"])
+    def test_text_that_is_not_utf8_is_refused_at_its_row(self, text, row, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"d.csv: row {row} is not UTF-8 text"):
+            oc.load_csv(str(path))
+
+    # a label at or above the number of data rows leaves a class empty; the two
+    # large ones overflowed int64 and sized a label + 1 counter array before
+    @pytest.mark.parametrize("label", ["3", "4000000000000000000",
+                                       "100000000000000000000000000000"])
+    def test_label_no_dense_labelling_can_hold_is_refused_at_its_row(self, label,
+                                                                     tmp_path):
+        path = write(tmp_path / "d.csv", f"label,f0\n0,1.0\n{label},2.0\n1,3.0\n")
+        with pytest.raises(DataError, match=f"class 2 has no samples: label {label} at "
+                                            f"row 3 is not below the 3 data rows"):
+            oc.load_csv(path)
+
 
 class TestSaveCsv:
     def test_round_trip_identity(self, tmp_path):

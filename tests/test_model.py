@@ -3,6 +3,7 @@ import math
 import os
 import threading
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -473,21 +474,21 @@ class TestTrainTask:
         model = oc.new_model(8, small_hp)
         local = task_local(small_stream.tasks[0][0], 0, 2)
         with pytest.raises(ModelError, match="react_percentile must lie in"):
+            hp = replace(small_hp, react_percentile=percentile)
             if train == "task":
-                oc.train_task(model, local, small_hp, react_percentile=percentile)
+                oc.train_task(model, local, hp)
             elif train == "replay":
-                oc.train_task_replay(model, local, oc.Buffer.empty(10, 8), small_hp,
-                                     react_percentile=percentile)
+                oc.train_task_replay(model, local, oc.Buffer.empty(10, 8), hp)
             else:
-                oc.train_stream(model, small_stream, small_hp, react_percentile=percentile)
+                oc.train_stream(model, small_stream, hp)
         assert model.trained_tasks == 0 and model.classes_per_task is None
 
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_backupdate_epochs_checked_before_training(self, epochs, small_stream, small_hp):
         model = oc.new_model(8, small_hp)
         with pytest.raises(ModelError, match="epochs must be >= 1"):
-            oc.train_stream(model, small_stream, small_hp, replay=True, backupdate=True,
-                            backupdate_epochs=epochs)
+            hp = replace(small_hp, backupdate_epochs=epochs)
+            oc.train_stream(model, small_stream, hp, replay=True, backupdate=True)
         assert model.trained_tasks == 0
 
 
@@ -727,15 +728,14 @@ class TestBackUpdate:
     def test_epochs_below_one_rejected(self, epochs, small_hp):
         # even where back-update would be a no-op, the value is not ignored
         with pytest.raises(ModelError, match="epochs must be >= 1"):
-            oc.back_update(oc.new_model(8, small_hp), oc.Buffer.empty(10, 8), small_hp,
-                           epochs=epochs)
+            oc.back_update(oc.new_model(8, small_hp), oc.Buffer.empty(10, 8),
+                           replace(small_hp, backupdate_epochs=epochs))
 
     def test_non_finite_head_refused(self, small_stream, small_hp):
         model, buffer = self._trained_replay(small_stream, small_hp)
-        hp = oc.Hyperparams(learning_rate=1e308, batch_size=small_hp.batch_size,
-                            hidden_width=small_hp.hidden_width, seed=small_hp.seed)
+        hp = replace(small_hp, learning_rate=1e308, backupdate_epochs=1)
         with pytest.raises(ModelError, match="non-finite head 0 after back-update"):
-            oc.back_update(model, buffer, hp, epochs=1)
+            oc.back_update(model, buffer, hp)
 
     def test_empty_buffer_rejected(self, small_stream, small_hp):
         model, _ = self._trained_replay(small_stream, small_hp)

@@ -169,7 +169,7 @@ def ref_back_update(model, buffer, hp, epochs):
                 head.bias -= lr * dlogits.sum(axis=0)
 
 
-def ref_train_stream(model, stream, hp, log, *, replay=False, backupdate_epochs=0,
+def ref_train_stream(model, stream, hp, log, *, replay=False, backupdate=False,
                      buffer_capacity=200):
     """train_stream with the reference SGD loops; the statistics and the buffer
     come from the library, which has no per-step arithmetic in them."""
@@ -189,11 +189,12 @@ def ref_train_stream(model, stream, hp, log, *, replay=False, backupdate_epochs=
         model.adapters.task_embeddings.append(embedding)
         model.heads.append(TaskHead(head_w, head_b, ood_logit_present=replay))
         model.stats.append(compute_train_stats(model, local, task=t,
-                                               ridge_coefficient=hp.covariance_ridge))
+                                               ridge_coefficient=hp.covariance_ridge,
+                                               react_percentile=hp.react_percentile))
         if replay:
             buffer = oc.buffer_update(buffer, train_ds, t, hp.seed)
-            if backupdate_epochs and model.trained_tasks >= 2:
-                ref_back_update(model, buffer, hp, backupdate_epochs)
+            if backupdate and model.trained_tasks >= 2:
+                ref_back_update(model, buffer, hp, hp.backupdate_epochs)
     return model
 
 
@@ -230,8 +231,8 @@ def test_train_stream_equals_the_reference_bit_for_bit(replay, trunk_dim, slope_
     # slope_max 50 leaves every unit learnable; at 400 earlier tasks freeze
     # more than half of the 24 units before tasks 2 and 3
     hp = oc.Hyperparams(epochs=6, learning_rate=0.05, batch_size=16, hidden_width=24,
-                        seed=9, slope_max=slope_max)
-    options = dict(replay=replay, backupdate_epochs=3 if replay else 0, buffer_capacity=18)
+                        seed=9, slope_max=slope_max, backupdate_epochs=3)
+    options = dict(replay=replay, backupdate=replay, buffer_capacity=18)
     log, ref_log = [], []
 
     def hook(task, epoch, loss, accuracy, seconds):
@@ -239,7 +240,7 @@ def test_train_stream_equals_the_reference_bit_for_bit(replay, trunk_dim, slope_
 
     dim = three_task_stream.tasks[0][0].dim
     model = oc.train_stream(oc.new_model(dim, hp, trunk_dim=trunk_dim), three_task_stream,
-                            hp, backupdate=replay, epoch_hook=hook, **options)
+                            hp, epoch_hook=hook, **options)
     reference = ref_train_stream(oc.new_model(dim, hp, trunk_dim=trunk_dim),
                                  three_task_stream, hp, ref_log, **options)
     ours, theirs = model_arrays(model), model_arrays(reference)
