@@ -16,10 +16,12 @@ its own task's data; the replay baseline adds a class-balanced memory
 buffer, an extra OOD logit per head, and an optional second pass that
 fine-tunes earlier heads against buffered samples.
 
-Training is single-writer: the train functions mutate the passed model
-in place and return it. A task or back-update that raises leaves the model
-as it was before that task or back-update. After training, a model is
-frozen by convention and safe to share for read-only inference.
+Training is single-writer: the train functions change the passed model
+and return it, replacing its arrays rather than writing into them. A task
+or back-update that raises leaves the model as it was before that task or
+back-update. Inference makes every model array it reads read-only (see
+``opencil.pipeline``), so a model is safe to share for inference, and an
+edit replaces an array instead of writing into it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a count or seed that is not an int or a numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Every training setting, checked once when made: the SGD loop's, the
@@ -79,6 +87,8 @@ class Hyperparams:
     backupdate_epochs: int = DEFAULT_BACKUPDATE_EPOCHS
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "hidden_width", "seed", "backupdate_epochs"):
+            _check_integer(name, getattr(self, name))
         for name in ("epochs", "learning_rate", "batch_size", "hidden_width",
                      "slope_max", "covariance_ridge"):
             if not 0 < getattr(self, name) < math.inf:
@@ -166,11 +176,13 @@ def new_model(dim_in: int, hp: Hyperparams, trunk_dim: int | None = None) -> Mod
     ``trunk_dim`` switches the trunk from identity to a frozen random
     projection of that width.
     """
+    _check_integer("dim_in", dim_in)
     if dim_in < 1:
         raise ModelError(f"dim_in must be >= 1, got {dim_in}")
     if trunk_dim is None:
         trunk = TrunkParams(dim_in)
     else:
+        _check_integer("trunk_dim", trunk_dim)
         if trunk_dim < 1:
             raise ModelError(f"trunk_dim must be >= 1, got {trunk_dim}")
         proj_rng = substream(hp.seed, "init:trunk")
@@ -494,8 +506,7 @@ def _add_task(model, task_data, inputs, labels, n_logits, hp, epoch_hook,
     stats = compute_train_stats(candidate, task_data, task=task,
                                 ridge_coefficient=hp.covariance_ridge,
                                 react_percentile=hp.react_percentile)
-    adapter.weights[:, learnable] = weights
-    adapter.bias[learnable] = bias
+    adapter.weights, adapter.bias = adapter_w, adapter_b
     adapter.task_embeddings.append(embedding)
     model.heads.append(head)
     model.stats.append(stats)
@@ -605,6 +616,8 @@ class Buffer:
 
     @classmethod
     def empty(cls, capacity: int, dim: int) -> "Buffer":
+        _check_integer("buffer capacity", capacity)
+        _check_integer("buffer dim", dim)
         if capacity < 1:
             raise ModelError(f"buffer capacity must be >= 1, got {capacity}")
         return cls(capacity, np.empty((0, dim)), np.empty(0, dtype=np.int64),

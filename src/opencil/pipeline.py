@@ -49,28 +49,30 @@ error only among the columns a call returns.
 
 The plan is built on first use and kept on the model as a plain attribute,
 which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
-sees. On every call the values it was built from (task embeddings and
-``slope_max``, head weights, biases and OOD flags, ``mean_activations``,
-``react_threshold`` and the number of heads) are compared bit for bit with
-a copy, so edits made in place are seen. ``whitening_factor`` and
-``class_means`` are compared by identity: replace them, do not write into
-them. Apart from the plan nothing here writes to the model; per-sample
-work items are independent and safe to parallelize.
+sees. One rule (``_unchanged``) keeps it and its memo slot: cached work is
+reused only while every array it was computed from is the same object and
+still read-only, and the cache makes those arrays read-only when it stores
+them. So a write into an array that inference has read raises
+``ValueError``, and an array replaced by another is seen. ``copy.deepcopy``
+and pickling give writable arrays, so a copy builds its own plan (pickle
+protocol 5 gives read-only arrays, which the plan copied with them still
+matches). A write through another writable view of the same memory is not
+seen. The plan's scalars are compared as bytes. Apart from the plan and those flags nothing
+here writes to the model; per-sample work items are independent and safe
+to parallelize.
 
 Per-step loops over one test set (a curve over steps 1..T, open-world
 metrics or closed-world accuracy after each step) ask for the same pass
-again and again. So the plan keeps one memo slot (``_columns``) of the
-per-head classes and scores of one batch under one detector-scorer pair,
-for every head. Its key is read-only copies of the batch, the adapter
-weights and bias and the trunk projection, compared by bytes, and the
-``Detector`` and ``Scorer`` values, so a change to any of them is seen
-without an adapter product; a rebuild of the plan or of its Mahalanobis
-arrays empties it. The slot retains its key, about n*d floats for the
-batch, plus the n x T columns; its arrays are read-only, and callers get
-copies or values derived from them. ``score_table``, ``evaluate_closed``,
-``evaluate_open`` and ``mixed_scores`` read it, each over the whole
-stacked test set, so their scores of one row agree to the bit with each
-other and with ``run_sweep``. ``predict`` scores one row and keeps no slot.
+again and again. So the plan keeps one memo slot (``_columns``): the
+classes and scores of every head over a stream's stacked test sets under
+one detector-scorer pair, with their labels and true tasks. It is keyed on
+the test sets' ``features`` and ``labels``, read-only in every ``Dataset``,
+and on the pair; a new plan starts with it empty. Its arrays are read-only,
+and callers get copies or values derived from them. ``score_table``,
+``evaluate_closed``, ``evaluate_open`` and ``mixed_scores`` read it, each
+over the whole stacked test set, so their scores of one row agree to the
+bit with each other and with ``run_sweep``. ``predict`` scores one row and
+keeps no slot.
 
 ``run_sweep`` makes one pass for all its pairs, then reads every step of a
 pair from that pass: a running maximum over heads gives each step's system
@@ -150,19 +152,16 @@ _CHUNK_ROWS = 128
 _MD_BLOCK = 128
 
 
-def _plan_inputs(model: ModelState):
-    """Every value the plan is built from, as bytes compared on each call.
+def _unchanged(held, current) -> bool:
+    """Whether cached work computed from the arrays ``held`` may be reused for
+    ``current``: the same arrays, one for one, every one still read-only."""
+    return len(held) == len(current) and all(
+        a is b and not a.flags.writeable for a, b in zip(held, current))
 
-    Comparing bytes is one memcmp per array, far cheaper than the folding it
-    guards, and it sees edits made in place, which identity would not.
-    """
-    heads, stats = model.heads, model.stats
-    arrays = [*model.adapters.task_embeddings, *(h.weights for h in heads),
-              *(h.bias for h in heads), *(s.mean_activations for s in stats)]
-    scalars = [model.adapters.slope_max, model.classes_per_task or 0,
-               *(s.react_threshold for s in stats), *(h.ood_logit_present for h in heads)]
-    return ([a.shape for a in arrays], [a.tobytes() for a in arrays],
-            np.array(scalars, dtype=np.float64).tobytes())
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _fold(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -179,7 +178,7 @@ class _Plan:
     Mahalanobis arrays are added on first use.
     """
 
-    def __init__(self, model: ModelState, inputs):
+    def __init__(self, model: ModelState, arrays, scalars):
         tasks, classes = model.trained_tasks, model.classes_per_task
         if len(model.adapters.task_embeddings) < tasks or len(model.stats) < tasks:
             raise ModelError(f"model has {tasks} heads but "
@@ -189,7 +188,6 @@ class _Plan:
             if head.num_classes != classes:
                 raise ModelError(f"head {t} has {head.num_classes} classes; model "
                                  f"has {classes} per task")
-        self.inputs = inputs
         self.masks = np.stack(_saturated_masks(model, tasks))  # (T, h)
         self.weights = np.stack([h.weights[:, :classes] for h in model.heads])  # (T, h, C)
         self.bias = np.stack([h.bias[:classes] for h in model.heads])  # (T, C)
@@ -197,9 +195,9 @@ class _Plan:
         self.thresholds = np.array([s.react_threshold for s in model.stats[:tasks]])
         self.mean_activations = np.stack([s.mean_activations for s in model.stats[:tasks]])
         self._dice: dict[float, np.ndarray] = {}
-        self._md_sources: list[np.ndarray] = []
         self._md = None
         self.columns = None  # the memo slot; see ``_columns``
+        self.arrays, self.scalars = tuple(_frozen(a) for a in arrays), scalars
 
     def dice(self, p: float) -> np.ndarray:
         """diag(m_t) (W_t * DICE keep-mask at percentile p), folded like ``folded``."""
@@ -221,11 +219,9 @@ class _Plan:
         columns, every head side by side, (h - a, T (b - a)), each a view of
         one buffer. The whitened means are kept relative to their mean per head
         (``centers``), as (T, h, C) with squared norms (T, C), so that
-        ||w||^2 - 2 w.mu + ||mu||^2 cancels little. Rebuilt when a head's
-        ``whitening_factor`` or ``class_means`` is a different array.
+        ||w||^2 - 2 w.mu + ||mu||^2 cancels little. Built on first use.
         """
-        sources = [a for s in stats[:len(self.masks)] for a in (s.whitening_factor, s.class_means)]
-        if self._md is None or any(a is not b for a, b in zip(sources, self._md_sources)):
+        if self._md is None:
             tasks, hidden = self.masks.shape
             count = max(1, hidden // _MD_BLOCK)
             bounds = [hidden * i // count for i in range(count + 1)]
@@ -249,17 +245,24 @@ class _Plan:
             means -= centers[:, None, :]
             self._md = (blocks, centers, np.ascontiguousarray(means.transpose(0, 2, 1)),
                         (means * means).sum(axis=2))
-            self._md_sources = sources
-            self.columns = None
         return self._md
 
 
 def _plan(model: ModelState) -> _Plan:
-    """The model's plan, rebuilt when any value it was built from has changed."""
-    inputs = _plan_inputs(model)
+    """The model's plan, rebuilt unless every array that it or its memo slot
+    reads is unchanged (``_unchanged``) and every scalar is bit-equal."""
+    adapters, heads, stats = model.adapters, model.heads, model.stats
+    projection = model.trunk.projection
+    arrays = [adapters.weights, adapters.bias, *([] if projection is None else [projection]),
+              *adapters.task_embeddings, *(a for h in heads for a in (h.weights, h.bias)),
+              *(a for s in stats
+                for a in (s.class_means, s.whitening_factor, s.mean_activations))]
+    scalars = np.array([adapters.slope_max, model.classes_per_task or 0,
+                        *(s.react_threshold for s in stats),
+                        *(h.ood_logit_present for h in heads)], dtype=np.float64).tobytes()
     plan = getattr(model, "_inference_plan", None)
-    if plan is None or plan.inputs != inputs:
-        plan = model._inference_plan = _Plan(model, inputs)
+    if plan is None or plan.scalars != scalars or not _unchanged(plan.arrays, arrays):
+        plan = model._inference_plan = _Plan(model, arrays, scalars)
     return plan
 
 
@@ -407,47 +410,26 @@ def _heads(plan: _Plan, md, relu: np.ndarray, detectors, scorers):
     return classes, scores
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _slot_key(model: ModelState, x: np.ndarray):
-    """Every array the shared-adapter output of ``x`` is computed from."""
-    projection = model.trunk.projection
-    return (x, model.adapters.weights, model.adapters.bias,
-            np.empty(0) if projection is None else projection)
-
-
-def _same_arrays(held, current) -> bool:
-    """Whether two key tuples hold arrays of equal shapes, types and bytes."""
-    return all(a.shape == b.shape and a.dtype == b.dtype
-               and np.array_equal(a.view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
-               for a, b in zip(held, current))
-
-
-def _columns(model: ModelState, x: np.ndarray, upto: int, detector, scorer):
-    """Classes and scores of heads 0..upto-1 for one pair, as read-only
-    (n, upto) views into the plan's memo slot.
-
-    The slot holds the columns of every head for one batch under one pair.
-    It is keyed on read-only copies of the batch, the adapter weights and
-    bias and the trunk projection, compared by bytes, and on the two values,
-    so a hit costs no adapter product. A miss scores every head in one pass.
+def _columns(model: ModelState, stream, upto: int, detector, scorer):
+    """Classes and scores of heads 0..upto-1 for one pair over the stream's
+    stacked test sets, with the sets' labels and true tasks, as read-only
+    views into the plan's memo slot, which holds every head for one stream
+    and pair. A hit (``_unchanged`` test-set arrays, an equal pair) costs no
+    stacking and no adapter product; a miss scores every head in one pass.
     """
     detector, scorer = _as_detector(detector), _as_scorer(scorer)
-    plan, md = _prepare(model, upto, [scorer])  # a rebuild of either empties the slot
-    x = np.asarray(x, dtype=np.float64)
-    key = _slot_key(model, x)
+    plan, md = _prepare(model, upto, [scorer])  # a new plan starts with an empty slot
+    tests = [a for _train, test in stream.tasks for a in (test.features, test.labels)]
     slot = plan.columns
-    if (slot is None or slot[1] != detector or slot[2] != scorer
-            or not _same_arrays(slot[0], key)):
-        classes, scores = _heads(plan, md, _adapter(model, x), [detector], [scorer])
-        slot = (tuple(_frozen(np.array(a, order="C")) for a in key), detector, scorer,
-                _frozen(classes), _frozen(scores[0, 0]))
+    if slot is None or slot[1:3] != (detector, scorer) or not _unchanged(slot[0], tests):
+        features, labels, tasks = _stack_tests(stream)
+        classes, scores = _heads(plan, md, _adapter(model, features), [detector], [scorer])
+        slot = (tuple(_frozen(a) for a in tests), detector, scorer,
+                *(_frozen(a) for a in (classes, scores[0, 0], labels, tasks)))
         # one assignment, so a concurrent call sees a whole slot, old or new
         plan.columns = slot
-    return _cut(slot[3], slot[4], upto)
+    classes, scores, labels, tasks = slot[3:]
+    return (*_cut(classes, scores, upto), labels, tasks)
 
 
 def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
@@ -494,9 +476,8 @@ def score_table(model: ModelState, stream, detector, scorer) -> ScoreTable:
     detector = _as_detector(detector)
     scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
-    features, labels, tasks = _stack_tests(stream)
-    _, scores = _columns(model, features, model.trained_tasks, detector, scorer)
-    return ScoreTable(scores.copy(), labels, tasks, detector.kind, scorer.kind)
+    _, scores, labels, tasks = _columns(model, stream, model.trained_tasks, detector, scorer)
+    return ScoreTable(scores.copy(), labels.copy(), tasks.copy(), detector.kind, scorer.kind)
 
 
 def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
@@ -514,8 +495,7 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
     steps = min(model.trained_tasks, stream.num_tasks)
     if not 1 <= upto <= steps:
         raise ModelError(f"step {upto} outside 1..{steps}")
-    features, labels, tasks = _stack_tests(stream)
-    classes, scores = _columns(model, features, upto, detector, scorer)
+    classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
     seen = tasks < upto
     classes, scores, labels, tasks = classes[seen], scores[seen], labels[seen], tasks[seen]
     chosen = tasks if oracle_task else scores.argmax(axis=1)
@@ -532,8 +512,7 @@ def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
             f"open-world step must lie in 1..{stream.num_tasks - 1} "
             f"(no unseen classes remain at step {stream.num_tasks}); got {upto}"
         )
-    features, _labels, tasks = _stack_tests(stream)
-    _, scores = _columns(model, features, upto, detector, scorer)
+    _, scores, _labels, tasks = _columns(model, stream, upto, detector, scorer)
     system = scores.max(axis=1)
     return system[tasks < upto], system[tasks >= upto]
 
@@ -546,8 +525,7 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     step. Feeds the accuracy-rejection curve.
     """
     _check_compatible(model, stream)
-    features, labels, tasks = _stack_tests(stream)
-    classes, scores = _columns(model, features, upto, detector, scorer)
+    classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
     predicted = classes[np.arange(len(labels)), scores.argmax(axis=1)]
     return scores.max(axis=1), (predicted == labels) & (tasks < upto)
 

@@ -491,6 +491,29 @@ class TestTrainTask:
             oc.train_stream(model, small_stream, hp, replay=True, backupdate=True)
         assert model.trained_tasks == 0
 
+    @pytest.mark.parametrize("make", [
+        lambda stream, hp: replace(hp, epochs=2.5),
+        lambda stream, hp: replace(hp, hidden_width=8.0),
+        lambda stream, hp: replace(hp, batch_size=16.5),
+        lambda stream, hp: replace(hp, backupdate_epochs=1.5),
+        lambda stream, hp: replace(hp, seed=2.5),
+        lambda stream, hp: replace(hp, seed=math.nan),
+        lambda stream, hp: replace(hp, epochs=True),
+        lambda stream, hp: oc.Buffer.empty(2.5, 8),
+        lambda stream, hp: oc.Buffer.empty(4, 8.0),
+        lambda stream, hp: oc.train_stream(oc.new_model(8, hp), stream, hp, replay=True,
+                                           buffer_capacity=2.5),
+        lambda stream, hp: oc.new_model(8.0, hp),
+        lambda stream, hp: oc.new_model(8, hp, trunk_dim=4.5),
+    ], ids=["epochs", "hidden_width", "batch_size", "backupdate_epochs", "seed", "seed_nan",
+            "bool", "buffer", "buffer_dim", "stream_buffer", "dim_in", "trunk_dim"])
+    def test_integer_setting_that_is_not_an_integer_is_refused(self, make, small_stream,
+                                                               small_hp):
+        hp = replace(small_hp, epochs=np.int64(1), seed=np.uint8(2))  # numpy integers pass
+        oc.Buffer.empty(np.int32(4), 8), oc.new_model(np.int16(8), hp, trunk_dim=np.int8(4))
+        with pytest.raises(ModelError, match="must be an integer"):
+            make(small_stream, small_hp)
+
 
 class TestComputeTrainStats:
     def test_one_sample_per_class_gives_ridge_identity(self):

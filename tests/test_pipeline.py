@@ -332,6 +332,16 @@ def predictions(model, features, pairs=(("dice", "enmd"), ("dice", "sm"), ("base
     return [oc.predict(model, d, s, x) for d, s in pairs for x in features]
 
 
+def _replaced(array, index, change):
+    """A copy of ``array`` with ``change`` applied at ``index``, once the same
+    write into ``array`` itself has raised: inference has made it read-only."""
+    with pytest.raises(ValueError, match="read-only"):
+        array[index] = change(array[index])
+    array = array.copy()
+    array[index] = change(array[index])
+    return array
+
+
 class TestDerivedStateStaysCurrent:
     def _assert_matches_fresh_load(self, model, features, tmp_path, **pairs):
         path = tmp_path / "model.txt"
@@ -344,10 +354,11 @@ class TestDerivedStateStaysCurrent:
         model = oc.load_model(_saved(small_model, tmp_path))
         features = np.concatenate([test.features[:3] for _, test in small_stream.tasks])
         before = predictions(model, features)
+        embeddings, head = model.adapters.task_embeddings, model.heads[1]
         if edit == "embedding":
-            np.negative(model.adapters.task_embeddings[0], out=model.adapters.task_embeddings[0])
+            embeddings[0] = _replaced(embeddings[0], ..., np.negative)
         elif edit == "head_bias":
-            model.heads[1].bias[0] += 5.0
+            head.bias = _replaced(head.bias, 0, lambda v: v + 5.0)
         else:
             model.adapters.slope_max = 0.5  # fractional masks
         assert predictions(model, features) != before
@@ -375,8 +386,9 @@ class TestDerivedStateStaysCurrent:
         model = oc.load_model(_saved(small_model, tmp_path))
         features = small_stream.tasks[1][1].features[:6]
         before = predictions(model, features)
-        model.heads[0].weights *= -1.0
-        model.heads[1].weights[:, 0] += 0.5
+        first, second = model.heads[:2]
+        first.weights = _replaced(first.weights, ..., np.negative)
+        second.weights = _replaced(second.weights, (slice(None), 0), lambda v: v + 0.5)
         after = predictions(model, features)
         assert after != before
         self._assert_matches_fresh_load(model, features, tmp_path)
@@ -708,10 +720,36 @@ def _assert_same_bits(got, expected):
 _PERCENTILES = st.sampled_from([None, 0.0, 40.0, 85.0, 100.0])
 _DETECTORS = st.one_of(st.sampled_from([oc.Detector("base"), oc.Detector("react")]),
                        st.builds(oc.Detector, st.sampled_from(["dice", "scale"]), _PERCENTILES))
-_CALLS = st.lists(st.tuples(st.sampled_from(["mixed", "closed", "open", "table"]),
-                            st.integers(1, 4), _DETECTORS,
-                            st.sampled_from(["sm", "smmd", "en", "enmd"])),
+_REPLACEMENTS = ["adapter_bias", "projection", "embedding", "head_weights", "class_means",
+                 "whitening_factor", "features"]
+_CALLS = st.lists(st.one_of(st.tuples(st.sampled_from(["mixed", "closed", "open", "table"]),
+                                      st.integers(1, 4), _DETECTORS,
+                                      st.sampled_from(["sm", "smmd", "en", "enmd"])),
+                            st.tuples(st.just("replace"), st.sampled_from(_REPLACEMENTS))),
                   min_size=1, max_size=8)
+
+
+def _apply_replacement(model, stream, target):
+    """Replace one array the calls read by an edited copy: a model array, or
+    a test set's features through a rebuilt stream, which is returned."""
+    adapters, stats = model.adapters, model.stats
+    if target == "adapter_bias":
+        adapters.bias = adapters.bias + 0.25
+    elif target == "projection":
+        model.trunk.projection = -model.trunk.projection
+    elif target == "embedding":
+        adapters.task_embeddings[1] = -adapters.task_embeddings[1]
+    elif target == "head_weights":
+        model.heads[2].weights = 1.5 * model.heads[2].weights
+    elif target == "class_means":
+        stats[0].class_means = stats[0].class_means[::-1].copy()
+    elif target == "whitening_factor":
+        stats[3].whitening_factor = 0.5 * stats[3].whitening_factor
+    else:
+        (train, test), *rest = stream.tasks
+        edited = oc.Dataset(test.features + 0.5, test.labels)
+        return dataclasses.replace(stream, tasks=((train, edited), *rest))
+    return stream
 
 
 class TestColumnMemo:
@@ -722,10 +760,54 @@ class TestColumnMemo:
         calls = calls + calls[repeat % len(calls):]  # repeats, from the slot
         calls += [("mixed", 2, oc.Detector("dice"), "enmd"), ("mixed", 3, oc.Detector("scale"), "sm"),
                   ("table", 4, oc.Detector("base"), "smmd"), ("open", 1, oc.Detector("base"), "smmd")]
-        model = oc.load_model(path)
+        model, reference = oc.load_model(path), path
         for call in calls:
+            if call[0] == "replace":
+                stream, reference = _apply_replacement(model, stream, call[1]), f"{path}.replaced"
+                oc.save_model(model, reference)
+                continue
             _assert_same_bits(_call(model, stream, *call),
-                              _call(oc.load_model(path), stream, *call))
+                              _call(oc.load_model(reference), stream, *call))
+
+    @pytest.mark.parametrize("read", ["predict", "table"])
+    @pytest.mark.parametrize("array", ["whitening_factor", "class_means", "head_weights",
+                                       "embedding", "adapter_weights", "projection"])
+    def test_write_after_a_call_raises(self, array, read, memo_case):
+        # a cached plan cannot see such a write, so the write must fail
+        path, stream = memo_case
+        model = oc.load_model(path)
+        target = {"whitening_factor": model.stats[0].whitening_factor,
+                  "class_means": model.stats[1].class_means,
+                  "head_weights": model.heads[2].weights,
+                  "embedding": model.adapters.task_embeddings[3],
+                  "adapter_weights": model.adapters.weights,
+                  "projection": model.trunk.projection}[array]
+        assert target.flags.writeable  # until inference reads it
+        if read == "predict":
+            oc.predict(model, "base", "sm", stream.tasks[0][1].features[0])
+        else:
+            oc.score_table(model, stream, "dice", "enmd")
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] *= 3.0
+
+    def test_write_into_a_deepcopy_with_a_plan_is_seen(self, memo_case, tmp_path):
+        path, stream = memo_case
+        model = oc.load_model(path)
+        calls = [("table", 4, "dice", "enmd"), ("mixed", 2, "base", "smmd"),
+                 ("closed", 3, "scale", "enmd")]
+        original = [_call(model, stream, *call) for call in calls]  # a plan and a slot
+        copied = copy.deepcopy(model)  # carries the plan along, with writable arrays
+        copied.stats[0].whitening_factor[0, 0] *= 3.0
+        copied.stats[1].class_means[0] += 1.0
+        saved = tmp_path / "copied.bin"
+        oc.save_model(copied, str(saved))
+        fresh = oc.load_model(str(saved))
+        for call in calls:
+            _assert_same_bits(_call(copied, stream, *call), _call(fresh, stream, *call))
+        features = stream.tasks[1][1].features[:4]
+        assert predictions(copied, features) == predictions(fresh, features)
+        for call, before in zip(calls, original):  # the model copied from is untouched
+            _assert_same_bits(_call(model, stream, *call), before)
 
     def test_each_head_computed_once(self, memo_case, monkeypatch):
         # one pass per batch and pair scores every head; each call cuts it
@@ -770,22 +852,25 @@ class TestColumnMemo:
         pairs = [("mixed", 2, "dice", "enmd"), ("mixed", 4, "dice", "enmd"),
                  ("table", 4, "dice", "enmd"), ("open", 3, "dice", "enmd")]
         before = [_call(model, stream, *pair) for pair in pairs[:1]]
+        adapters, stats = model.adapters, model.stats[0]
         if edit == "adapter_weights":
-            model.adapters.weights[0] += 0.5
+            adapters.weights = _replaced(adapters.weights, 0, lambda v: v + 0.5)
         elif edit == "adapter_bias":
-            model.adapters.bias += 0.25
+            adapters.bias = _replaced(adapters.bias, ..., lambda v: v + 0.25)
         elif edit == "projection":
-            model.trunk.projection[:, 0] *= -1.0
+            model.trunk.projection = _replaced(model.trunk.projection, (slice(None), 0),
+                                               np.negative)
         elif edit == "embedding":
-            np.negative(model.adapters.task_embeddings[1], out=model.adapters.task_embeddings[1])
+            adapters.task_embeddings[1] = _replaced(adapters.task_embeddings[1], ..., np.negative)
         elif edit == "head_bias":
-            model.heads[0].bias[0] += 5.0
+            model.heads[0].bias = _replaced(model.heads[0].bias, 0, lambda v: v + 5.0)
         elif edit == "whitening_factor":
-            model.stats[0].whitening_factor = 0.5 * model.stats[0].whitening_factor
+            stats.whitening_factor = _replaced(stats.whitening_factor, ..., lambda v: 0.5 * v)
         else:
-            features = stream.tasks[0][1].features
-            features.setflags(write=True)
-            features[:5] += 1.0
+            (train, test), *rest = stream.tasks
+            features = _replaced(test.features, slice(5), lambda v: v + 1.0)
+            stream = dataclasses.replace(
+                stream, tasks=((train, oc.Dataset(features, test.labels)), *rest))
         saved = tmp_path / "edited.bin"
         oc.save_model(model, str(saved))
         after = [_call(model, stream, *pair) for pair in pairs]
@@ -805,9 +890,15 @@ class TestColumnMemo:
         correct[:] = True
         ind, ood = oc.evaluate_open(model, stream, 3, "scale", "enmd")
         ind[:] = 0.0
+        labels, tasks = table.labels.copy(), table.tasks.copy()
+        table.labels[:] = table.tasks[:] = 0
         fresh = oc.load_model(path)
-        _assert_same_bits([oc.score_table(model, stream, "scale", "enmd").scores], [expected])
+        again = oc.score_table(model, stream, "scale", "enmd")
+        _assert_same_bits([again.scores, again.labels, again.tasks], [expected, labels, tasks])
         for call in [("mixed", 4, "scale", "enmd"), ("open", 3, "scale", "enmd")]:
             _assert_same_bits(_call(model, stream, *call), _call(fresh, stream, *call))
-        key, _detector, _scorer, classes, scores = model._inference_plan.columns
-        assert not any(a.flags.writeable for a in (*key, classes, scores))
+        key, _detector, _scorer, *held = model._inference_plan.columns
+        assert not any(a.flags.writeable for a in key)
+        for a in held:  # the classes, scores, labels and tasks the calls copied from
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0

@@ -6,14 +6,17 @@ and ``curve`` commands. ``readme_replay_report.csv`` and
 ``readme_replay_curves.csv`` are the outputs of the same ``eval`` and
 ``curve`` commands on the model of the README's replay ``train`` line. The
 same commands must keep writing them byte for byte: a change that moves any
-reported digit has to say so by updating the golden files.
+reported digit has to say so by updating the golden files. The README's
+example of editing a trained model runs as written too.
 """
 
 import re
 import shlex
 from pathlib import Path
 
+import pytest
 
+import opencil as oc
 from opencil.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,3 +68,29 @@ def test_readme_replay_commands_write_the_golden_csvs(tmp_path, monkeypatch, cap
     for written, golden in [("replay-report.csv", "readme_replay_report.csv"),
                             ("replay-curves.csv", "readme_replay_curves.csv")]:
         assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes(), written
+
+
+def _editing_example() -> tuple[str, str]:
+    """The README's code for editing a trained model, and the in-place write
+    that its ``# not:`` comment names."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Editing a trained model"):]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return code, re.search(r"# not: (.+)", code).group(1)
+
+
+def test_readme_editing_example_replaces_and_the_write_it_avoids_raises(
+        small_model, small_stream, tmp_path):
+    code, in_place = _editing_example()
+    oc.save_model(small_model, str(tmp_path / "model.bin"))
+    model = oc.load_model(str(tmp_path / "model.bin"))
+    before = oc.score_table(model, small_stream, "dice", "enmd").scores
+    with pytest.raises(ValueError, match="read-only"):
+        exec(in_place, {"stats": model.stats[0]})
+    exec(code, {"model": model})
+    after = oc.score_table(model, small_stream, "dice", "enmd").scores
+    oc.save_model(model, str(tmp_path / "edited.bin"))
+    fresh = oc.score_table(oc.load_model(str(tmp_path / "edited.bin")), small_stream,
+                           "dice", "enmd").scores
+    assert after.tobytes() != before.tobytes()
+    assert after.tobytes() == fresh.tobytes()
