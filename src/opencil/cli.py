@@ -77,7 +77,7 @@ _SETTINGS = {
     "detector": (str, "base", "curve", "--detector", "detector kind"),
     "scorer": (str, "enmd", "curve", "--scorer", "scorer kind"),
     "temperature": (float, Scorer.temperature, "eval curve", "--temperature",
-                    "softmax and energy temperature"),
+                    "energy temperature"),
     "dice_percentile": (float, DEFAULT_PERCENTILES["dice"], "eval curve",
                         "--dice-percentile", "DICE sparsity percentile"),
     "scale_percentile": (float, DEFAULT_PERCENTILES["scale"], "eval curve",
@@ -281,7 +281,8 @@ def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
 def _scorer_objects(settings: _Settings, kinds: list[str]) -> list[Scorer]:
     temperature = settings["temperature"]
     try:
-        scorers = [Scorer(kind, temperature) for kind in kinds]
+        scorers = [Scorer(kind, temperature) if kind in ("en", "enmd") else Scorer(kind)
+                   for kind in kinds]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # a temperature that no energy scorer of the run reads is refused, not ignored

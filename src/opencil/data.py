@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_integer
 from .rng import substream
 
 __all__ = [
@@ -42,7 +42,8 @@ class Dataset:
     """A table of feature vectors with integer class labels.
 
     ``features`` has shape (n, dim) and ``labels`` shape (n,). The class
-    count is inferred as ``1 + max(labels)``.
+    count is inferred as ``1 + max(labels)``. Both are kept read-only, and an
+    array that does not own its data is copied first.
     """
 
     features: np.ndarray
@@ -51,6 +52,9 @@ class Dataset:
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labs = np.ascontiguousarray(self.labels, dtype=np.int64)
+        # a view is copied: a write through the array it views would change it
+        feats = feats if feats.base is None else feats.copy()
+        labs = labs if labs.base is None else labs.copy()
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {feats.shape}")
         if labs.ndim != 1 or len(labs) != len(feats):
@@ -187,6 +191,8 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("num_classes", "dim", "per_class", "seed"):
+            check_integer(name, getattr(self, name), DataError)
         if self.num_classes < 2:
             raise DataError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.per_class < 2:
@@ -241,6 +247,9 @@ def holdout(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset,
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    check_integer("seed", seed, DataError)
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = substream(seed, "holdout")
     test_mask = np.zeros(len(dataset), dtype=bool)
     for c in range(dataset.num_classes):
@@ -281,6 +290,7 @@ def split_tasks(train: Dataset, test: Dataset, num_tasks: int) -> TaskStream:
     Task k receives exactly classes [k*c, (k+1)*c) with c the class
     count divided by ``num_tasks``, in the original class order.
     """
+    check_integer("num_tasks", num_tasks, DataError)
     if num_tasks < 1:
         raise DataError(f"num_tasks must be >= 1, got {num_tasks}")
     if train.dim != test.dim:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import numpy as np
 
 
 class OpenCILError(Exception):
@@ -19,3 +21,9 @@ class ModelIOError(OpenCILError):
 
 class ConfigError(OpenCILError):
     """Bad command-line usage or configuration file contents."""
+
+
+def check_integer(name: str, value, error: type[OpenCILError]) -> None:
+    """Refuse a count or seed that is not an int or a numpy integer with ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Dataset
 from .detectors import percentile
-from .errors import ModelError
+from .errors import ModelError, check_integer
 from .rng import substream
 
 EMBEDDING_INIT_RANGE = 0.1
@@ -64,12 +64,6 @@ __all__ = [
 ]
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a count or seed that is not an int or a numpy integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ModelError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     """Every training setting, checked once when made: the SGD loop's, the
@@ -88,7 +82,7 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "hidden_width", "seed", "backupdate_epochs"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name), ModelError)
         for name in ("epochs", "learning_rate", "batch_size", "hidden_width",
                      "slope_max", "covariance_ridge"):
             if not 0 < getattr(self, name) < math.inf:
@@ -176,13 +170,13 @@ def new_model(dim_in: int, hp: Hyperparams, trunk_dim: int | None = None) -> Mod
     ``trunk_dim`` switches the trunk from identity to a frozen random
     projection of that width.
     """
-    _check_integer("dim_in", dim_in)
+    check_integer("dim_in", dim_in, ModelError)
     if dim_in < 1:
         raise ModelError(f"dim_in must be >= 1, got {dim_in}")
     if trunk_dim is None:
         trunk = TrunkParams(dim_in)
     else:
-        _check_integer("trunk_dim", trunk_dim)
+        check_integer("trunk_dim", trunk_dim, ModelError)
         if trunk_dim < 1:
             raise ModelError(f"trunk_dim must be >= 1, got {trunk_dim}")
         proj_rng = substream(hp.seed, "init:trunk")
@@ -614,12 +608,14 @@ class Buffer:
     labels: np.ndarray  # (m,) global class ids
     tasks: np.ndarray  # (m,) source task ids
 
+    def __post_init__(self) -> None:
+        check_integer("buffer capacity", self.capacity, ModelError)
+        if self.capacity < 1:
+            raise ModelError(f"buffer capacity must be >= 1, got {self.capacity}")
+
     @classmethod
     def empty(cls, capacity: int, dim: int) -> "Buffer":
-        _check_integer("buffer capacity", capacity)
-        _check_integer("buffer dim", dim)
-        if capacity < 1:
-            raise ModelError(f"buffer capacity must be >= 1, got {capacity}")
+        check_integer("buffer dim", dim, ModelError)
         return cls(capacity, np.empty((0, dim)), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.int64))
 
@@ -639,6 +635,9 @@ def buffer_update(buffer: Buffer, task_data: Dataset, task_id: int, seed: int) -
     replacement; deterministic given the seed. ``task_data`` must carry
     global labels.
     """
+    check_integer("seed", seed, ModelError)
+    if seed < 0:
+        raise ModelError(f"seed must be non-negative, got {seed}")
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c, count in buffer.class_counts().items():
         idx = np.flatnonzero(buffer.labels == c)

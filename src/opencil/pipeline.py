@@ -13,10 +13,11 @@ else, batched over rows and heads.
 Closed-world evaluation at step k restricts inference to the first k
 heads over the test sets of tasks 1..k; open-world evaluation scores
 every test sample and splits them into seen (tasks 1..k) and unseen
-(later tasks) populations. The system-level score of a sample is the
-maximum per-head score, the value realized at the task-id argmax.
+(later tasks) populations. At every step the task-id is the head with the
+highest score, ties to the lower head (``_routed``), and its score is the
+system score.
 
-Every entry point reads one pass, ``_heads``, of a batch through every
+Every entry point reads one pass (``_pass``) of a batch through every
 head of the model's inference plan (``_Plan``) and cuts it to the heads
 it asks for (``upto``). The plan folds each head's saturated mask m_t into
 the arrays that read the gated activations z_t = relu * m_t:
@@ -75,9 +76,8 @@ bit with each other and with ``run_sweep``. ``predict`` scores one row and
 keeps no slot.
 
 ``run_sweep`` makes one pass for all its pairs, then reads every step of a
-pair from that pass: a running maximum over heads gives each step's system
-scores, a running argmax (ties to the lower head) its task-ids, one
-``bincount`` its per-task hits, and ``metrics.separation`` its ROC and
+pair from that pass: step k routes heads 0..k-1 like ``evaluate_closed``,
+and while unseen tasks remain ``metrics.separation`` gives its ROC and
 precision-recall areas from one sort.
 """
 
@@ -322,20 +322,17 @@ def _base(logits: np.ndarray, key) -> np.ndarray:
     return energy if temperature == 1.0 else temperature * energy
 
 
-def _prepare(model: ModelState, upto: int, scorers):
-    """The model's plan and, when a scorer needs them, its Mahalanobis arrays."""
-    tasks = model.trained_tasks
-    if not 1 <= upto <= tasks:
-        raise ModelError(f"head count {upto} outside 1..{tasks}")
+def _pass(model: ModelState, x: np.ndarray, detectors, scorers):
+    """One uncut pass of a batch through every head, as ``_heads`` returns it;
+    the Mahalanobis arrays are built only when a scorer reads them."""
+    if model.trained_tasks == 0:
+        raise ModelError("model has no trained heads")
     plan = _plan(model)
     md = (plan.mahalanobis(model.stats) if any(s.kind in ("smmd", "enmd") for s in scorers)
           else None)
-    return plan, md
-
-
-def _adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite score
-        return _shared_adapter(model, x)
+        relu = _shared_adapter(model, x)
+    return _heads(plan, md, relu, detectors, scorers)
 
 
 def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=()):
@@ -346,13 +343,14 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
     scores under ``detectors[i]`` and ``scorers[j]``. Pairs are indexed
     by position, since two detectors may share a kind.
     """
-    plan, md = _prepare(model, upto, scorers)
-    return _cut(*_heads(plan, md, _adapter(model, x), detectors, scorers), upto)
+    return _cut(*_pass(model, x, detectors, scorers), upto)
 
 
 def _cut(classes: np.ndarray, scores: np.ndarray, upto: int):
     """The columns of heads 0..upto-1 of a pass, whose ``scores`` are
     (..., n, T). A non-finite score among them, under any pair, is an error."""
+    if not 1 <= upto <= scores.shape[-1]:
+        raise ModelError(f"head count {upto} outside 1..{scores.shape[-1]}")
     scores = scores[..., :upto]
     finite = np.isfinite(scores).all(axis=(*range(scores.ndim - 2), scores.ndim - 1))
     bad = len(finite) - int(finite.sum())
@@ -418,18 +416,35 @@ def _columns(model: ModelState, stream, upto: int, detector, scorer):
     stacking and no adapter product; a miss scores every head in one pass.
     """
     detector, scorer = _as_detector(detector), _as_scorer(scorer)
-    plan, md = _prepare(model, upto, [scorer])  # a new plan starts with an empty slot
+    plan = _plan(model)  # a new plan starts with an empty slot
     tests = [a for _train, test in stream.tasks for a in (test.features, test.labels)]
     slot = plan.columns
     if slot is None or slot[1:3] != (detector, scorer) or not _unchanged(slot[0], tests):
         features, labels, tasks = _stack_tests(stream)
-        classes, scores = _heads(plan, md, _adapter(model, features), [detector], [scorer])
+        classes, scores = _pass(model, features, [detector], [scorer])
         slot = (tuple(_frozen(a) for a in tests), detector, scorer,
                 *(_frozen(a) for a in (classes, scores[0, 0], labels, tasks)))
         # one assignment, so a concurrent call sees a whole slot, old or new
         plan.columns = slot
     classes, scores, labels, tasks = slot[3:]
     return (*_cut(classes, scores, upto), labels, tasks)
+
+
+def _routed(classes: np.ndarray, scores: np.ndarray):
+    """Each row's ``(system score, task-id, class)`` over the heads given: the
+    highest score wins, ties to the lower head. The only place a task-id is
+    chosen."""
+    rows = np.arange(len(scores))
+    chosen = scores.argmax(axis=1)
+    return scores[rows, chosen], chosen, classes[rows, chosen]
+
+
+def _accuracies(correct: np.ndarray, tasks: np.ndarray, k: int):
+    """Step k's closed-world accuracy over the rows of tasks 0..k-1, and each task's."""
+    seen = tasks < k
+    correct, tasks = correct[seen], tasks[seen]
+    hits = np.bincount(tasks, weights=correct, minlength=k)
+    return float(correct.mean()), (hits / np.bincount(tasks, minlength=k)).tolist()
 
 
 def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
@@ -442,9 +457,8 @@ def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
     x = np.asarray(x, dtype=np.float64)
     classes, scores = _forward(model, x[None, :], model.trained_tasks,
                                [_as_detector(detector)], [_as_scorer(scorer)])
-    row = scores[0, 0, 0]
-    task = int(row.argmax())
-    return Prediction(task, int(classes[0, task]), float(row[task]))
+    system, task, predicted = _routed(classes, scores[0, 0])
+    return Prediction(int(task[0]), int(predicted[0]), float(system[0]))
 
 
 def _stack_tests(stream):
@@ -498,10 +512,10 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
     classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
     seen = tasks < upto
     classes, scores, labels, tasks = classes[seen], scores[seen], labels[seen], tasks[seen]
-    chosen = tasks if oracle_task else scores.argmax(axis=1)
-    correct = classes[np.arange(len(labels)), chosen] == labels
-    per_task = tuple(float(correct[tasks == t].mean()) for t in range(upto))
-    return ClosedWorldResult(float(correct.mean()), per_task)
+    predicted = (classes[np.arange(len(labels)), tasks] if oracle_task
+                 else _routed(classes, scores)[2])
+    accuracy, per_task = _accuracies(predicted == labels, tasks, upto)
+    return ClosedWorldResult(accuracy, tuple(per_task))
 
 
 def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
@@ -512,8 +526,8 @@ def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
             f"open-world step must lie in 1..{stream.num_tasks - 1} "
             f"(no unseen classes remain at step {stream.num_tasks}); got {upto}"
         )
-    _, scores, _labels, tasks = _columns(model, stream, upto, detector, scorer)
-    system = scores.max(axis=1)
+    classes, scores, _labels, tasks = _columns(model, stream, upto, detector, scorer)
+    system = _routed(classes, scores)[0]
     return system[tasks < upto], system[tasks >= upto]
 
 
@@ -526,8 +540,8 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     """
     _check_compatible(model, stream)
     classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
-    predicted = classes[np.arange(len(labels)), scores.argmax(axis=1)]
-    return scores.max(axis=1), (predicted == labels) & (tasks < upto)
+    system, _, predicted = _routed(classes, scores)
+    return system, (predicted == labels) & (tasks < upto)
 
 
 def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalReport:
@@ -560,34 +574,19 @@ def _sweep_row(detector, scorer, scores, classes, labels, tasks,
                num_tasks) -> metrics.ReportRow:
     """One report row from the (n, T) head scores and classes of one pair.
 
-    Column k-1 of a running maximum over heads is the system score after
-    step k, and the running argmax, which moves to head j only when head j
-    scores strictly higher than every head before it, is that step's task-id
-    with ties to the lower head. Per-task hit counts at every step come from
-    one ``bincount``.
-    """
-    steps = np.arange(num_tasks)
-    system = np.maximum.accumulate(scores, axis=1)
-    rises = np.empty(scores.shape, dtype=bool)
-    rises[:, 0] = True
-    np.greater(scores[:, 1:], system[:, :-1], out=rises[:, 1:])
-    chosen = np.maximum.accumulate(np.where(rises, steps, 0), axis=1)
-    correct = np.take_along_axis(classes, chosen, axis=1) == labels[:, None]
-    # hits[t, k-1]: correct samples of task t at step k; counts[t]: task t's samples
-    hits = np.bincount((tasks[:, None] * num_tasks + steps).ravel(), weights=correct.ravel(),
-                       minlength=num_tasks * num_tasks).reshape(num_tasks, num_tasks)
-    counts = np.bincount(tasks, minlength=num_tasks).astype(np.float64)
-    seen_hits = np.cumsum(hits, axis=0).diagonal()  # tasks 0..k-1 at step k
-    seen_counts = np.cumsum(counts)
-    step_accuracies = (seen_hits / seen_counts).tolist()
-    per_task = hits / counts[:, None]
-    per_task_accuracies = [per_task[:k, k - 1].tolist() for k in range(1, num_tasks + 1)]
-
-    step_auc, step_aupr = [], []
-    for k in range(1, num_tasks):
-        roc, pr = metrics.separation(system[:, k - 1], tasks < k)
-        step_auc.append(roc)
-        step_aupr.append(pr)
+    Step k reads heads 0..k-1 through ``_routed`` and ``_accuracies``, as
+    ``evaluate_closed`` does, and while k < T ``metrics.separation`` gives its
+    ROC and precision-recall areas."""
+    step_accuracies, per_task_accuracies, step_auc, step_aupr = [], [], [], []
+    for k in range(1, num_tasks + 1):
+        system, _, predicted = _routed(classes[:, :k], scores[:, :k])
+        accuracy, per_task = _accuracies(predicted == labels, tasks, k)
+        step_accuracies.append(accuracy)
+        per_task_accuracies.append(per_task)
+        if k < num_tasks:
+            roc, pr = metrics.separation(system, tasks < k)
+            step_auc.append(roc)
+            step_aupr.append(pr)
 
     return metrics.ReportRow(
         detector=detector.kind,

@@ -22,7 +22,11 @@ __all__ = ["SCORER_KINDS", "Scorer"]
 
 @dataclass(frozen=True)
 class Scorer:
-    """A scorer kind plus its softmax/energy temperature."""
+    """A scorer kind plus its energy temperature.
+
+    Only en and enmd read a temperature; sm and smmd refuse one other than
+    the default 1.0.
+    """
 
     kind: str
     temperature: float = 1.0
@@ -34,3 +38,5 @@ class Scorer:
             )
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if self.kind in ("sm", "smmd") and self.temperature != 1.0:
+            raise ValueError(f"scorer {self.kind!r} reads no temperature, got {self.temperature}")

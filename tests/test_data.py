@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import opencil as oc
-from opencil.errors import DataError
+from opencil.errors import DataError, ModelError
 
 
 def write(path, text):
@@ -251,3 +253,39 @@ class TestTaskLocal:
         ds = oc.Dataset(np.zeros((2, 2)), np.array([0, 1]))
         with pytest.raises(DataError, match="outside task 2 range"):
             oc.task_local(ds, 2, 2)
+
+
+class TestDataset:
+    def test_view_is_copied(self):
+        features, labels = np.zeros((10, 3)), np.arange(10) % 2
+        ds = oc.Dataset(features[:5], labels[:5])
+        features[0, 0], labels[0] = 5.0, 1  # a write through the viewed arrays
+        assert ds.features[0, 0] == 0.0 and ds.labels[0] == 0
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+        # arrays that own their data, such as another Dataset's, are kept
+        again = oc.Dataset(ds.features, ds.labels)
+        assert again.features is ds.features and again.labels is ds.labels
+
+
+_TINY = oc.SynthSpec(num_classes=2, dim=2, per_class=4, mean_separation=3.0, seed=1)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda ds: replace(_TINY, num_classes=2.0), DataError),
+    (lambda ds: replace(_TINY, dim=8.0), DataError),
+    (lambda ds: replace(_TINY, per_class=10.5), DataError),
+    (lambda ds: replace(_TINY, seed=2.5), DataError),
+    (lambda ds: oc.split_tasks(ds, ds, 2.0), DataError),
+    (lambda ds: oc.holdout(ds, 0.5, 2.5), DataError),
+    (lambda ds: oc.holdout(ds, 0.5, -1), DataError),
+    (lambda ds: oc.buffer_update(oc.Buffer.empty(4, 2), ds, 0, 2.5), ModelError),
+    (lambda ds: oc.buffer_update(oc.Buffer.empty(4, 2), ds, 0, -1), ModelError),
+], ids=["num_classes", "dim", "per_class", "synth_seed", "num_tasks", "holdout_seed",
+        "holdout_negative_seed", "buffer_seed", "buffer_negative_seed"])
+def test_seed_or_count_that_is_not_a_non_negative_integer_is_refused(make, error):
+    ds = oc.synth_gaussian(_TINY)
+    # numpy integers pass
+    replace(_TINY, seed=np.uint8(2)), oc.split_tasks(ds, ds, np.int64(2))
+    oc.holdout(ds, 0.5, np.int32(3)), oc.buffer_update(oc.Buffer.empty(4, 2), ds, 0, np.int8(1))
+    with pytest.raises(error, match="must be an integer|must be non-negative"):
+        make(ds)

@@ -501,12 +501,14 @@ class TestTrainTask:
         lambda stream, hp: replace(hp, epochs=True),
         lambda stream, hp: oc.Buffer.empty(2.5, 8),
         lambda stream, hp: oc.Buffer.empty(4, 8.0),
+        lambda stream, hp: oc.Buffer(2.5, np.empty((0, 8)), np.empty(0, dtype=np.int64),
+                                     np.empty(0, dtype=np.int64)),
         lambda stream, hp: oc.train_stream(oc.new_model(8, hp), stream, hp, replay=True,
                                            buffer_capacity=2.5),
         lambda stream, hp: oc.new_model(8.0, hp),
         lambda stream, hp: oc.new_model(8, hp, trunk_dim=4.5),
     ], ids=["epochs", "hidden_width", "batch_size", "backupdate_epochs", "seed", "seed_nan",
-            "bool", "buffer", "buffer_dim", "stream_buffer", "dim_in", "trunk_dim"])
+            "bool", "buffer", "buffer_dim", "buffer_direct", "stream_buffer", "dim_in", "trunk_dim"])
     def test_integer_setting_that_is_not_an_integer_is_refused(self, make, small_stream,
                                                                small_hp):
         hp = replace(small_hp, epochs=np.int64(1), seed=np.uint8(2))  # numpy integers pass
@@ -617,6 +619,12 @@ class TestBuffer:
         features = rng.normal(size=(classes * per_class, dim))
         labels = np.repeat(np.arange(base, base + classes), per_class)
         return oc.Dataset(features, labels)
+
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_capacity_below_one_refused_when_made(self, direct):
+        empty = (np.empty((0, 4)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        with pytest.raises(ModelError, match="capacity must be >= 1"):
+            oc.Buffer(0, *empty) if direct else oc.Buffer.empty(0, 4)
 
     def test_two_classes_split_evenly(self):
         buffer = oc.Buffer.empty(200, 4)

@@ -10,7 +10,7 @@ import opencil as oc
 from conftest import manual_model, manual_stats
 from opencil.data import task_local
 from opencil.errors import ModelError
-from opencil.model import activations
+from opencil.model import _shared_adapter, activations
 from opencil import pipeline
 from opencil.pipeline import _forward
 from per_vector import (detector_logits, forward_features, score_combined, score_sm,
@@ -222,7 +222,7 @@ class TestMahalanobisBlocks:
                                  for m, s in zip(plan.masks, model.stats)], axis=1)
         assert len(blocks) == 1 and np.array_equal(blocks[0][2], folded)
         for rows in (features[:1], features):
-            relu = pipeline._adapter(model, rows)
+            relu = _shared_adapter(model, rows)
             # the whitened activations of every head from the whole folded factor
             w = np.matmul(relu, folded.reshape(hidden, 3, hidden).transpose(1, 0, 2))
             w -= centers[:, None, :]
@@ -230,6 +230,10 @@ class TestMahalanobisBlocks:
             d_min = np.maximum(np.einsum("tnh,tnh->tn", w, w) + nearest, 0.0)
             expected = (1.0 / (1.0 + d_min)).T
             assert pipeline._md_coefficient(relu, md).tobytes() == expected.tobytes()
+            # the pass weights each softmax maximum by that coefficient
+            _, scores = pipeline._pass(model, rows, [oc.Detector("base")],
+                                       [oc.Scorer("sm"), oc.Scorer("smmd")])
+            assert scores[0, 1].tobytes() == (scores[0, 0] * expected).tobytes()
 
 
 def random_plan_model(seed, hidden, classes, tasks):
@@ -268,7 +272,8 @@ class TestPlanMatchesPerHeadReference:
                      oc.Detector("dice", data.draw(p)), oc.Detector("dice", data.draw(p)),
                      oc.Detector("scale", data.draw(p)), oc.Detector("scale", data.draw(p))]
         temperature = data.draw(st.floats(0.5, 2.0), label="temperature")
-        scorers = [oc.Scorer(kind, temperature) for kind in ("sm", "smmd", "en", "enmd")]
+        scorers = [oc.Scorer("sm"), oc.Scorer("smmd"), oc.Scorer("en", temperature),
+                   oc.Scorer("enmd", temperature)]
         classes_by_head, scores = _forward(model, features, upto, detectors, scorers)
         for t in range(upto):
             head, stats = model.heads[t], model.stats[t]

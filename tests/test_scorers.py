@@ -157,6 +157,12 @@ class TestScoreCombined:
         with pytest.raises(ValueError):
             Scorer("softmax")
 
+    @pytest.mark.parametrize("kind", ["sm", "smmd"])
+    def test_temperature_refused_where_none_is_read(self, kind):
+        with pytest.raises(ValueError, match=f"scorer '{kind}' reads no temperature"):
+            Scorer(kind, 3.0)
+        assert Scorer(kind, 1.0) == Scorer(kind)
+
 
 class TestHeadSelectionInvariance:
     def test_argmax_invariant_under_monotone_rescale(self):

@@ -222,7 +222,7 @@ class TestRunSweep:
     def test_scorers_sharing_a_base_match_lone_passes(self, four_task_cases):
         # sm and smmd share one base, en and enmd one per temperature
         model, stream = four_task_cases[0]
-        scorers = [oc.Scorer("en", 2.0), oc.Scorer("sm", 3.0), oc.Scorer("enmd", 2.0),
+        scorers = [oc.Scorer("en", 2.0), oc.Scorer("sm"), oc.Scorer("enmd", 2.0),
                    oc.Scorer("en"), oc.Scorer("smmd"), oc.Scorer("enmd", 0.5)]
         detectors = [oc.Detector("dice", 40.0), oc.Detector("scale", 60.0), DETECTORS[0]]
         features, _, _ = pipeline._stack_tests(stream)
@@ -235,9 +235,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("case", [0, 1], ids=["buffer-free", "replay"])
     def test_evaluate_closed_equals_the_sweep_at_every_step(self, four_task_cases, case):
-        # both read one pass over the same stacked rows, so they agree exactly
+        # all read one pass over the same stacked rows and one step rule, so they
+        # agree exactly
         model, stream = four_task_cases[case]
         report = oc.run_sweep(model, stream, DETECTORS, SCORERS)
+        tasks = pipeline._stack_tests(stream)[2]
         for d in DETECTORS:
             for s in SCORERS:
                 row = report.row(d.kind, s.kind)
@@ -245,3 +247,9 @@ class TestRunSweep:
                     result = oc.evaluate_closed(model, stream, k, d, s)
                     assert result.accuracy == row.step_accuracies[k - 1]
                     assert list(result.per_task) == row.per_task_accuracies[k - 1]
+                    _, correct = oc.mixed_scores(model, stream, k, d, s)
+                    seen = tasks < k
+                    assert correct[seen].sum() / seen.sum() == row.step_accuracies[k - 1]
+                    if k < stream.num_tasks:
+                        auc = metrics.auc(*oc.evaluate_open(model, stream, k, d, s))
+                        assert repr(auc) == repr(row.step_auc[k - 1])
