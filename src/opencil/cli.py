@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .data import Dataset, SynthSpec, holdout, load_csv, save_csv, split_tasks, synth_gaussian
 from .detectors import DEFAULT_PERCENTILES, DETECTOR_KINDS, Detector
-from .errors import ConfigError, DataError, ModelError, OpenCILError
+from .errors import ConfigError, DataError, ModelError, OpenCILError, check_integer
 from .metrics import grid_points, rejection_curve
 from .model import Hyperparams, new_model, train_stream
 from .pipeline import mixed_scores, run_sweep
@@ -349,9 +349,9 @@ def _cmd_synth(settings: _Settings) -> int:
         if parent.exists() and not parent.is_dir():
             raise ConfigError(f"output directory {out_dir} lies below an existing file: "
                               f"{parent}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     full = synth_gaussian(spec)
     train, test = holdout(full, test_fraction, spec.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     save_csv(train, str(out_dir / "train.csv"))
     save_csv(test, str(out_dir / "test.csv"))
     print(f"classes={full.num_classes} dim={full.dim} per_class={spec.per_class} "
@@ -374,18 +374,13 @@ def _cmd_train(settings: _Settings) -> int:
     inputs = _inputs(settings, model=False)
     model_path = _output(settings, "model", required=True, taken=inputs)
     log_path = _output(settings, "log", taken=[*inputs, ("the model file", model_path)])
-    buffer_capacity = settings["buffer_capacity"]
-    if buffer_capacity < 1:
-        raise ConfigError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
-    tasks = settings["tasks"]
-    if tasks < 1:
-        raise ConfigError(f"tasks must be >= 1, got {tasks}")
-    trunk_dim = settings.get("trunk_dim")
-    if trunk_dim is not None and trunk_dim < 1:
-        raise ConfigError(f"trunk_dim must be >= 1, got {trunk_dim}")
+    # the library checks these only once the data is read
+    for key in ("buffer_capacity", "tasks", "trunk_dim"):
+        if settings.get(key) is not None:
+            check_integer(key, settings[key], ConfigError, 1)
     hp = _hyperparams(settings)
-    stream = _load_stream(settings, tasks, "train")
-    model = new_model(stream.tasks[0][0].dim, hp, trunk_dim=trunk_dim)
+    stream = _load_stream(settings, settings["tasks"], "train")
+    model = new_model(stream.tasks[0][0].dim, hp, trunk_dim=settings.get("trunk_dim"))
 
     log_lines: list[str] = []
 
@@ -397,7 +392,7 @@ def _cmd_train(settings: _Settings) -> int:
 
     started = time.perf_counter()
     train_stream(model, stream, hp, replay=replay, backupdate=backupdate,
-                 buffer_capacity=buffer_capacity, epoch_hook=epoch_hook)
+                 buffer_capacity=settings["buffer_capacity"], epoch_hook=epoch_hook)
     elapsed = time.perf_counter() - started
 
     save_model(model, model_path)
@@ -442,17 +437,12 @@ def _cmd_curve(settings: _Settings) -> int:
     model, stream = _load_trained(settings)
     steps = steps or list(range(1, model.trained_tasks + 1))
     for step in steps:
-        if not 1 <= step <= model.trained_tasks:
-            raise ConfigError(f"step {step} outside 1..{model.trained_tasks}")
+        check_integer("step", step, ConfigError, 1, model.trained_tasks)
 
     lines = ["step,rejection_rate,accuracy,retained"]
     for step in steps:
         scores, correct = mixed_scores(model, stream, step, detector, scorer)
-        try:
-            points = rejection_curve(scores, correct, grid_step)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        for point in points:
+        for point in rejection_curve(scores, correct, grid_step):
             lines.append(f"{step},{point.rejection_rate:.6g},"
                          f"{point.accuracy:.6g},{point.retained_count}")
     text = "\n".join(lines) + "\n"

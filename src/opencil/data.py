@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_integer
+from .errors import DataError, check_integer, check_positive, check_shape
 from .rng import substream
 
 __all__ = [
@@ -181,7 +181,8 @@ class SynthSpec:
     """Recipe for a synthetic Gaussian-blob dataset.
 
     ``mean_separation`` is the exact pairwise distance between class
-    means, in units of the (unit) within-class standard deviation.
+    means, in units of the (unit) within-class standard deviation. It is
+    checked when made, down to the sizes of the arrays ``synth_gaussian`` draws.
     """
 
     num_classes: int
@@ -191,20 +192,15 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("num_classes", "dim", "per_class", "seed"):
-            check_integer(name, getattr(self, name), DataError)
-        if self.num_classes < 2:
-            raise DataError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.per_class < 2:
-            raise DataError(f"per_class must be >= 2, got {self.per_class}")
-        if not self.mean_separation > 0:
-            raise DataError(
-                f"mean_separation must be > 0, got {self.mean_separation}"
-            )
-        if self.dim < 1:
-            raise DataError(f"dim must be >= 1, got {self.dim}")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
+        for name, minimum in (("num_classes", 2), ("dim", 1), ("per_class", 2), ("seed", 0)):
+            check_integer(name, getattr(self, name), DataError, minimum)
+        check_positive("mean_separation", self.mean_separation, DataError)
+        if self.num_classes > self.dim:
+            raise DataError(f"dim {self.dim} too small to place {self.num_classes} class "
+                            f"means at separation {self.mean_separation:g}; minimum "
+                            f"feasible dim is {self.num_classes}")
+        check_shape("rotation", (self.dim, self.dim), DataError)
+        check_shape("features", (self.num_classes, self.per_class, self.dim), DataError)
 
 
 def synth_gaussian(spec: SynthSpec) -> Dataset:
@@ -215,12 +211,6 @@ def synth_gaussian(spec: SynthSpec) -> Dataset:
     least ``num_classes`` dimensions. Identical specs produce identical
     datasets.
     """
-    if spec.num_classes > spec.dim:
-        raise DataError(
-            f"dim {spec.dim} too small to place {spec.num_classes} class means "
-            f"at separation {spec.mean_separation:g}; minimum feasible dim is "
-            f"{spec.num_classes}"
-        )
     rng = substream(spec.seed, "synth")
     square = rng.standard_normal((spec.dim, spec.dim))
     q, r = np.linalg.qr(square)
@@ -247,9 +237,7 @@ def holdout(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset,
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    check_integer("seed", seed, DataError)
-    if seed < 0:
-        raise DataError(f"seed must be non-negative, got {seed}")
+    check_integer("seed", seed, DataError, 0)
     rng = substream(seed, "holdout")
     test_mask = np.zeros(len(dataset), dtype=bool)
     for c in range(dataset.num_classes):
@@ -290,9 +278,7 @@ def split_tasks(train: Dataset, test: Dataset, num_tasks: int) -> TaskStream:
     Task k receives exactly classes [k*c, (k+1)*c) with c the class
     count divided by ``num_tasks``, in the original class order.
     """
-    check_integer("num_tasks", num_tasks, DataError)
-    if num_tasks < 1:
-        raise DataError(f"num_tasks must be >= 1, got {num_tasks}")
+    check_integer("num_tasks", num_tasks, DataError, 1)
     if train.dim != test.dim:
         raise DataError(
             f"train and test dims differ: {train.dim} vs {test.dim}"
@@ -329,6 +315,8 @@ def split_tasks(train: Dataset, test: Dataset, num_tasks: int) -> TaskStream:
 
 def task_local(dataset: Dataset, task: int, classes_per_task: int) -> Dataset:
     """Remap a task's global labels onto [0, classes_per_task)."""
+    check_integer("task", task, DataError, 0)
+    check_integer("classes_per_task", classes_per_task, DataError, 1)
     lo = task * classes_per_task
     hi = lo + classes_per_task
     labels = dataset.labels

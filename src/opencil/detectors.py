@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_percentile
+
 DETECTOR_KINDS = ("base", "react", "dice", "scale")
 DEFAULT_PERCENTILES = {"dice": 85.0, "scale": 85.0}
 
@@ -52,10 +54,8 @@ class Detector:
             if p is not None:
                 raise ValueError(f"detector {self.kind!r} reads no percentile, got {p}")
             return
-        if p is None:
-            p = DEFAULT_PERCENTILES[self.kind]
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must lie in [0, 100], got {p}")
+        p = DEFAULT_PERCENTILES[self.kind] if p is None else p
+        check_percentile("percentile", p, ValueError)
         object.__setattr__(self, "percentile", float(p))
 
 
@@ -76,8 +76,7 @@ def percentile(values, p: float) -> float:
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("percentile of empty sequence")
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {p}")
+    check_percentile("percentile", p, ValueError)
     k = _nearest_rank_index(p, arr.size) - 1
     # partition places at k the element an ascending sort would put there
     return float(np.partition(arr, k)[k])

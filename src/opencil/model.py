@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, task_local
 from .detectors import percentile
-from .errors import ModelError, check_integer
+from .errors import ModelError, check_integer, check_percentile, check_positive, check_shape
 from .rng import substream
 
 EMBEDDING_INIT_RANGE = 0.1
@@ -81,20 +81,12 @@ class Hyperparams:
     backupdate_epochs: int = DEFAULT_BACKUPDATE_EPOCHS
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "hidden_width", "seed", "backupdate_epochs"):
-            check_integer(name, getattr(self, name), ModelError)
-        for name in ("epochs", "learning_rate", "batch_size", "hidden_width",
-                     "slope_max", "covariance_ridge"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ModelError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ModelError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.react_percentile <= 100.0:
-            raise ModelError(f"react_percentile must lie in [0, 100], "
-                             f"got {self.react_percentile}")
-        if not 1 <= self.backupdate_epochs < math.inf:
-            raise ModelError(f"backupdate_epochs must be >= 1, got {self.backupdate_epochs}")
+        for name in ("epochs", "batch_size", "hidden_width", "backupdate_epochs"):
+            check_integer(name, getattr(self, name), ModelError, 1)
+        check_integer("seed", self.seed, ModelError, 0)
+        for name in ("learning_rate", "slope_max", "covariance_ridge"):
+            check_positive(name, getattr(self, name), ModelError)
+        check_percentile("react_percentile", self.react_percentile, ModelError)
 
 
 @dataclass
@@ -168,17 +160,16 @@ def new_model(dim_in: int, hp: Hyperparams, trunk_dim: int | None = None) -> Mod
     """Create an untrained model with a freshly initialized adapter.
 
     ``trunk_dim`` switches the trunk from identity to a frozen random
-    projection of that width.
+    projection of that width. Shapes numpy cannot allocate are refused first.
     """
-    check_integer("dim_in", dim_in, ModelError)
-    if dim_in < 1:
-        raise ModelError(f"dim_in must be >= 1, got {dim_in}")
+    check_integer("dim_in", dim_in, ModelError, 1)
+    if trunk_dim is not None:
+        check_integer("trunk_dim", trunk_dim, ModelError, 1)
+        check_shape("trunk projection", (dim_in, trunk_dim), ModelError)
+    check_shape("adapter weights", (trunk_dim or dim_in, hp.hidden_width), ModelError)
     if trunk_dim is None:
         trunk = TrunkParams(dim_in)
     else:
-        check_integer("trunk_dim", trunk_dim, ModelError)
-        if trunk_dim < 1:
-            raise ModelError(f"trunk_dim must be >= 1, got {trunk_dim}")
         proj_rng = substream(hp.seed, "init:trunk")
         projection = proj_rng.standard_normal((dim_in, trunk_dim)) / math.sqrt(dim_in)
         trunk = TrunkParams(dim_in, projection)
@@ -191,8 +182,7 @@ def new_model(dim_in: int, hp: Hyperparams, trunk_dim: int | None = None) -> Mod
 
 def hat_mask(embedding: np.ndarray, slope: float) -> np.ndarray:
     """Elementwise sigmoid gate 1 / (1 + exp(-slope * e)), overflow-safe."""
-    if not slope > 0:
-        raise ModelError(f"slope must be positive, got {slope}")
+    check_positive("slope", slope, ModelError)
     x = slope * np.asarray(embedding, dtype=np.float64)
     # exp(-|x|) never overflows; minimum(x, -x) keeps a NaN's sign and payload
     e = np.exp(np.minimum(x, -x))
@@ -219,11 +209,9 @@ def _shared_adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
 
 def activations(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
     """Gated adapter activations for one task over a batch of inputs."""
-    relu = _shared_adapter(model, x)
-    n_embeddings = len(model.adapters.task_embeddings)
-    if not 0 <= task < n_embeddings:
-        raise ModelError(f"unknown task {task}; model has {n_embeddings} task(s)")
-    return relu * hat_mask(model.adapters.task_embeddings[task], model.adapters.slope_max)
+    check_integer("task", task, ModelError, 0, len(model.adapters.task_embeddings) - 1)
+    mask = hat_mask(model.adapters.task_embeddings[task], model.adapters.slope_max)
+    return _shared_adapter(model, x) * mask
 
 
 def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
@@ -429,7 +417,12 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
     return learnable, weights, bias, head_w[restore], head_b, embedding[restore]
 
 
-def _check_task_data(model: ModelState, task_data: Dataset) -> int:
+def _check_task(model: ModelState, task_data: Dataset, hp: Hyperparams) -> int:
+    """The task's class count, once its data and ``hp`` agree with the model."""
+    if (hp.hidden_width, hp.slope_max) != (model.hidden_width, model.adapters.slope_max):
+        raise ModelError(f"Hyperparams hidden_width {hp.hidden_width} and slope_max "
+                         f"{hp.slope_max} do not match the model's {model.hidden_width} "
+                         f"and {model.adapters.slope_max}")
     if task_data.dim != model.trunk.dim_in:
         raise ModelError(
             f"task data dim {task_data.dim} does not match model input "
@@ -453,7 +446,7 @@ def train_task(model: ModelState, task_data: Dataset, hp: Hyperparams, *,
     heads and embeddings are untouched. A task that raises leaves the
     model as it was.
     """
-    n_classes = _check_task_data(model, task_data)
+    n_classes = _check_task(model, task_data, hp)
     inputs = model.trunk.apply(task_data.features)
     return _add_task(model, task_data, inputs, task_data.labels, n_classes, hp,
                      epoch_hook, ood_logit_present=False)
@@ -464,7 +457,7 @@ def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
     """Replay-baseline forward step: task samples keep their class labels,
     buffered samples train an extra OOD logit appended to the head. A task
     that raises leaves the model as it was."""
-    n_classes = _check_task_data(model, task_data)
+    n_classes = _check_task(model, task_data, hp)
     inputs = model.trunk.apply(task_data.features)
     labels = task_data.labels
     if len(buffer):
@@ -525,8 +518,7 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
     activations or covariance, as a diverged run gives, raise ModelError.
     """
     task = model.trained_tasks - 1 if task is None else task
-    if not 0 <= task < model.trained_tasks:
-        raise ModelError(f"head for task {task} is not trained")
+    check_integer("task", task, ModelError, 0, model.trained_tasks - 1)
     z = activations(model, task, task_data.features)
     if not np.isfinite(z).all():
         raise ModelError(f"non-finite activations for task {task}")
@@ -609,13 +601,11 @@ class Buffer:
     tasks: np.ndarray  # (m,) source task ids
 
     def __post_init__(self) -> None:
-        check_integer("buffer capacity", self.capacity, ModelError)
-        if self.capacity < 1:
-            raise ModelError(f"buffer capacity must be >= 1, got {self.capacity}")
+        check_integer("buffer capacity", self.capacity, ModelError, 1)
 
     @classmethod
     def empty(cls, capacity: int, dim: int) -> "Buffer":
-        check_integer("buffer dim", dim, ModelError)
+        check_integer("buffer dim", dim, ModelError, 1)
         return cls(capacity, np.empty((0, dim)), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.int64))
 
@@ -635,9 +625,8 @@ def buffer_update(buffer: Buffer, task_data: Dataset, task_id: int, seed: int) -
     replacement; deterministic given the seed. ``task_data`` must carry
     global labels.
     """
-    check_integer("seed", seed, ModelError)
-    if seed < 0:
-        raise ModelError(f"seed must be non-negative, got {seed}")
+    check_integer("task_id", task_id, ModelError, 0)
+    check_integer("seed", seed, ModelError, 0)
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c, count in buffer.class_counts().items():
         idx = np.flatnonzero(buffer.labels == c)
@@ -730,14 +719,9 @@ def train_stream(model: ModelState, stream, hp: Hyperparams, *,
 
     Every setting is checked before the first task trains.
     """
-    from .data import task_local  # local import keeps module load order simple
-
     if backupdate and not replay:
         raise ModelError("back-update requires the replay path")
-    buffer = None
-    if replay:
-        first_train = stream.tasks[0][0]
-        buffer = Buffer.empty(buffer_capacity, first_train.dim)
+    buffer = Buffer.empty(buffer_capacity, stream.tasks[0][0].dim) if replay else None
 
     for t, (train_ds, _test_ds) in enumerate(stream.tasks):
         local = task_local(train_ds, t, stream.classes_per_task)

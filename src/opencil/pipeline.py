@@ -89,7 +89,7 @@ import numpy as np
 
 from . import metrics
 from .detectors import Detector, _nearest_rank_index, build_dice_mask
-from .errors import ModelError
+from .errors import ModelError, check_integer
 from .model import ModelState, _saturated_masks, _shared_adapter
 from .scorers import Scorer
 
@@ -348,9 +348,8 @@ def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=
 
 def _cut(classes: np.ndarray, scores: np.ndarray, upto: int):
     """The columns of heads 0..upto-1 of a pass, whose ``scores`` are
-    (..., n, T). A non-finite score among them, under any pair, is an error."""
-    if not 1 <= upto <= scores.shape[-1]:
-        raise ModelError(f"head count {upto} outside 1..{scores.shape[-1]}")
+    (..., n, T), for an ``upto`` in 1..T that the caller has checked. A
+    non-finite score among them, under any pair, is an error."""
     scores = scores[..., :upto]
     finite = np.isfinite(scores).all(axis=(*range(scores.ndim - 2), scores.ndim - 1))
     bad = len(finite) - int(finite.sum())
@@ -470,7 +469,11 @@ def _stack_tests(stream):
     return features, labels, tasks
 
 
-def _check_compatible(model: ModelState, stream) -> None:
+def _check_compatible(model: ModelState, stream, step: int | None = None,
+                      open_world: bool = False) -> None:
+    """Refuse a stream the model cannot score and, if given, a step outside
+    1..min(T, S) for T trained heads and S tasks in the stream. An open-world
+    step needs an unseen task, so its top is min(T, S - 1)."""
     if model.trained_tasks == 0:
         raise ModelError("model has no trained heads")
     if stream.tasks[0][0].dim != model.trunk.dim_in:
@@ -483,6 +486,9 @@ def _check_compatible(model: ModelState, stream) -> None:
             f"stream has {stream.classes_per_task} classes per task; model "
             f"was trained with {model.classes_per_task}"
         )
+    if step is not None:
+        check_integer("step", step, ModelError, 1,
+                      min(model.trained_tasks, stream.num_tasks - int(open_world)))
 
 
 def score_table(model: ModelState, stream, detector, scorer) -> ScoreTable:
@@ -505,10 +511,7 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
     The columns come from the pass over the whole stacked test set, of
     which the rows of tasks 1..upto are kept.
     """
-    _check_compatible(model, stream)
-    steps = min(model.trained_tasks, stream.num_tasks)
-    if not 1 <= upto <= steps:
-        raise ModelError(f"step {upto} outside 1..{steps}")
+    _check_compatible(model, stream, upto)
     classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
     seen = tasks < upto
     classes, scores, labels, tasks = classes[seen], scores[seen], labels[seen], tasks[seen]
@@ -520,12 +523,7 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
 
 def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
     """System scores split into seen (tasks 1..upto) and unseen populations."""
-    _check_compatible(model, stream)
-    if not 1 <= upto <= stream.num_tasks - 1:
-        raise ModelError(
-            f"open-world step must lie in 1..{stream.num_tasks - 1} "
-            f"(no unseen classes remain at step {stream.num_tasks}); got {upto}"
-        )
+    _check_compatible(model, stream, upto, open_world=True)
     classes, scores, _labels, tasks = _columns(model, stream, upto, detector, scorer)
     system = _routed(classes, scores)[0]
     return system[tasks < upto], system[tasks >= upto]
@@ -538,7 +536,7 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     by the correctness of their closed-world class prediction at this
     step. Feeds the accuracy-rejection curve.
     """
-    _check_compatible(model, stream)
+    _check_compatible(model, stream, upto)
     classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
     system, _, predicted = _routed(classes, scores)
     return system, (predicted == labels) & (tasks < upto)

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import check_integer
+
 
 def substream(seed: int, label: str) -> np.random.Generator:
     """Return the generator for the named substream of ``seed``.
@@ -19,8 +21,7 @@ def substream(seed: int, label: str) -> np.random.Generator:
     Identical (seed, label) pairs produce identical generators on every
     platform; distinct labels decorrelate the streams.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_integer("seed", seed, ValueError, 0)
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))

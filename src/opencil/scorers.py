@@ -12,8 +12,9 @@ holds the ``Scorer`` value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .errors import check_positive
 
 SCORER_KINDS = ("sm", "smmd", "en", "enmd")
 
@@ -36,7 +37,6 @@ class Scorer:
             raise ValueError(
                 f"unknown scorer {self.kind!r}; expected one of {SCORER_KINDS}"
             )
-        if not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        check_positive("temperature", self.temperature, ValueError)
         if self.kind in ("sm", "smmd") and self.temperature != 1.0:
             raise ValueError(f"scorer {self.kind!r} reads no temperature, got {self.temperature}")

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -113,6 +114,42 @@ _MALFORMED = {
     "--backupdate-epochs": ("train", "backupdate_epochs",
                             _bad_ints(st.integers(max_value=0))),
 }
+
+
+# settings that size an array: 10**20 of one is refused before anything is allocated.
+# Every other integer drawn is small, or one that the data refuses (_MALFORMED's task
+# counts), so no accepted run loops long or allocates much.
+_SIZES = {"classes", "dim", "per_class", "hidden_width", "trunk_dim"}
+_SMALL_INTS = st.integers(-2, 6).map(str)
+_POOL = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "2.5", "1e308", "1e-320", ""])
+_VALUES = {
+    int: st.one_of(_POOL, _SMALL_INTS, _TEXT, st.sampled_from(["1.5", "1e3"])),
+    float: st.one_of(_POOL, st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.floats(1e-3, 100.0).map(repr), _TEXT, _NON_FINITE),
+    str: st.sampled_from(["1", "2", "1,2"]),  # --steps, which _MALFORMED adds to
+}
+
+
+def _setting_cases():
+    """(command, key, flag, values) for every int and float setting of every
+    command, and for every setting of ``_MALFORMED``; its values include the
+    malformed ones."""
+    malformed = {key: (command, values) for command, key, values in _MALFORMED.values()}
+    cases = []
+    for key, (kind, _, commands, flag, _) in cli._SETTINGS.items():
+        if kind not in (int, float) and key not in malformed:
+            continue
+        for command in commands.split():
+            values = [_VALUES[kind]]
+            if key in _SIZES:
+                values.append(st.just(str(10**20)))
+            if malformed.get(key, (None,))[0] == command:
+                values.append(malformed[key][1])
+            cases.append((command, key, flag, st.one_of(values)))
+    return cases
+
+
+_SETTING_CASES = _setting_cases()
 
 
 # each command's option strings, with the setting each sets and its value type
@@ -540,6 +577,28 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["synth", "--dim", str(10**20)], 1),
+        (["synth", "--per-class", str(10**20)], 1),
+        (["synth", "--dim", str(10**12)], 1),
+        (["synth", "--sep", "inf"], 1),
+        (["synth", "--classes", "10", "--dim", "4", "--per-class", "5"], 1),
+        (["synth", "--test-fraction", "1e-320"], 2),
+        (["train", "--hidden", str(10**18)], 2),
+        (["train", "--trunk-dim", str(10**18)], 2),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+    def test_refused_size_or_recipe_is_one_error_line_and_writes_nothing(
+            self, argv, code, data_dir, tmp_path, capsys):
+        # a later flag overrides the same flag of the base command
+        base = {"synth": ["--classes", "2", "--dim", "8", "--per-class", "10", "--sep", "3",
+                          "-o", str(tmp_path / "h" / "x")],
+                "train": ["--data", str(data_dir), "--tasks", "2", "--epochs", "1",
+                          "--hidden", "4", "-o", str(tmp_path / "m.bin")]}[argv[0]]
+        assert main(argv[:1] + base + argv[1:]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command,split,tail", [
         ("train", "train", b"1,0.5,\xff\n"),
         ("eval", "test", b"1,\xc3(,0\n"),
@@ -961,6 +1020,54 @@ class TestUsage:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
         assert not never.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(_SETTING_CASES).flatmap(
+        lambda case: st.tuples(st.just(case), case[3])), via_config=st.booleans())
+    def test_any_setting_value_ends_in_one_exit_code(self, case, via_config, data_dir,
+                                                     model_path):
+        (command, key, flag, _), value = case
+        assume(not via_config or _one_config_value(value))
+        with tempfile.TemporaryDirectory() as temp:
+            out = Path(temp) / "out"
+            out.mkdir()
+            rest = {"synth": ["--classes", "2", "--dim", "2", "--per-class", "10", "--sep", "3",
+                              "-o", str(out / "d")],
+                    "train": ["--data", str(data_dir), "--tasks", "2", "--epochs", "1",
+                              "--hidden", "4", "-o", str(out / "m.bin"),
+                              "--log", str(out / "log.txt")],
+                    "eval": ["--model", str(model_path), "--data", str(data_dir),
+                             "-o", str(out / "report.csv")],
+                    "curve": ["--model", str(model_path), "--data", str(data_dir),
+                              "-o", str(out / "curve.csv")]}[command]
+            # the switches and detector under which the setting is read
+            rest += {"buffer_capacity": ["--replay"],
+                     "backupdate_epochs": ["--replay", "--backupdate"]}.get(key, [])
+            if command == "curve" and key in ("dice_percentile", "scale_percentile"):
+                rest += ["--detector", key.split("_")[0]]
+            if flag in rest:  # a flag outranks the config file, so the base value goes
+                at = rest.index(flag)
+                del rest[at:at + 2]
+            if via_config:
+                config = Path(temp) / "settings.cfg"
+                config.write_text(f"{key}={value}\n", encoding="utf-8")
+                argv = [command, "--config", str(config)] + rest
+            else:
+                argv = [command, flag, value] + rest
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert list(out.iterdir()) == []
+            elif command == "synth":
+                for split in ("train", "test"):
+                    rows = np.loadtxt(out / "d" / f"{split}.csv", delimiter=",", skiprows=1,
+                                      ndmin=2)
+                    assert np.isfinite(rows).all()
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--detectors", "base", "--scorers", "enmd"],

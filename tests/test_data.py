@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import opencil as oc
 from opencil.errors import DataError, ModelError
+from opencil.rng import substream
 
 
 def write(path, text):
@@ -142,9 +144,9 @@ class TestSynthGaussian:
             oc.SynthSpec(num_classes=2, dim=2, per_class=3, mean_separation=0.0, seed=1)
 
     def test_dim_too_small(self):
-        spec = oc.SynthSpec(num_classes=3, dim=2, per_class=5, mean_separation=4.0, seed=1)
+        # refused when the recipe is made, before anything is drawn
         with pytest.raises(DataError, match="minimum feasible dim is 3"):
-            oc.synth_gaussian(spec)
+            oc.SynthSpec(num_classes=3, dim=2, per_class=5, mean_separation=4.0, seed=1)
 
     def test_exact_mean_placement(self):
         # with many samples the empirical distance concentrates near the target
@@ -287,5 +289,35 @@ def test_seed_or_count_that_is_not_a_non_negative_integer_is_refused(make, error
     # numpy integers pass
     replace(_TINY, seed=np.uint8(2)), oc.split_tasks(ds, ds, np.int64(2))
     oc.holdout(ds, 0.5, np.int32(3)), oc.buffer_update(oc.Buffer.empty(4, 2), ds, 0, np.int8(1))
-    with pytest.raises(error, match="must be an integer|must be non-negative"):
+    with pytest.raises(error, match=r"^(num_classes|dim|per_class|seed|num_tasks) must be an "
+                                    r"integer, got|^seed must be >= 0, got -1$"):
         make(ds)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"mean_separation": math.inf}, r"^mean_separation must be positive and finite, got inf$"),
+    ({"mean_separation": math.nan}, r"^mean_separation must be positive and finite, got nan$"),
+    ({"dim": 10**20}, r"^rotation of shape \(10{20}, 10{20}\) exceeds numpy's largest array"),
+    ({"dim": 10**12}, r"^rotation of shape .* exceeds numpy's largest array"),
+    ({"per_class": 10**20}, r"^features of shape \(2, 10{20}, 2\) exceeds numpy's largest"),
+    ({"num_classes": 3}, r"^dim 2 too small to place 3 class means"),
+], ids=["sep_inf", "sep_nan", "dim_1e20", "dim_1e12", "per_class_1e20", "dim_below_classes"])
+def test_recipe_refused_before_anything_is_drawn(changes, message):
+    with pytest.raises(DataError, match=message):
+        replace(_TINY, **changes)
+
+
+@pytest.mark.parametrize("task, classes_per_task", [(1.0, 2), (1, 2.0), (-1, 2), (1, 0)])
+def test_task_local_refuses_a_task_or_width_out_of_range(task, classes_per_task):
+    ds = oc.Dataset(np.zeros((4, 2)), np.array([2, 3, 2, 3]))
+    oc.task_local(ds, np.int64(1), np.int8(2))  # numpy integers pass
+    with pytest.raises(DataError, match=r"^(task|classes_per_task) must be (an integer|>= )"):
+        oc.task_local(ds, task, classes_per_task)
+
+
+def test_substream_refuses_a_seed_that_is_not_a_non_negative_integer():
+    assert substream(np.uint8(3), "x").random() == substream(3, "x").random()
+    for seed, message in ((2.5, "seed must be an integer, got 2.5"),
+                          (-1, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            substream(seed, "x")

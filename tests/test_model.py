@@ -146,8 +146,12 @@ class TestForwardFeatures:
 
     def test_unknown_task(self):
         model = self._model()
-        with pytest.raises(ModelError, match="unknown task"):
+        with pytest.raises(ModelError, match=r"^task 3 outside 0\.\.0$"):
             forward_features(model, 3, np.ones(4))
+
+    def test_task_that_is_not_an_integer_is_refused(self):
+        with pytest.raises(ModelError, match=r"^task must be an integer, got 0\.0$"):
+            activations(self._model(), 0.0, np.ones((1, 4)))
 
     def test_dimension_mismatch(self):
         model = self._model()
@@ -427,6 +431,24 @@ class TestTrainTask:
         with pytest.raises(ModelError, match="expects 2 per task"):
             oc.train_task(model, three_class, small_hp)
 
+    @pytest.mark.parametrize("train", ["task", "replay", "stream"])
+    @pytest.mark.parametrize("changes", [{"hidden_width": 99}, {"slope_max": 50.0},
+                                         {"hidden_width": 99, "slope_max": 50.0}])
+    def test_hyperparams_that_disagree_with_the_model_are_refused(self, train, changes,
+                                                                  small_stream):
+        model = oc.new_model(8, oc.Hyperparams(hidden_width=16))
+        hp = replace(oc.Hyperparams(epochs=1, hidden_width=16), **changes)
+        local = task_local(small_stream.tasks[0][0], 0, 2)
+        with pytest.raises(ModelError, match=r"^Hyperparams hidden_width \d+ and slope_max "
+                                             r"[\d.]+ do not match the model's 16 and 400"):
+            if train == "task":
+                oc.train_task(model, local, hp)
+            elif train == "replay":
+                oc.train_task_replay(model, local, oc.Buffer.empty(10, 8), hp)
+            else:
+                oc.train_stream(model, small_stream, hp)
+        assert model.trained_tasks == 0
+
     def test_epoch_hook_reports_progress(self):
         task = two_class_task(seed=6)
         hp = oc.Hyperparams(epochs=3, hidden_width=16, seed=2)
@@ -515,6 +537,16 @@ class TestTrainTask:
         oc.Buffer.empty(np.int32(4), 8), oc.new_model(np.int16(8), hp, trunk_dim=np.int8(4))
         with pytest.raises(ModelError, match="must be an integer"):
             make(small_stream, small_hp)
+
+
+    @pytest.mark.parametrize("hidden, trunk_dim, message", [
+        (10**18, None, r"^adapter weights of shape \(8, 10{18}\) exceeds numpy's largest"),
+        (4, 10**18, r"^trunk projection of shape \(8, 10{18}\) exceeds numpy's largest"),
+        (10**20, 2, r"^adapter weights of shape \(2, 10{20}\) exceeds numpy's largest"),
+    ])
+    def test_shape_numpy_cannot_allocate_is_refused(self, hidden, trunk_dim, message):
+        with pytest.raises(ModelError, match=message):
+            oc.new_model(8, oc.Hyperparams(hidden_width=hidden), trunk_dim=trunk_dim)
 
 
 class TestComputeTrainStats:
@@ -607,9 +639,14 @@ class TestComputeTrainStats:
         with pytest.raises(ModelError, match="non-finite activations for task 0"):
             oc.compute_train_stats(model, data)
 
+    def test_task_that_is_not_an_integer_is_refused(self, small_model):
+        data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
+        with pytest.raises(ModelError, match=r"^task must be an integer, got 0\.5$"):
+            oc.compute_train_stats(small_model, data, task=0.5)
+
     def test_untrained_task_rejected(self, small_model):
         data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
-        with pytest.raises(ModelError, match="not trained"):
+        with pytest.raises(ModelError, match=r"^task 7 outside 0\.\.1$"):
             oc.compute_train_stats(small_model, data, task=7)
 
 
@@ -657,6 +694,16 @@ class TestBuffer:
         task = self._task(5, 10)
         with pytest.raises(ModelError, match="capacity"):
             oc.buffer_update(oc.Buffer.empty(3, 4), task, task_id=0, seed=0)
+
+    def test_dim_below_one_refused(self):
+        with pytest.raises(ModelError, match=r"^buffer dim must be >= 1, got -1$"):
+            oc.Buffer.empty(4, -1)
+
+    @pytest.mark.parametrize("task_id, message", [
+        (2.5, "task_id must be an integer, got 2.5"), (-3, "task_id must be >= 0, got -3")])
+    def test_task_id_that_is_not_a_non_negative_integer_is_refused(self, task_id, message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            oc.buffer_update(oc.Buffer.empty(4, 4), self._task(2, 5), task_id=task_id, seed=0)
 
 
 class TestReplayTraining:

@@ -571,8 +571,38 @@ class TestEvaluateOpen:
         assert ind.mean() > ood.mean()
 
     def test_last_step_rejected(self, small_model, small_stream):
-        with pytest.raises(ModelError, match="no unseen classes"):
+        # no unseen classes remain at the stream's last step
+        with pytest.raises(ModelError, match=r"^step 2 outside 1\.\.1$"):
             oc.evaluate_open(small_model, small_stream, 2, "base", "enmd")
+
+
+    def test_step_below_a_stream_longer_than_the_model_is_accepted(self, small_model,
+                                                                   small_stream):
+        # a third task of two unseen classes: step 2 reads both heads and keeps it unseen
+        (train, test), = small_stream.tasks[1:]
+        shifted = [oc.Dataset(d.features, d.labels + 2) for d in (train, test)]
+        stream = oc.TaskStream((*small_stream.tasks, tuple(shifted)), 2)
+        ind, ood = oc.evaluate_open(small_model, stream, 2, "base", "enmd")
+        assert (len(ind), len(ood)) == (len(small_stream.tasks[0][1]) + len(test), len(test))
+        with pytest.raises(ModelError, match=r"^step 3 outside 1\.\.2$"):
+            oc.evaluate_open(small_model, stream, 3, "base", "enmd")
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("evaluate", [oc.evaluate_closed, oc.evaluate_open,
+                                          oc.mixed_scores])
+    @pytest.mark.parametrize("step", [1.5, 1.0, np.float64(1.0), True])
+    def test_step_that_is_not_an_integer_is_refused(self, evaluate, step, small_model,
+                                                    small_stream):
+        with pytest.raises(ModelError, match=r"^step must be an integer, got "):
+            evaluate(small_model, small_stream, step, "base", "sm")
+
+    @pytest.mark.parametrize("evaluate", [oc.evaluate_closed, oc.mixed_scores])
+    def test_step_needs_its_task_in_the_stream(self, evaluate, small_model, small_stream):
+        half = oc.TaskStream(small_stream.tasks[:1], small_stream.classes_per_task)
+        evaluate(small_model, half, np.int64(1), "base", "sm")  # numpy integers pass
+        with pytest.raises(ModelError, match=r"^step 2 outside 1\.\.1$"):
+            evaluate(small_model, half, 2, "base", "sm")
 
 
 class TestScoreTable:
@@ -677,7 +707,7 @@ class TestMixedScores:
                 predicted = classes[np.arange(len(labels)), alone.argmax(axis=1)]
                 assert scores.tobytes() == alone.max(axis=1).tobytes()
                 assert np.array_equal(correct, (predicted == labels) & (tasks < k))
-        with pytest.raises(ModelError, match="head count 3"):
+        with pytest.raises(ModelError, match=r"^step 3 outside 1\.\.2$"):
             oc.mixed_scores(small_model, small_stream, 3, "base", "en")
 
     def test_rejection_curve_composes(self, small_model, small_stream):
