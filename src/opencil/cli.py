@@ -291,39 +291,23 @@ def _scorer_objects(settings: _Settings, kinds: list[str]) -> list[Scorer]:
     return scorers
 
 
-def _split_list(text: str) -> list[str]:
-    return [item.strip() for item in str(text).split(",") if item.strip()]
-
-
-def _kinds(settings: _Settings, key: str) -> list[str]:
-    """The comma-separated kinds that ``key`` names; at least one."""
-    kinds = _split_list(settings[key])
-    if not kinds:
-        raise ConfigError(f"{key} must name at least one kind, got {settings[key]!r}")
-    return kinds
-
-
-def _steps(settings: _Settings) -> list[int] | None:
-    """The steps that ``--steps`` names, or None for every step. Their range
-    depends on the model and is checked once it is loaded."""
-    text = settings.get("steps")
-    if text is None:
-        return None
+def _list(settings: _Settings, key: str, cast=str) -> list:
+    """The comma-separated items that setting ``key`` names, each read by
+    ``cast``: at least one, and each once."""
+    text = settings[key]
     try:
-        steps = [int(s) for s in _split_list(text)]
+        items = [cast(item.strip()) for item in str(text).split(",") if item.strip()]
     except ValueError:
-        raise ConfigError(f"steps must be comma-separated integers, got {text!r}") from None
-    if not steps:
-        raise ConfigError(f"steps must name at least one step, got {text!r}")
-    if len(set(steps)) < len(steps):
-        raise ConfigError(f"steps must name each step once, got {text!r}")
-    return steps
+        raise ConfigError(f"{key} must be comma-separated integers, got {text!r}") from None
+    if not items or len(set(items)) < len(items):
+        raise ConfigError(f"{key} must name at least one item, each once, got {text!r}")
+    return items
 
 
 def _load_trained(settings: _Settings):
     """The model file's model and the task stream of the data's test.csv."""
     model = load_model(_require(settings, "model"))
-    if model.trained_tasks == 0 or model.classes_per_task is None:
+    if model.trained_tasks == 0:
         raise ConfigError("model file holds no trained tasks")
     return model, _load_stream(settings, model.trained_tasks, "test")
 
@@ -404,8 +388,8 @@ def _cmd_train(settings: _Settings) -> int:
 
 def _cmd_eval(settings: _Settings) -> int:
     out = _output(settings, "out", taken=_inputs(settings, model=True))
-    detectors = _detector_objects(settings, _kinds(settings, "detectors"))
-    scorers = _scorer_objects(settings, _kinds(settings, "scorers"))
+    detectors = _detector_objects(settings, _list(settings, "detectors"))
+    scorers = _scorer_objects(settings, _list(settings, "scorers"))
     model, stream = _load_trained(settings)
 
     report = run_sweep(model, stream, detectors, scorers)
@@ -426,7 +410,8 @@ def _cmd_eval(settings: _Settings) -> int:
 
 def _cmd_curve(settings: _Settings) -> int:
     out = _output(settings, "out", taken=_inputs(settings, model=True))
-    steps = _steps(settings)
+    # the steps' range depends on the model, so it is checked once that is loaded
+    steps = None if settings.get("steps") is None else _list(settings, "steps", int)
     detector = _detector_objects(settings, [settings["detector"]])[0]
     scorer = _scorer_objects(settings, [settings["scorer"]])[0]
     grid_step = settings["grid_step"]

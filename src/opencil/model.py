@@ -156,6 +156,46 @@ class ModelState:
         return self.adapters.weights.shape[1]
 
 
+def _check_array(name: str, array, *shape) -> None:
+    """Refuse an ``array`` that is not a numpy array of ``shape``."""
+    if getattr(array, "shape", None) != shape:
+        raise ModelError(f"{name} has shape {getattr(array, 'shape', None)}, expected {shape}")
+
+
+def _check_model(model: ModelState) -> None:
+    """Refuse a model that is not whole: one embedding, head and TrainStats per task,
+    ``classes_per_task`` None exactly when no task is trained, every array of the shape
+    the model's sizes give it, and every whitening factor lower-triangular."""
+    tasks, classes, adapters = model.trained_tasks, model.classes_per_task, model.adapters
+    if len(adapters.task_embeddings) != tasks or len(model.stats) != tasks:
+        raise ModelError(f"model has {tasks} heads but {len(adapters.task_embeddings)} "
+                         f"task embeddings and {len(model.stats)} train statistics")
+    if (classes is None) != (tasks == 0):
+        raise ModelError(f"classes_per_task {classes} does not fit {tasks} trained tasks")
+    if tasks:
+        check_integer("classes_per_task", classes, ModelError, 1)
+    projection, weights = model.trunk.projection, adapters.weights
+    # two axes, the last of any length: it sets the trunk's and the hidden width
+    if projection is not None:
+        _check_array("trunk projection", projection, model.trunk.dim_in,
+                     *np.shape(projection)[-1:])
+    _check_array("adapter weights", weights, model.trunk.dim_out, *np.shape(weights)[-1:])
+    hidden = model.hidden_width
+    _check_array("adapter bias", adapters.bias, hidden)
+    for t, (embedding, head, stats) in enumerate(
+            zip(adapters.task_embeddings, model.heads, model.stats)):
+        logits = classes + (1 if head.ood_logit_present else 0)
+        _check_array(f"embedding of task {t}", embedding, hidden)
+        _check_array(f"head weights of task {t}", head.weights, hidden, logits)
+        _check_array(f"head bias of task {t}", head.bias, logits)
+        _check_array(f"class means of task {t}", stats.class_means, classes, hidden)
+        _check_array(f"mean activations of task {t}", stats.mean_activations, hidden)
+        factor = stats.whitening_factor
+        if getattr(factor, "shape", None) != (hidden, hidden) or np.triu(factor, 1).any():
+            raise ModelError(f"whitening factor of task {t} is not a lower-triangular "
+                             f"{hidden} x {hidden} array")
+
+
 def new_model(dim_in: int, hp: Hyperparams, trunk_dim: int | None = None) -> ModelState:
     """Create an untrained model with a freshly initialized adapter.
 
@@ -189,10 +229,9 @@ def hat_mask(embedding: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _saturated_masks(model: ModelState, upto: int | None = None) -> list[np.ndarray]:
-    upto = len(model.adapters.task_embeddings) if upto is None else upto
+def _saturated_masks(model: ModelState) -> list[np.ndarray]:
     s = model.adapters.slope_max
-    return [hat_mask(e, s) for e in model.adapters.task_embeddings[:upto]]
+    return [hat_mask(e, s) for e in model.adapters.task_embeddings]
 
 
 def _shared_adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
@@ -209,8 +248,11 @@ def _shared_adapter(model: ModelState, x: np.ndarray) -> np.ndarray:
 
 def activations(model: ModelState, task: int, x: np.ndarray) -> np.ndarray:
     """Gated adapter activations for one task over a batch of inputs."""
-    check_integer("task", task, ModelError, 0, len(model.adapters.task_embeddings) - 1)
-    mask = hat_mask(model.adapters.task_embeddings[task], model.adapters.slope_max)
+    embeddings = model.adapters.task_embeddings
+    if not embeddings:
+        raise ModelError("model has no trained heads")
+    check_integer("task", task, ModelError, 0, len(embeddings) - 1)
+    mask = hat_mask(embeddings[task], model.adapters.slope_max)
     return _shared_adapter(model, x) * mask
 
 
@@ -310,12 +352,13 @@ def _annealed_slope(batch: int, num_batches: int, slope_max: float) -> float:
 
 def _embedding_compensation(embedding: np.ndarray, slope: float,
                             slope_max: float) -> np.ndarray:
-    """Undo the annealed sigmoid's saturation in the embedding update.
+    """The factor (slope_max / slope) (cosh(slope e) + 1) / (cosh(e) + 1) on the
+    raw embedding gradient, each cosh argument clamped to [-50, 50] as in HAT.
 
-    Multiplying the raw gradient by (slope_max / slope) *
-    (cosh(slope * e) + 1) / (cosh(e) + 1) gives updates of slope
-    -independent magnitude, so embeddings reach the gate's saturation
-    rails instead of stalling where the sigmoid derivative vanishes.
+    Exactly, the gradient's m (1 - m) slope times it is slope_max / (2 (cosh e
+    + 1)), free of the slope. In floating point it is not, once the gate
+    saturates: at slope 400 that product is exactly 0 for e >= 0.1, where m
+    rounds to 1, and 9.3e-12 at e = -0.2, where the clamp cuts cosh(slope e).
     """
     # minimum(maximum(.)) is np.clip without its wrapper calls
     num = np.cosh(np.minimum(np.maximum(slope * embedding, -50.0), 50.0)) + 1.0
@@ -418,7 +461,8 @@ def _fit_new_head(model, inputs, labels, n_logits, hp, task, epoch_hook):
 
 
 def _check_task(model: ModelState, task_data: Dataset, hp: Hyperparams) -> int:
-    """The task's class count, once its data and ``hp`` agree with the model."""
+    """The task's class count, once the model is whole and agrees with its data and ``hp``."""
+    _check_model(model)
     if (hp.hidden_width, hp.slope_max) != (model.hidden_width, model.adapters.slope_max):
         raise ModelError(f"Hyperparams hidden_width {hp.hidden_width} and slope_max "
                          f"{hp.slope_max} do not match the model's {model.hidden_width} "
@@ -518,8 +562,7 @@ def compute_train_stats(model: ModelState, task_data: Dataset, *,
     activations or covariance, as a diverged run gives, raise ModelError.
     """
     task = model.trained_tasks - 1 if task is None else task
-    check_integer("task", task, ModelError, 0, model.trained_tasks - 1)
-    z = activations(model, task, task_data.features)
+    z = activations(model, task, task_data.features)  # checks the task id
     if not np.isfinite(z).all():
         raise ModelError(f"non-finite activations for task {task}")
     labels = task_data.labels
@@ -575,8 +618,8 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
 
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], recursively;
     blocks of at most 64 rows go through np.linalg.inv, whose result
-    holds rounding noise above the diagonal that np.tril clears (save_model
-    refuses a factor with any entry there).
+    holds rounding noise above the diagonal that np.tril clears (a whole
+    model has no entry there).
     """
     n = len(lower)
     if n <= 64:
@@ -670,12 +713,11 @@ def back_update(model: ModelState, buffer: Buffer, hp: Hyperparams) -> ModelStat
     head that ends with a non-finite value raises ModelError and leaves
     every head as it was.
     """
+    _check_model(model)
     if model.trained_tasks < 2:
         return model
     if len(buffer) == 0:
         raise ModelError("back-update needs a non-empty buffer")
-    if model.classes_per_task is None:
-        raise ModelError("model has no trained tasks")
     n_classes = model.classes_per_task
     lr = hp.learning_rate
     earlier = model.heads[:-1]

@@ -50,17 +50,19 @@ error only among the columns a call returns.
 
 The plan is built on first use and kept on the model as a plain attribute,
 which no dataclass field, ``==``, ``dataclasses.replace`` or the model file
-sees. One rule (``_unchanged``) keeps it and its memo slot: cached work is
-reused only while every array it was computed from is the same object and
-still read-only, and the cache makes those arrays read-only when it stores
-them. So a write into an array that inference has read raises
+sees. Building it first checks the model contract (``model._check_model``),
+so every entry point refuses a model that is not whole. One rule
+(``_unchanged``) keeps it and its memo slot: cached work is reused only
+while every array it was computed from is the same object and still
+read-only, and the cache makes those arrays read-only when it stores them.
+So a write into an array that inference has read raises
 ``ValueError``, and an array replaced by another is seen. ``copy.deepcopy``
 and pickling give writable arrays, so a copy builds its own plan (pickle
 protocol 5 gives read-only arrays, which the plan copied with them still
 matches). A write through another writable view of the same memory is not
-seen. The plan's scalars are compared as bytes. Apart from the plan and those flags nothing
-here writes to the model; per-sample work items are independent and safe
-to parallelize.
+seen. The plan's scalars are compared as bytes. Apart from the plan and those
+flags nothing here writes to the model; per-sample work items are independent
+and safe to parallelize.
 
 Per-step loops over one test set (a curve over steps 1..T, open-world
 metrics or closed-world accuracy after each step) ask for the same pass
@@ -90,7 +92,7 @@ import numpy as np
 from . import metrics
 from .detectors import Detector, _nearest_rank_index, build_dice_mask
 from .errors import ModelError, check_integer
-from .model import ModelState, _saturated_masks, _shared_adapter
+from .model import ModelState, _check_model, _saturated_masks, _shared_adapter
 from .scorers import Scorer
 
 __all__ = [
@@ -179,21 +181,13 @@ class _Plan:
     """
 
     def __init__(self, model: ModelState, arrays, scalars):
-        tasks, classes = model.trained_tasks, model.classes_per_task
-        if len(model.adapters.task_embeddings) < tasks or len(model.stats) < tasks:
-            raise ModelError(f"model has {tasks} heads but "
-                             f"{len(model.adapters.task_embeddings)} task embeddings and "
-                             f"{len(model.stats)} train statistics")
-        for t, head in enumerate(model.heads):
-            if head.num_classes != classes:
-                raise ModelError(f"head {t} has {head.num_classes} classes; model "
-                                 f"has {classes} per task")
-        self.masks = np.stack(_saturated_masks(model, tasks))  # (T, h)
+        classes = model.classes_per_task
+        self.masks = np.stack(_saturated_masks(model))  # (T, h)
         self.weights = np.stack([h.weights[:, :classes] for h in model.heads])  # (T, h, C)
         self.bias = np.stack([h.bias[:classes] for h in model.heads])  # (T, C)
         self.folded = _fold(self.masks, self.weights)  # (h, T C)
-        self.thresholds = np.array([s.react_threshold for s in model.stats[:tasks]])
-        self.mean_activations = np.stack([s.mean_activations for s in model.stats[:tasks]])
+        self.thresholds = np.array([s.react_threshold for s in model.stats])
+        self.mean_activations = np.stack([s.mean_activations for s in model.stats])
         self._dice: dict[float, np.ndarray] = {}
         self._md = None
         self.columns = None  # the memo slot; see ``_columns``
@@ -235,7 +229,7 @@ class _Plan:
                 blocks.append((a, b, buffer[at:at + size].reshape(hidden - a, tasks * (b - a))))
                 at += size
             means = []
-            for t, s in enumerate(stats[:tasks]):
+            for t, s in enumerate(stats):
                 for a, b, block in blocks:
                     np.multiply(self.masks[t][a:, None], s.whitening_factor[a:, a:b],
                                 out=block.reshape(hidden - a, tasks, b - a)[:, t])
@@ -257,11 +251,14 @@ def _plan(model: ModelState) -> _Plan:
               *adapters.task_embeddings, *(a for h in heads for a in (h.weights, h.bias)),
               *(a for s in stats
                 for a in (s.class_means, s.whitening_factor, s.mean_activations))]
-    scalars = np.array([adapters.slope_max, model.classes_per_task or 0,
+    scalars = np.array([model.trunk.dim_in, adapters.slope_max, model.classes_per_task or 0,
                         *(s.react_threshold for s in stats),
                         *(h.ood_logit_present for h in heads)], dtype=np.float64).tobytes()
     plan = getattr(model, "_inference_plan", None)
     if plan is None or plan.scalars != scalars or not _unchanged(plan.arrays, arrays):
+        _check_model(model)
+        if model.trained_tasks == 0:
+            raise ModelError("model has no trained heads")
         plan = model._inference_plan = _Plan(model, arrays, scalars)
     return plan
 
@@ -325,8 +322,6 @@ def _base(logits: np.ndarray, key) -> np.ndarray:
 def _pass(model: ModelState, x: np.ndarray, detectors, scorers):
     """One uncut pass of a batch through every head, as ``_heads`` returns it;
     the Mahalanobis arrays are built only when a scorer reads them."""
-    if model.trained_tasks == 0:
-        raise ModelError("model has no trained heads")
     plan = _plan(model)
     md = (plan.mahalanobis(model.stats) if any(s.kind in ("smmd", "enmd") for s in scorers)
           else None)
@@ -471,11 +466,10 @@ def _stack_tests(stream):
 
 def _check_compatible(model: ModelState, stream, step: int | None = None,
                       open_world: bool = False) -> None:
-    """Refuse a stream the model cannot score and, if given, a step outside
-    1..min(T, S) for T trained heads and S tasks in the stream. An open-world
-    step needs an unseen task, so its top is min(T, S - 1)."""
-    if model.trained_tasks == 0:
-        raise ModelError("model has no trained heads")
+    """Refuse a model ``_plan`` refuses, a stream it cannot score and, if given, a
+    step outside 1..min(T, S) for T trained heads and S tasks in the stream. An
+    open-world step needs an unseen task, so its top is min(T, S - 1)."""
+    _plan(model)
     if stream.tasks[0][0].dim != model.trunk.dim_in:
         raise ModelError(
             f"stream dim {stream.tasks[0][0].dim} does not match model input "
@@ -486,6 +480,9 @@ def _check_compatible(model: ModelState, stream, step: int | None = None,
             f"stream has {stream.classes_per_task} classes per task; model "
             f"was trained with {model.classes_per_task}"
         )
+    if open_world and stream.num_tasks == 1:
+        raise ModelError("open-world evaluation needs an unseen task, and the stream "
+                         "has 1 task")
     if step is not None:
         check_integer("step", step, ModelError, 1,
                       min(model.trained_tasks, stream.num_tasks - int(open_world)))

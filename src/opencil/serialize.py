@@ -44,8 +44,8 @@ import zlib
 
 import numpy as np
 
-from .errors import ModelError, ModelIOError
-from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams
+from .errors import ModelIOError
+from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _check_model
 
 FORMAT_NAME = "opencil-model"
 FORMAT_VERSION = 5
@@ -78,16 +78,12 @@ class _Writer:
 def save_model(model: ModelState, path: str) -> None:
     """Write every weight and statistic of the model to ``path``.
 
-    Only the lower triangle of a whitening factor is stored, so a factor
-    with any other entry fails before the file is opened.
+    A model that is not whole (``model._check_model``) fails before the file
+    is opened. Its whitening factors are lower-triangular, so only their lower
+    triangle is stored.
     """
-    hidden = model.hidden_width
-    for t, stats in enumerate(model.stats[:model.trained_tasks]):
-        factor = stats.whitening_factor
-        if factor.shape != (hidden, hidden) or np.triu(factor, 1).any():
-            raise ModelError(f"whitening factor of task {t} is not a lower-triangular "
-                             f"{hidden} x {hidden} array")
-    lower = np.tri(hidden, dtype=bool)
+    _check_model(model)
+    lower = np.tri(model.hidden_width, dtype=bool)
     with open(path, "wb") as fh:
         w = _Writer(fh)
         w.meta("dim_in", model.trunk.dim_in)
@@ -101,10 +97,9 @@ def save_model(model: ModelState, path: str) -> None:
                -1 if model.classes_per_task is None else model.classes_per_task)
         w.array("adapter_weights", model.adapters.weights)
         w.array("adapter_bias", model.adapters.bias)
-        for t in range(model.trained_tasks):
-            head = model.heads[t]
-            stats = model.stats[t]
-            w.array(f"embedding_{t}", model.adapters.task_embeddings[t])
+        for t, (embedding, head, stats) in enumerate(
+                zip(model.adapters.task_embeddings, model.heads, model.stats)):
+            w.array(f"embedding_{t}", embedding)
             w.array(f"head_weights_{t}", head.weights)
             w.array(f"head_bias_{t}", head.bias)
             w.meta(f"head_ood_{t}", 1 if head.ood_logit_present else 0)

@@ -122,25 +122,31 @@ _MALFORMED = {
 _SIZES = {"classes", "dim", "per_class", "hidden_width", "trunk_dim"}
 _SMALL_INTS = st.integers(-2, 6).map(str)
 _POOL = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "2.5", "1e308", "1e-320", ""])
+# malformed lists and kinds of detectors and scorers, and a valid kind of each
+_KINDS = st.sampled_from(["", ",", "base,base", "sm,sm", "BASE", "nope", "sm,,en",
+                          "dice,scale", "base", "sm"])
+# by value type, or by config key for the string settings drawn
 _VALUES = {
     int: st.one_of(_POOL, _SMALL_INTS, _TEXT, st.sampled_from(["1.5", "1e3"])),
     float: st.one_of(_POOL, st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.floats(1e-3, 100.0).map(repr), _TEXT, _NON_FINITE),
-    str: st.sampled_from(["1", "2", "1,2"]),  # --steps, which _MALFORMED adds to
+    "steps": st.sampled_from(["1", "2", "1,2", "1,1"]),  # which _MALFORMED adds to
+    **dict.fromkeys(["detectors", "scorers", "detector", "scorer"], _KINDS),
 }
 
 
 def _setting_cases():
     """(command, key, flag, values) for every int and float setting of every
-    command, and for every setting of ``_MALFORMED``; its values include the
-    malformed ones."""
+    command, every string setting of ``_VALUES`` and every setting of
+    ``_MALFORMED``; its values include the malformed ones."""
     malformed = {key: (command, values) for command, key, values in _MALFORMED.values()}
     cases = []
     for key, (kind, _, commands, flag, _) in cli._SETTINGS.items():
-        if kind not in (int, float) and key not in malformed:
+        pool = _VALUES.get(kind if kind in (int, float) else key)
+        if pool is None and key not in malformed:
             continue
         for command in commands.split():
-            values = [_VALUES[kind]]
+            values = [] if pool is None else [pool]
             if key in _SIZES:
                 values.append(st.just(str(10**20)))
             if malformed.get(key, (None,))[0] == command:
@@ -1149,6 +1155,26 @@ class TestUsage:
 
 
 class TestSettingsBeforeWork:
+    @pytest.mark.parametrize("command,key,value", [
+        ("eval", "detectors", "base,base"),
+        ("eval", "detectors", "base, dice ,base"),
+        ("eval", "scorers", "sm,sm"),
+        ("eval", "scorers", ","),
+        ("curve", "steps", "1,1"),
+        ("curve", "steps", "1,01"),
+        ("curve", "steps", ""),
+    ])
+    def test_list_that_names_an_item_twice_or_none_is_a_usage_error(
+            self, command, key, value, data_dir, model_path, tmp_path, capsys):
+        # each report row or curve step would be written twice
+        out = tmp_path / "out.csv"
+        code = main([command, "--model", str(model_path), "--data", str(data_dir),
+                     f"--{key}", value, "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {key} must name at least one item, each once, got {value!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--detectors", "--scorers"])
     @pytest.mark.parametrize("value", ["", " , "])
     def test_empty_kind_list_is_a_usage_error(self, flag, value, data_dir, model_path,

@@ -153,6 +153,10 @@ class TestForwardFeatures:
         with pytest.raises(ModelError, match=r"^task must be an integer, got 0\.0$"):
             activations(self._model(), 0.0, np.ones((1, 4)))
 
+    def test_untrained_model_has_no_task(self):
+        with pytest.raises(ModelError, match="^model has no trained heads$"):
+            activations(oc.new_model(4, oc.Hyperparams(hidden_width=4)), 0, np.ones((1, 4)))
+
     def test_dimension_mismatch(self):
         model = self._model()
         with pytest.raises(ModelError, match="dimension mismatch"):
@@ -407,6 +411,7 @@ class TestTrainTask:
         assert np.array_equal(oc.hat_mask(model.adapters.task_embeddings[0], 400.0) == 1.0,
                               frozen)
         model.heads.append(oc.TaskHead(np.zeros((32, 2)), np.zeros(2)))
+        model.stats.append(manual_stats(np.zeros((2, 32))))
         model.classes_per_task = 2
         weights, bias = model.adapters.weights.copy(), model.adapters.bias.copy()
 
@@ -648,6 +653,11 @@ class TestComputeTrainStats:
         data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
         with pytest.raises(ModelError, match=r"^task 7 outside 0\.\.1$"):
             oc.compute_train_stats(small_model, data, task=7)
+
+    def test_untrained_model_has_no_task(self):
+        data = oc.Dataset(np.zeros((2, 8)), np.array([0, 1]))
+        with pytest.raises(ModelError, match="^model has no trained heads$"):
+            oc.compute_train_stats(oc.new_model(8, oc.Hyperparams(hidden_width=4)), data)
 
 
 class TestBuffer:

@@ -41,7 +41,7 @@ class TestHeadScore:
     def test_base_sm_on_identity_head(self):
         model = manual_model(np.eye(2), np.zeros(2), [np.full(2, 10.0)],
                              [(np.eye(2), np.zeros(2), False)],
-                             stats=[manual_stats([[1.0, 0.0]])],
+                             stats=[manual_stats([[1.0, 0.0], [0.0, 1.0]])],
                              classes_per_task=2)
         x = np.array([2.0, 0.5])
         z = forward_features(model, 0, x)
@@ -491,7 +491,7 @@ class TestPredictClass:
         weights = np.array([[1.0, 0.0, 50.0], [0.0, 1.0, 50.0]])
         model = manual_model(np.eye(2), np.zeros(2), [np.full(2, 10.0)],
                              [(weights, np.zeros(3), True)],
-                             stats=[manual_stats([[1.0, 0.0]])],
+                             stats=[manual_stats([[1.0, 0.0], [0.0, 1.0]])],
                              classes_per_task=2)
         prediction = oc.predict(model, "base", "sm", np.array([0.3, 0.9]))
         assert prediction.predicted_class in (0, 1)
@@ -575,6 +575,12 @@ class TestEvaluateOpen:
         with pytest.raises(ModelError, match=r"^step 2 outside 1\.\.1$"):
             oc.evaluate_open(small_model, small_stream, 2, "base", "enmd")
 
+    def test_one_task_stream_has_no_open_world_step(self, small_model, small_stream):
+        # the empty range 1..0 is refused with its reason
+        one = oc.TaskStream(small_stream.tasks[:1], small_stream.classes_per_task)
+        with pytest.raises(ModelError, match="^open-world evaluation needs an unseen task, "
+                                             "and the stream has 1 task$"):
+            oc.evaluate_open(small_model, one, 1, "base", "enmd")
 
     def test_step_below_a_stream_longer_than_the_model_is_accepted(self, small_model,
                                                                    small_stream):
