@@ -23,9 +23,9 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from .data import Dataset, SynthSpec, holdout, load_csv, save_csv, split_tasks, synth_gaussian
+from .data import SynthSpec, holdout, load_csv, save_csv, split_tasks, synth_gaussian
 from .detectors import DEFAULT_PERCENTILES, DETECTOR_KINDS, Detector
-from .errors import ConfigError, DataError, ModelError, OpenCILError, check_integer
+from .errors import ConfigError, OpenCILError, check_integer
 from .metrics import grid_points, rejection_curve
 from .model import Hyperparams, new_model, train_stream
 from .pipeline import mixed_scores, run_sweep
@@ -89,14 +89,6 @@ _SETTINGS = {
 }
 CONFIG_KEYS = {key: row[0] for key, row in _SETTINGS.items()}
 _DEFAULTS = {key: row[1] for key, row in _SETTINGS.items() if row[1] is not None}
-_COMMAND_HELP = {
-    "synth": "write synthetic train/test CSVs",
-    "train": "train the incremental model",
-    "eval": "sweep detectors and scorers into a report CSV",
-    "curve": "write accuracy-rejection curves",
-}
-# -o names each command's output
-_SHORT_OUTPUT = {"synth": "out", "train": "model", "eval": "out", "curve": "out"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +102,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -134,8 +126,6 @@ def _load_config(path: str | None) -> dict:
         cast = CONFIG_KEYS[key]
         try:
             values[key] = _parse_bool(value) if cast is bool else cast(value.strip())
-        except ConfigError:
-            raise
         except ValueError:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}"
@@ -143,44 +133,34 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
-class _Settings:
-    """Layered lookup: command-line flag, then config file, then default."""
+class _Settings(dict):
+    """Every setting's value, the command-line flag's over the config file's over
+    the default; ``given`` holds the keys that a flag or the config file sets."""
 
     def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = vars(args)
-        self.config = config
+        flags = {key: value for key, value in vars(args).items() if value is not None}
+        super().__init__({**_DEFAULTS, **config, **flags})
+        self.given = config.keys() | flags.keys()
 
-    def __getitem__(self, key: str):
-        flag = self.args.get(key)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return self.config[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        raise ConfigError(f"missing required setting {key!r}")
 
-    def get(self, key: str, fallback=None):
-        try:
-            return self[key]
-        except ConfigError:
-            return fallback
-
-    def given(self, key: str) -> bool:
-        """Whether a flag or the config file sets ``key``."""
-        return self.args.get(key) is not None or key in self.config
+def _usage(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a library refusal of the settings is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except (OpenCILError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opencil",
                      description="Buffer-free open-world class-incremental learning")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _COMMAND_HELP.items():
+    for command, (summary, short_output, _) in _COMMANDS.items():
         options = sub.add_parser(command, help=summary)
         for key, (kind, _, commands, flag, help_text) in _SETTINGS.items():
             if command not in commands.split():
                 continue
-            flags = ["-o", flag] if _SHORT_OUTPUT[command] == key else [flag]
+            flags = ["-o", flag] if short_output == key else [flag]
             if kind is bool:
                 options.add_argument(*flags, dest=key, action="store_const", const=True,
                                      help=help_text)
@@ -256,23 +236,13 @@ def _load_stream(settings: _Settings, num_tasks: int, split: str):
     return split_tasks(dataset, dataset, num_tasks)
 
 
-def _hyperparams(settings: _Settings) -> Hyperparams:
-    try:
-        return Hyperparams(**{f.name: settings[f.name] for f in fields(Hyperparams)})
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
     # react has no override: it clips at the threshold fitted at train time
     overrides = {"dice": settings["dice_percentile"], "scale": settings["scale_percentile"]}
-    try:
-        detectors = [Detector(kind, overrides.get(kind)) for kind in kinds]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    detectors = [_usage(Detector, kind, overrides.get(kind)) for kind in kinds]
     # a percentile that no detector of the run reads is refused, not ignored
     for kind in overrides:
-        if settings.given(f"{kind}_percentile") and kind not in kinds:
+        if f"{kind}_percentile" in settings.given and kind not in kinds:
             raise ConfigError(f"--{kind}-percentile ({kind}_percentile) requires the "
                               f"{kind} detector")
     return detectors
@@ -280,13 +250,10 @@ def _detector_objects(settings: _Settings, kinds: list[str]) -> list[Detector]:
 
 def _scorer_objects(settings: _Settings, kinds: list[str]) -> list[Scorer]:
     temperature = settings["temperature"]
-    try:
-        scorers = [Scorer(kind, temperature) if kind in ("en", "enmd") else Scorer(kind)
-                   for kind in kinds]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scorers = [_usage(Scorer, kind, temperature) if kind in ("en", "enmd")
+               else _usage(Scorer, kind) for kind in kinds]
     # a temperature that no energy scorer of the run reads is refused, not ignored
-    if settings.given("temperature") and not {"en", "enmd"} & set(kinds):
+    if "temperature" in settings.given and not {"en", "enmd"} & set(kinds):
         raise ConfigError("--temperature (temperature) requires the en or enmd scorer")
     return scorers
 
@@ -312,17 +279,26 @@ def _load_trained(settings: _Settings):
     return model, _load_stream(settings, model.trained_tasks, "test")
 
 
+def _write_csv(out: str | None, lines: list[str], note: str) -> None:
+    """The CSV ``lines`` written to file ``out``, reported as ``wrote <out><note>``,
+    or to stdout if ``out`` is None."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out}{note}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_synth(settings: _Settings) -> int:
-    try:
-        spec = SynthSpec(
-            num_classes=_require(settings, "classes"),
-            dim=_require(settings, "dim"),
-            per_class=_require(settings, "per_class"),
-            mean_separation=_require(settings, "separation"),
-            seed=settings["seed"],
-        )
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
+    spec = _usage(
+        SynthSpec,
+        num_classes=_require(settings, "classes"),
+        dim=_require(settings, "dim"),
+        per_class=_require(settings, "per_class"),
+        mean_separation=_require(settings, "separation"),
+        seed=settings["seed"],
+    )
     test_fraction = settings["test_fraction"]
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
@@ -351,9 +327,9 @@ def _cmd_train(settings: _Settings) -> int:
     if backupdate and not replay:
         raise ConfigError("--backupdate requires --replay")
     # a setting that only the replay path or back-update reads is refused without it
-    if settings.given("buffer_capacity") and not replay:
+    if "buffer_capacity" in settings.given and not replay:
         raise ConfigError("--buffer (buffer_capacity) requires --replay")
-    if settings.given("backupdate_epochs") and not backupdate:
+    if "backupdate_epochs" in settings.given and not backupdate:
         raise ConfigError("--backupdate-epochs (backupdate_epochs) requires --backupdate")
     inputs = _inputs(settings, model=False)
     model_path = _output(settings, "model", required=True, taken=inputs)
@@ -362,7 +338,7 @@ def _cmd_train(settings: _Settings) -> int:
     for key in ("buffer_capacity", "tasks", "trunk_dim"):
         if settings.get(key) is not None:
             check_integer(key, settings[key], ConfigError, 1)
-    hp = _hyperparams(settings)
+    hp = _usage(Hyperparams, **{f.name: settings[f.name] for f in fields(Hyperparams)})
     stream = _load_stream(settings, settings["tasks"], "train")
     model = new_model(stream.tasks[0][0].dim, hp, trunk_dim=settings.get("trunk_dim"))
 
@@ -399,12 +375,7 @@ def _cmd_eval(settings: _Settings) -> int:
             f"{row.detector},{row.scorer},{100 * row.lca:.2f},{100 * row.aia:.2f},"
             f"{100 * row.af:.2f},{100 * row.auc:.2f},{100 * row.aupr:.2f}"
         )
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {out} ({len(report.rows)} rows)")
-    else:
-        sys.stdout.write(text)
+    _write_csv(out, lines, f" ({len(report.rows)} rows)")
     return 0
 
 
@@ -415,10 +386,7 @@ def _cmd_curve(settings: _Settings) -> int:
     detector = _detector_objects(settings, [settings["detector"]])[0]
     scorer = _scorer_objects(settings, [settings["scorer"]])[0]
     grid_step = settings["grid_step"]
-    try:
-        grid_points(grid_step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _usage(grid_points, grid_step)
     model, stream = _load_trained(settings)
     steps = steps or list(range(1, model.trained_tasks + 1))
     for step in steps:
@@ -430,20 +398,16 @@ def _cmd_curve(settings: _Settings) -> int:
         for point in rejection_curve(scores, correct, grid_step):
             lines.append(f"{step},{point.rejection_rate:.6g},"
                          f"{point.accuracy:.6g},{point.retained_count}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
+    _write_csv(out, lines, "")
     return 0
 
 
+# each command's help, the setting that -o names, and the function that runs it
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "curve": _cmd_curve,
+    "synth": ("write synthetic train/test CSVs", "out", _cmd_synth),
+    "train": ("train the incremental model", "model", _cmd_train),
+    "eval": ("sweep detectors and scorers into a report CSV", "out", _cmd_eval),
+    "curve": ("write accuracy-rejection curves", "out", _cmd_curve),
 }
 
 
@@ -452,7 +416,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         settings = _Settings(args, _load_config(getattr(args, "config", None)))
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command][2](settings)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

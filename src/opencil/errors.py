@@ -2,17 +2,21 @@
 
 Each check raises the error type its caller names, with one message form per
 rule: ``check_integer`` for counts, seeds, task ids and steps,
-``check_positive`` for positive, finite reals and ``check_percentile`` for
-percentiles in [0, 100]. ``check_shape`` refuses a float64 array that numpy
-cannot allocate, before anything is drawn into it.
+``check_positive`` for positive, finite reals, ``check_finite`` for finite
+reals and ``check_percentile`` for percentiles in [0, 100]; a finite real is
+one that a float64 holds, so an integer beyond the largest float is refused.
+``check_shape`` refuses a float64 array that numpy cannot allocate, before
+anything is drawn into it.
 """
 
 import math
+import sys
 
 import numpy as np
 
 # concrete types: hat_mask checks its slope every SGD step, numbers.Real is slower
 _REALS = (int, float, np.integer, np.floating)
+_LARGEST = sys.float_info.max
 
 
 class OpenCILError(Exception):
@@ -47,10 +51,24 @@ def check_integer(name: str, value, error: type[Exception], minimum: int,
         raise error(f"{name} {value} outside {minimum}..{maximum}")
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real, not a bool, that a float64 holds."""
+    # an int is compared exactly, a numpy float against inf without a cast that warns
+    return (not isinstance(value, bool) and isinstance(value, _REALS)
+            and -math.inf < value < math.inf
+            and not (isinstance(value, int) and abs(value) > _LARGEST))
+
+
 def check_positive(name: str, value, error: type[Exception]) -> None:
     """Refuse with ``error`` a ``value`` that is not a positive, finite real."""
-    if isinstance(value, bool) or not (isinstance(value, _REALS) and 0 < value < math.inf):
+    if not (_finite(value) and value > 0):
         raise error(f"{name} must be positive and finite, got {value}")
+
+
+def check_finite(name: str, value, error: type[Exception]) -> None:
+    """Refuse with ``error`` a ``value`` that is not a finite real."""
+    if not _finite(value):
+        raise error(f"{name} must be a finite real, got {value!r}")
 
 
 def check_percentile(name: str, value, error: type[Exception]) -> None:

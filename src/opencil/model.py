@@ -34,7 +34,8 @@ import numpy as np
 
 from .data import Dataset, task_local
 from .detectors import percentile
-from .errors import ModelError, check_integer, check_percentile, check_positive, check_shape
+from .errors import (ModelError, check_finite, check_integer, check_percentile,
+                     check_positive, check_shape)
 from .rng import substream
 
 EMBEDDING_INIT_RANGE = 0.1
@@ -165,7 +166,9 @@ def _check_array(name: str, array, *shape) -> None:
 def _check_model(model: ModelState) -> None:
     """Refuse a model that is not whole: one embedding, head and TrainStats per task,
     ``classes_per_task`` None exactly when no task is trained, every array of the shape
-    the model's sizes give it, and every whitening factor lower-triangular."""
+    the model's sizes give it, every whitening factor lower-triangular, ``slope_max``
+    a positive finite real, each ``react_threshold`` a finite real and each
+    ``ood_logit_present`` a bool."""
     tasks, classes, adapters = model.trained_tasks, model.classes_per_task, model.adapters
     if len(adapters.task_embeddings) != tasks or len(model.stats) != tasks:
         raise ModelError(f"model has {tasks} heads but {len(adapters.task_embeddings)} "
@@ -174,6 +177,7 @@ def _check_model(model: ModelState) -> None:
         raise ModelError(f"classes_per_task {classes} does not fit {tasks} trained tasks")
     if tasks:
         check_integer("classes_per_task", classes, ModelError, 1)
+    check_positive("slope_max", adapters.slope_max, ModelError)
     projection, weights = model.trunk.projection, adapters.weights
     # two axes, the last of any length: it sets the trunk's and the hidden width
     if projection is not None:
@@ -184,6 +188,10 @@ def _check_model(model: ModelState) -> None:
     _check_array("adapter bias", adapters.bias, hidden)
     for t, (embedding, head, stats) in enumerate(
             zip(adapters.task_embeddings, model.heads, model.stats)):
+        if not isinstance(head.ood_logit_present, (bool, np.bool_)):
+            raise ModelError(f"ood_logit_present of task {t} must be a bool, got "
+                             f"{head.ood_logit_present!r}")
+        check_finite(f"react_threshold of task {t}", stats.react_threshold, ModelError)
         logits = classes + (1 if head.ood_logit_present else 0)
         _check_array(f"embedding of task {t}", embedding, hidden)
         _check_array(f"head weights of task {t}", head.weights, hidden, logits)
@@ -502,6 +510,9 @@ def train_task_replay(model: ModelState, task_data: Dataset, buffer: "Buffer",
     buffered samples train an extra OOD logit appended to the head. A task
     that raises leaves the model as it was."""
     n_classes = _check_task(model, task_data, hp)
+    if buffer.features.shape[1] != model.trunk.dim_in:
+        raise ModelError(f"buffer dim {buffer.features.shape[1]} does not match model input "
+                         f"dim {model.trunk.dim_in}")
     inputs = model.trunk.apply(task_data.features)
     labels = task_data.labels
     if len(buffer):
@@ -645,6 +656,13 @@ class Buffer:
 
     def __post_init__(self) -> None:
         check_integer("buffer capacity", self.capacity, ModelError, 1)
+        if np.ndim(self.features) != 2:
+            raise ModelError(f"buffer features must be 2-D, got shape {np.shape(self.features)}")
+        rows = (len(self.features),)
+        if np.shape(self.labels) != rows or np.shape(self.tasks) != rows:
+            raise ModelError(f"buffer labels and tasks must have one entry per feature row, "
+                             f"got shapes {np.shape(self.labels)} and {np.shape(self.tasks)} "
+                             f"for {rows[0]} rows")
 
     @classmethod
     def empty(cls, capacity: int, dim: int) -> "Buffer":
@@ -670,6 +688,9 @@ def buffer_update(buffer: Buffer, task_data: Dataset, task_id: int, seed: int) -
     """
     check_integer("task_id", task_id, ModelError, 0)
     check_integer("seed", seed, ModelError, 0)
+    if len(buffer) and task_data.dim != buffer.features.shape[1]:
+        raise ModelError(f"task data dim {task_data.dim} does not match buffer "
+                         f"dim {buffer.features.shape[1]}")
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c, count in buffer.class_counts().items():
         idx = np.flatnonzero(buffer.labels == c)

@@ -244,16 +244,20 @@ class _Plan:
 
 def _plan(model: ModelState) -> _Plan:
     """The model's plan, rebuilt unless every array that it or its memo slot
-    reads is unchanged (``_unchanged``) and every scalar is bit-equal."""
+    reads is unchanged (``_unchanged``) and every scalar is bit-equal. A scalar
+    that no float64 holds rebuilds it, so that the model contract names it."""
     adapters, heads, stats = model.adapters, model.heads, model.stats
     projection = model.trunk.projection
     arrays = [adapters.weights, adapters.bias, *([] if projection is None else [projection]),
               *adapters.task_embeddings, *(a for h in heads for a in (h.weights, h.bias)),
               *(a for s in stats
                 for a in (s.class_means, s.whitening_factor, s.mean_activations))]
-    scalars = np.array([model.trunk.dim_in, adapters.slope_max, model.classes_per_task or 0,
-                        *(s.react_threshold for s in stats),
-                        *(h.ood_logit_present for h in heads)], dtype=np.float64).tobytes()
+    try:
+        scalars = np.array([model.trunk.dim_in, adapters.slope_max, model.classes_per_task or 0,
+                            *(s.react_threshold for s in stats),
+                            *(h.ood_logit_present for h in heads)], dtype=np.float64).tobytes()
+    except (TypeError, ValueError, OverflowError):
+        scalars = None
     plan = getattr(model, "_inference_plan", None)
     if plan is None or plan.scalars != scalars or not _unchanged(plan.arrays, arrays):
         _check_model(model)

@@ -30,8 +30,9 @@ still reads the old one.
 A declared shape the rest of the file cannot hold (refused before anything
 is allocated), a payload that does not hold exactly the array's values, a
 non-finite value in any record, a missing or mismatched checksum, an array
-whose shape does not fit the model's sizes and a factor with a diagonal
-entry that is not positive fail the load. Both directions stream the file
+whose shape does not fit the model's sizes, a factor with a diagonal
+entry that is not positive, a flag other than 0 or 1 and a ``slope_max``
+that is not positive fail the load. Both directions stream the file
 record by record, so neither holds the whole file in memory.
 """
 
@@ -51,6 +52,21 @@ FORMAT_NAME = "opencil-model"
 FORMAT_VERSION = 5
 
 __all__ = ["save_model", "load_model"]
+
+
+def _flag(text: str) -> bool:
+    """A meta flag, 0 or 1."""
+    if text not in ("0", "1"):
+        raise ValueError(f"not a flag: {text!r}")
+    return text == "1"
+
+
+def _positive(text: str) -> float:
+    """A meta real that is not zero or negative; a NaN is left to the finite check."""
+    value = float(text)
+    if value <= 0:
+        raise ValueError(f"not positive: {value}")
+    return value
 
 
 class _Writer:
@@ -237,9 +253,9 @@ def load_model(path: str) -> ModelState:
         r = _Reader(path, fh)
         dim_in = r.meta("dim_in", int)
         projection = (r.array("trunk_projection", (dim_in, None))
-                      if r.meta("has_projection", int) else None)
+                      if r.meta("has_projection", _flag) else None)
         hidden = r.meta("hidden_width", int)
-        slope_max = r.meta("slope_max")
+        slope_max = r.meta("slope_max", _positive)
         trained_tasks = r.meta("trained_tasks", int)
         classes_per_task = r.meta("classes_per_task", int)
         if dim_in < 1 or hidden < 1 or trained_tasks < 0:
@@ -262,7 +278,7 @@ def load_model(path: str) -> ModelState:
             # the OOD flag that sets the head's width follows the head
             weights = r.array(f"head_weights_{t}", (hidden, None))
             bias = r.array(f"head_bias_{t}", (None,))
-            ood = bool(r.meta(f"head_ood_{t}", int))
+            ood = r.meta(f"head_ood_{t}", _flag)
             logits = classes_per_task + (1 if ood else 0)
             r.check_shape(f"head_weights_{t}", weights.shape, (hidden, logits))
             r.check_shape(f"head_bias_{t}", bias.shape, (logits,))

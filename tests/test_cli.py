@@ -535,6 +535,18 @@ class TestConfigFile:
         model = oc.load_model(str(tmp_path / "m.txt"))
         assert model.heads[0].ood_logit_present
 
+    @pytest.mark.parametrize("key, value", [("replay", "maybe"), ("backupdate", "2"),
+                                            ("replay", "")])
+    def test_bad_boolean_names_the_file_line_and_key(self, key, value, data_dir, tmp_path,
+                                                     capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"epochs=2\n{key} = {value}\n")
+        code = main(["train", "--data", str(data_dir), "--tasks", "2",
+                     "--config", str(config), "-o", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}:2: bad value for {key!r}: {value!r}\n"
+        assert not (tmp_path / "m.txt").exists()
+
     def test_config_file_that_is_not_utf8_is_a_usage_error(self, data_dir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_bytes(b"epochs=3\n\xff\xfe\n")
@@ -1286,3 +1298,22 @@ class TestSettingsBeforeWork:
                      "--data", str(data_dir), "--config", str(config)])
         assert code == 1
         assert "temperature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("eval", "epochs 3\n", "{config}:1: expected key=value, got 'epochs 3'"),
+    ("curve", "# a comment\n\nseed: 3  # no equals sign\n",
+     "{config}:3: expected key=value, got 'seed: 3  # no equals sign'"),
+    ("eval", None, "model file holds no trained tasks"),
+    ("curve", None, "model file holds no trained tasks"),
+], ids=["config-eval", "config-curve", "untrained-eval", "untrained-curve"])
+def test_refusal_names_the_fault(command, config, message, data_dir, tmp_path, capsys):
+    # an untrained model of the data's dim, so only the trained-task count is wrong
+    model = tmp_path / "untrained.bin"
+    oc.save_model(oc.new_model(8, oc.Hyperparams(hidden_width=4)), str(model))
+    argv = [command, "--data", str(data_dir), "--model", str(model)]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(config=tmp_path / 'run.cfg')}\n")

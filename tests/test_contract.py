@@ -7,6 +7,7 @@ one message, never with a bare numpy error or plausible-looking scores.
 """
 
 import copy
+import math
 import zlib
 
 import numpy as np
@@ -228,8 +229,26 @@ class TestBrokenModels:
         lambda m: m.adapters.task_embeddings.pop(),
         lambda m: m.stats.append(m.stats[0]),
         lambda m: setattr(m, "classes_per_task", 3),
+        lambda m: setattr(m.stats[0], "react_threshold", None),
+        lambda m: setattr(m.stats[1], "react_threshold", math.inf),
+        lambda m: setattr(m.stats[0], "react_threshold", math.nan),
+        lambda m: setattr(m.stats[1], "react_threshold", True),
+        lambda m: setattr(m.stats[0], "react_threshold", "0.5"),
+        lambda m: setattr(m.stats[0], "react_threshold", 10**400),
+        lambda m: setattr(m.heads[0], "ood_logit_present", "no"),
+        lambda m: setattr(m.heads[1], "ood_logit_present", int(m.heads[1].ood_logit_present)),
+        lambda m: setattr(m.heads[0], "ood_logit_present", None),
+        lambda m: setattr(m.adapters, "slope_max", math.nan),
+        lambda m: setattr(m.adapters, "slope_max", math.inf),
+        lambda m: setattr(m.adapters, "slope_max", 0.0),
+        lambda m: setattr(m.adapters, "slope_max", -3.0),
+        lambda m: setattr(m.adapters, "slope_max", None),
+        lambda m: setattr(m.adapters, "slope_max", 10**400),
     ], ids=["class-means", "mean-activations", "embedding", "adapter-bias", "head-bias",
-            "stats-dropped", "embedding-dropped", "stats-appended", "classes"])
+            "stats-dropped", "embedding-dropped", "stats-appended", "classes", "react-none",
+            "react-inf", "react-nan", "react-bool", "react-text", "react-beyond-float",
+            "ood-text", "ood-int", "ood-none", "slope-nan", "slope-inf", "slope-zero",
+            "slope-negative", "slope-none", "slope-beyond-float"])
     def test_edit_once_a_traceback_or_a_silent_skip(self, edit, replay, whole_models,
                                                    tmp_path):
         model, stream, hp = whole_models[replay, None, 2, 4]

@@ -321,3 +321,31 @@ def test_substream_refuses_a_seed_that_is_not_a_non_negative_integer():
                           (-1, "seed must be >= 0, got -1")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             substream(seed, "x")
+
+
+def _labelled(labels, dim=2):
+    return oc.Dataset(np.ones((len(labels), dim)), np.array(labels))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: oc.Dataset(np.zeros(4), np.zeros(4)), r"features must be 2-D, got shape \(4,\)"),
+    (lambda tmp: oc.Dataset(np.zeros((4, 2)), np.zeros(3)),
+     r"labels must be 1-D with one entry per row, got shape \(3,\)"),
+    (lambda tmp: oc.Dataset(np.zeros((4, 2)), np.zeros((4, 1))),
+     r"labels must be 1-D with one entry per row, got shape \(4, 1\)"),
+    (lambda tmp: oc.Dataset(np.zeros((2, 2)), np.array([0, -1])), "negative class label -1"),
+    (lambda tmp: oc.load_csv(write(tmp / "d.csv", "label,f0\n0,1.0\n-2,0.5\n")),
+     "negative label at row 3: -2"),
+    (lambda tmp: oc.split_tasks(_labelled([0, 1]), _labelled([0, 1], dim=3), 1),
+     "train and test dims differ: 2 vs 3"),
+    (lambda tmp: oc.split_tasks(_labelled([0, 1, 2, 3]), _labelled([0, 1]), 2),
+     "train and test class counts differ: 4 vs 2"),
+    (lambda tmp: oc.split_tasks(_labelled([0, 2, 3]), _labelled([0, 1, 2, 3]), 2),
+     "task 0 train split is missing class 1"),
+    (lambda tmp: oc.split_tasks(_labelled([0, 1, 2, 3]), _labelled([0, 1, 3]), 2),
+     "task 1 test split is missing class 2"),
+], ids=["features-1d", "labels-short", "labels-2d", "negative-label", "csv-negative-label",
+        "dims-differ", "class-counts-differ", "train-missing-class", "test-missing-class"])
+def test_refusal_names_the_fault(make, message, tmp_path):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        make(tmp_path)

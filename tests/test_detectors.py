@@ -117,6 +117,16 @@ class TestDiceMask:
         with pytest.raises(ValueError, match="mean_activations"):
             build_dice_mask(np.ones((2, 3)), np.ones(4), 50.0)
 
+    @pytest.mark.parametrize("weights, activations, message", [
+        (np.ones(3), np.ones(3), r"weights must be 2-D, got shape \(3,\)"),
+        (np.ones((2, 3, 1)), np.ones(3), r"weights must be 2-D, got shape \(2, 3, 1\)"),
+        (np.ones((2, 3)), np.ones((3, 1)),
+         r"mean_activations length \(3, 1\) does not match weight input width 3"),
+    ], ids=["1d", "3d", "activations-2d"])
+    def test_refusal_names_the_fault(self, weights, activations, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_dice_mask(weights, activations, 50.0)
+
 
 class TestRectifyScale:
     def test_hand_computed_factor(self):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opencil.errors import (ConfigError, DataError, check_integer, check_percentile,
-                            check_positive, check_shape)
+from opencil.errors import (ConfigError, DataError, check_finite, check_integer,
+                            check_percentile, check_positive, check_shape)
 
 
 @pytest.mark.parametrize("value, minimum, maximum", [
@@ -41,6 +41,25 @@ def test_positive_real_passes(value):
 def test_positive_real_refused(value):
     with pytest.raises(ValueError, match=r"^rate must be positive and finite, got "):
         check_positive("rate", value, ValueError)
+
+
+def test_integer_beyond_the_largest_float_is_not_a_positive_real():
+    check_positive("rate", 10**308, ValueError)
+    with pytest.raises(ValueError, match=r"^rate must be positive and finite, got 1000"):
+        check_positive("rate", 10**309, ValueError)
+
+
+@pytest.mark.parametrize("value", [0, -0.0, -2.5, 1e308, -1e308, np.float32(-2.5), np.int64(-3),
+                                   -10**308])
+def test_finite_real_passes(value):
+    check_finite("threshold", value, ValueError)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("nan"), True,
+                                   np.True_, "1.0", None, 10**309, -10**309])
+def test_finite_real_refused(value):
+    with pytest.raises(ValueError, match=r"^threshold must be a finite real, got "):
+        check_finite("threshold", value, ValueError)
 
 
 @pytest.mark.parametrize("value", [0, 0.0, 50.5, 100, np.float64(100.0)])

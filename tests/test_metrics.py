@@ -249,3 +249,16 @@ def test_rejection_curve_points_match_per_point_percentiles(samples, grid_step):
         retained = scores >= percentile(scores, rho)
         assert point == CurvePoint(rho / 100.0, float(correct[retained].mean()),
                                    int(retained.sum()))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: lca([]), ValueError, "lca needs at least one step accuracy"),
+    (lambda: aia(iter([])), ValueError, "aia needs at least one step accuracy"),
+    (lambda: metrics.EvalReport().row("base", "sm"), KeyError,
+     r"'no report row for \(base, sm\)'"),
+    (lambda: metrics.EvalReport([metrics.ReportRow("base", "sm", 1, 1, 0, 1, 1)]).row("dice", "sm"),
+     KeyError, r"'no report row for \(dice, sm\)'"),
+], ids=["lca-empty", "aia-empty", "row-of-empty-report", "row-not-swept"])
+def test_refusal_names_the_fault(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import threading
 import zlib
 from dataclasses import replace
@@ -715,6 +716,40 @@ class TestBuffer:
         with pytest.raises(ModelError, match=f"^{message}$"):
             oc.buffer_update(oc.Buffer.empty(4, 4), self._task(2, 5), task_id=task_id, seed=0)
 
+    @pytest.mark.parametrize("features, labels, tasks, message", [
+        (np.ones((3, 6)), np.zeros(2), np.zeros(3),
+         r"buffer labels and tasks must have one entry per feature row, got shapes \(2,\) "
+         r"and \(3,\) for 3 rows"),
+        (np.ones((3, 6)), np.zeros(3), np.zeros(4),
+         r"buffer labels and tasks must have one entry per feature row, got shapes \(3,\) "
+         r"and \(4,\) for 3 rows"),
+        (np.ones((3, 6)), np.zeros((3, 1)), np.zeros(3),
+         r"buffer labels and tasks must have one entry per feature row, got shapes \(3, 1\) "
+         r"and \(3,\) for 3 rows"),
+        (np.ones(3), np.zeros(3), np.zeros(3), r"buffer features must be 2-D, got shape \(3,\)"),
+    ], ids=["labels-short", "tasks-long", "labels-2d", "features-1d"])
+    def test_arrays_that_do_not_fit_together_are_refused(self, features, labels, tasks,
+                                                        message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            oc.Buffer(8, features, labels.astype(np.int64), tasks.astype(np.int64))
+
+    @pytest.mark.parametrize("rows", [0, 4])
+    def test_replay_refuses_a_buffer_of_another_dim(self, rows, small_stream, small_hp):
+        model = oc.new_model(8, small_hp)
+        buffer = oc.Buffer(10, np.ones((rows, 6)), np.zeros(rows, dtype=np.int64),
+                           np.zeros(rows, dtype=np.int64))
+        local = task_local(small_stream.tasks[0][0], 0, 2)
+        with pytest.raises(ModelError, match="^buffer dim 6 does not match model input dim 8$"):
+            oc.train_task_replay(model, local, buffer, small_hp)
+        assert model.trained_tasks == 0
+
+    def test_update_refuses_task_data_of_another_dim(self):
+        buffer = oc.buffer_update(oc.Buffer.empty(8, 6), self._task(2, 5, dim=6), 0, 0)
+        with pytest.raises(ModelError, match="^task data dim 4 does not match buffer dim 6$"):
+            oc.buffer_update(buffer, self._task(2, 5, base=2), task_id=1, seed=0)
+        # an empty buffer holds no rows to concatenate with
+        assert len(oc.buffer_update(oc.Buffer.empty(8, 6), self._task(2, 5), 0, 0)) == 8
+
 
 class TestReplayTraining:
     def test_first_task_gets_untrained_ood_logit(self, small_stream, small_hp):
@@ -1093,6 +1128,28 @@ class TestSerialization:
             oc.save_model(model, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("dim_in", "8.5"), ("has_projection", "7"), ("has_projection", "-1"),
+        ("slope_max", "0"), ("slope_max", "-3"), ("slope_max", "x"), ("head_ood_0", "5"),
+        ("head_ood_1", "2"), ("stats_react_1", "0x1p3"),
+    ])
+    def test_bad_meta_value_is_refused(self, name, value, tmp_path):
+        # a replay model with a trunk projection, so both flags read 1
+        hp = oc.Hyperparams(epochs=1, batch_size=16, hidden_width=4, seed=2)
+        spec = oc.SynthSpec(num_classes=4, dim=8, per_class=12, mean_separation=6.0, seed=2)
+        model = oc.new_model(8, hp, trunk_dim=3)
+        oc.train_stream(model, oc.split_tasks(*oc.holdout(oc.synth_gaussian(spec), 0.25, 1), 2),
+                        hp, replay=True, buffer_capacity=8)
+        path = tmp_path / "model.bin"
+        oc.save_model(model, str(path))
+        records = model_records(path.read_bytes())
+        at = next(i for i, r in enumerate(records) if r.split()[:2] == [b"meta", name.encode()])
+        records[at] = f"meta {name} {value}\n".encode()
+        path.write_bytes(b"".join(records))
+        with pytest.raises(ModelIOError, match=f"^{re.escape(str(path))}: bad value in meta "
+                                               f"record '{name}'$"):
+            oc.load_model(str(path))
+
     @pytest.mark.parametrize("version", ["1", "2", "3", "4", "99"])
     def test_version_mismatch(self, version, tmp_path):
         # the text files of versions 1 to 4 are refused like any version but 5
@@ -1144,3 +1201,22 @@ class TestSerialization:
         x = np.random.default_rng(0).normal(size=6)
         assert np.array_equal(forward_features(model, 0, x),
                               forward_features(loaded, 0, x))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda stream, hp, model: oc.train_task(oc.new_model(8, hp),
+                                             oc.Dataset(np.zeros((4, 3)), [0, 1, 0, 1]), hp),
+     "task data dim 3 does not match model input dim 8"),
+    (lambda stream, hp, model: oc.compute_train_stats(
+        model, oc.Dataset(np.ones((4, 8)), [0, 2, 0, 2]), task=0),
+     "class 1 has no training samples"),
+    (lambda stream, hp, model: oc.back_update(
+        model, oc.Buffer(10, np.ones((2, 8)), np.array([0, 1]), np.array([0, 0])), hp),
+     "head 0 has no OOD logit; back-update needs the replay path"),
+    (lambda stream, hp, model: oc.train_stream(oc.new_model(8, hp), stream, hp,
+                                               backupdate=True),
+     "back-update requires the replay path"),
+], ids=["data-dim", "class-without-samples", "back-update-buffer-free", "stream-back-update"])
+def test_refusal_names_the_fault(make, message, small_stream, small_hp, small_model):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        make(small_stream, small_hp, small_model)

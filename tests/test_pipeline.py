@@ -943,3 +943,27 @@ class TestColumnMemo:
         for a in held:  # the classes, scores, labels and tasks the calls copied from
             with pytest.raises(ValueError, match="read-only"):
                 a[:] = 0
+
+
+def _one_task_of_four_classes():
+    spec = oc.SynthSpec(num_classes=4, dim=8, per_class=10, mean_separation=6.0, seed=1)
+    return oc.split_tasks(*oc.holdout(oc.synth_gaussian(spec), 0.25, 1), 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda model, untrained: oc.predict(untrained, "base", "sm", np.zeros(8)),
+     "model has no trained heads"),
+    (lambda model, untrained: oc.run_sweep(untrained, _one_task_of_four_classes(), ["base"],
+                                           ["sm"]),
+     "model has no trained heads"),
+    (lambda model, untrained: oc.run_sweep(model, _one_task_of_four_classes(), ["base"],
+                                           ["sm"]),
+     "stream has 4 classes per task; model was trained with 2"),
+    (lambda model, untrained: oc.score_table(model, _one_task_of_four_classes(), "base",
+                                             "sm"),
+     "stream has 4 classes per task; model was trained with 2"),
+], ids=["predict-untrained", "sweep-untrained", "sweep-classes", "score-table-classes"])
+def test_refusal_names_the_fault(make, message, small_model):
+    untrained = oc.new_model(8, oc.Hyperparams(hidden_width=4))
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        make(small_model, untrained)
