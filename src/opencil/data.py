@@ -51,7 +51,12 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labs = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labs = np.asarray(self.labels)
+        if labs.dtype.kind == "f":  # the int64 cast would wrap or truncate these
+            whole = np.isfinite(labs) & (labs == np.round(labs)) & (np.abs(labs) < 2.0**63)
+            if not whole.all():
+                raise DataError(f"class labels must be whole numbers, got {labs[~whole][0]}")
+        labs = np.ascontiguousarray(labs, dtype=np.int64)
         # a view is copied: a write through the array it views would change it
         feats = feats if feats.base is None else feats.copy()
         labs = labs if labs.base is None else labs.copy()
@@ -170,10 +175,12 @@ def load_csv(path: str) -> Dataset:
 
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write a dataset as CSV, features with 9 significant digits."""
+    # one template per row over Python floats, whose "%.9g" is numpy's f"{v:.9g}"
+    row = "%d," + ",".join(["%.9g"] * dataset.dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"f{i}" for i in range(dataset.dim)) + "\n")
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(f"{int(label)}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+        fh.writelines(row % (label, *values) for label, values
+                      in zip(dataset.labels.tolist(), dataset.features.tolist()))
 
 
 @dataclass(frozen=True)

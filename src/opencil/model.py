@@ -163,6 +163,21 @@ def _check_array(name: str, array, *shape) -> None:
         raise ModelError(f"{name} has shape {getattr(array, 'shape', None)}, expected {shape}")
 
 
+# Rows per block of the factor scan: each block reads the columns right of its
+# diagonal square as a view and copies only that square, never a whole triangle.
+_SCAN_ROWS = 64
+
+
+def _lower_triangular(factor: np.ndarray) -> bool:
+    """Whether a square ``factor`` is zero above its diagonal (NaN is not zero)."""
+    hidden = len(factor)
+    for a in range(0, hidden, _SCAN_ROWS):
+        b = min(a + _SCAN_ROWS, hidden)
+        if factor[a:b, b:].any() or np.triu(factor[a:b, a:b], 1).any():
+            return False
+    return True
+
+
 def _check_model(model: ModelState) -> None:
     """Refuse a model that is not whole: one embedding, head and TrainStats per task,
     ``classes_per_task`` None exactly when no task is trained, every array of the shape
@@ -199,7 +214,7 @@ def _check_model(model: ModelState) -> None:
         _check_array(f"class means of task {t}", stats.class_means, classes, hidden)
         _check_array(f"mean activations of task {t}", stats.mean_activations, hidden)
         factor = stats.whitening_factor
-        if getattr(factor, "shape", None) != (hidden, hidden) or np.triu(factor, 1).any():
+        if getattr(factor, "shape", None) != (hidden, hidden) or not _lower_triangular(factor):
             raise ModelError(f"whitening factor of task {t} is not a lower-triangular "
                              f"{hidden} x {hidden} array")
 

@@ -66,21 +66,27 @@ and safe to parallelize.
 
 Per-step loops over one test set (a curve over steps 1..T, open-world
 metrics or closed-world accuracy after each step) ask for the same pass
-again and again. So the plan keeps one memo slot (``_columns``): the
-classes and scores of every head over a stream's stacked test sets under
-one detector-scorer pair, with their labels and true tasks. It is keyed on
-the test sets' ``features`` and ``labels``, read-only in every ``Dataset``,
-and on the pair; a new plan starts with it empty. Its arrays are read-only,
-and callers get copies or values derived from them. ``score_table``,
-``evaluate_closed``, ``evaluate_open`` and ``mixed_scores`` read it, each
-over the whole stacked test set, so their scores of one row agree to the
-bit with each other and with ``run_sweep``. ``predict`` scores one row and
-keeps no slot.
+again and again, and a sweep over detector-scorer pairs has made it
+already. So the plan keeps one memo slot (``_columns``): the classes and
+scores of every head over a stream's stacked test sets under every pair of
+a tuple of detectors and a tuple of scorers, with their labels and true
+tasks. It is keyed on the test sets' ``features`` and ``labels``, read-only
+in every ``Dataset``, and on those tuples; a new plan starts with it empty.
+A call hits when the test sets are unchanged and every pair it asks for is
+in the slot's product of detectors x scorers; a miss makes one pass for the
+pairs asked and replaces the slot. ``run_sweep`` asks for its D x S pairs,
+and ``score_table``, ``evaluate_closed``, ``evaluate_open`` and
+``mixed_scores`` for one, each over the whole stacked test set, so after a
+sweep none of them scores a head of a pair it swept, and their scores of
+one row agree to the bit: a pair's scores do not depend on which other
+pairs share its pass. The slot retains the (D, S, n, T) scores, the (n, T)
+classes, the labels and tasks, all read-only, and callers get copies or
+values derived from them. ``predict`` scores one row and keeps no slot.
 
-``run_sweep`` makes one pass for all its pairs, then reads every step of a
-pair from that pass: step k routes heads 0..k-1 like ``evaluate_closed``,
-and while unseen tasks remain ``metrics.separation`` gives its ROC and
-precision-recall areas from one sort.
+``run_sweep`` reads every step of a pair from the slot: step k routes heads
+0..k-1 like ``evaluate_closed``, and while unseen tasks remain
+``metrics.separation`` gives its ROC and precision-recall areas from one
+sort.
 """
 
 from __future__ import annotations
@@ -324,25 +330,20 @@ def _base(logits: np.ndarray, key) -> np.ndarray:
 
 
 def _pass(model: ModelState, x: np.ndarray, detectors, scorers):
-    """One uncut pass of a batch through every head, as ``_heads`` returns it;
-    the Mahalanobis arrays are built only when a scorer reads them."""
+    """One inference pass of a batch through every head.
+
+    Returns ``(classes, scores)``: ``classes[s, t]`` is the global class
+    head t predicts for sample s, and ``scores[i, j]`` the (n, T) scores
+    under ``detectors[i]`` and ``scorers[j]``. Pairs are indexed by
+    position, since two detectors may share a kind. The Mahalanobis arrays
+    are built only when a scorer reads them.
+    """
     plan = _plan(model)
     md = (plan.mahalanobis(model.stats) if any(s.kind in ("smmd", "enmd") for s in scorers)
           else None)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite score
         relu = _shared_adapter(model, x)
     return _heads(plan, md, relu, detectors, scorers)
-
-
-def _forward(model: ModelState, x: np.ndarray, upto: int, detectors=(), scorers=()):
-    """One inference pass of a batch, cut to the first ``upto`` heads.
-
-    Returns ``(classes, scores)``: ``classes[s, t]`` is the global class
-    head t predicts for sample s, and ``scores[i, j]`` the (n, upto)
-    scores under ``detectors[i]`` and ``scorers[j]``. Pairs are indexed
-    by position, since two detectors may share a kind.
-    """
-    return _cut(*_pass(model, x, detectors, scorers), upto)
 
 
 def _cut(classes: np.ndarray, scores: np.ndarray, upto: int):
@@ -359,7 +360,7 @@ def _cut(classes: np.ndarray, scores: np.ndarray, upto: int):
 
 def _heads(plan: _Plan, md, relu: np.ndarray, detectors, scorers):
     """The classes and scores of every head from the shared-adapter output
-    ``relu``, as ``_forward`` returns them before the cut."""
+    ``relu``, as ``_pass`` returns them."""
     tasks, classes_per_task = plan.bias.shape
     dice = [plan.dice(d.percentile) if d.kind == "dice" else None for d in detectors]
     keys = [_base_key(s) for s in scorers]
@@ -406,26 +407,36 @@ def _heads(plan: _Plan, md, relu: np.ndarray, detectors, scorers):
     return classes, scores
 
 
-def _columns(model: ModelState, stream, upto: int, detector, scorer):
-    """Classes and scores of heads 0..upto-1 for one pair over the stream's
-    stacked test sets, with the sets' labels and true tasks, as read-only
-    views into the plan's memo slot, which holds every head for one stream
-    and pair. A hit (``_unchanged`` test-set arrays, an equal pair) costs no
-    stacking and no adapter product; a miss scores every head in one pass.
+def _columns(model: ModelState, stream, upto: int, detectors, scorers):
+    """Classes and scores of heads 0..upto-1 under every pair of
+    ``detectors`` x ``scorers`` over the stream's stacked test sets, with the
+    sets' labels and true tasks, as ``_cut`` returns them.
+
+    They come from the plan's memo slot, which holds every head for one
+    stream under the pairs of one pass. A hit (``_unchanged`` test-set
+    arrays, every pair asked in the slot's product of detectors x scorers)
+    costs no stacking and no adapter product; a miss scores every head under
+    the pairs asked in one pass and replaces the slot. The classes, labels
+    and tasks are read-only views into the slot, the scores a copy.
     """
-    detector, scorer = _as_detector(detector), _as_scorer(scorer)
+    detectors = tuple(_as_detector(d) for d in detectors)
+    scorers = tuple(_as_scorer(s) for s in scorers)
     plan = _plan(model)  # a new plan starts with an empty slot
     tests = [a for _train, test in stream.tasks for a in (test.features, test.labels)]
     slot = plan.columns
-    if slot is None or slot[1:3] != (detector, scorer) or not _unchanged(slot[0], tests):
+    if (slot is None or not _unchanged(slot[0], tests)
+            or not all(d in slot[1] for d in detectors)
+            or not all(s in slot[2] for s in scorers)):
         features, labels, tasks = _stack_tests(stream)
-        classes, scores = _pass(model, features, [detector], [scorer])
-        slot = (tuple(_frozen(a) for a in tests), detector, scorer,
-                *(_frozen(a) for a in (classes, scores[0, 0], labels, tasks)))
+        classes, scores = _pass(model, features, detectors, scorers)
+        slot = (tuple(_frozen(a) for a in tests), detectors, scorers,
+                *(_frozen(a) for a in (classes, scores, labels, tasks)))
         # one assignment, so a concurrent call sees a whole slot, old or new
         plan.columns = slot
-    classes, scores, labels, tasks = slot[3:]
-    return (*_cut(classes, scores, upto), labels, tasks)
+    _tests, held_detectors, held_scorers, classes, scores, labels, tasks = slot
+    picked = scores[np.ix_([held_detectors.index(d) for d in detectors],
+                           [held_scorers.index(s) for s in scorers])]
+    return (*_cut(classes, picked, upto), labels, tasks)
 
 
 def _routed(classes: np.ndarray, scores: np.ndarray):
@@ -453,8 +464,11 @@ def predict(model: ModelState, detector, scorer, x: np.ndarray) -> Prediction:
     any OOD logit excluded; the score is the winning head's.
     """
     x = np.asarray(x, dtype=np.float64)
-    classes, scores = _forward(model, x[None, :], model.trained_tasks,
-                               [_as_detector(detector)], [_as_scorer(scorer)])
+    dim = model.trunk.dim_in
+    if x.shape != (dim,):
+        raise ModelError(f"predict takes one row of {dim} values, got shape {x.shape}")
+    classes, scores = _cut(*_pass(model, x[None, :], [_as_detector(detector)],
+                                  [_as_scorer(scorer)]), model.trained_tasks)
     system, task, predicted = _routed(classes, scores[0, 0])
     return Prediction(int(task[0]), int(predicted[0]), float(system[0]))
 
@@ -497,8 +511,8 @@ def score_table(model: ModelState, stream, detector, scorer) -> ScoreTable:
     detector = _as_detector(detector)
     scorer = _as_scorer(scorer)
     _check_compatible(model, stream)
-    _, scores, labels, tasks = _columns(model, stream, model.trained_tasks, detector, scorer)
-    return ScoreTable(scores.copy(), labels.copy(), tasks.copy(), detector.kind, scorer.kind)
+    _, scores, labels, tasks = _columns(model, stream, model.trained_tasks, [detector], [scorer])
+    return ScoreTable(scores[0, 0], labels.copy(), tasks.copy(), detector.kind, scorer.kind)
 
 
 def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
@@ -513,9 +527,9 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
     which the rows of tasks 1..upto are kept.
     """
     _check_compatible(model, stream, upto)
-    classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
+    classes, scores, labels, tasks = _columns(model, stream, upto, [detector], [scorer])
     seen = tasks < upto
-    classes, scores, labels, tasks = classes[seen], scores[seen], labels[seen], tasks[seen]
+    classes, scores, labels, tasks = classes[seen], scores[0, 0, seen], labels[seen], tasks[seen]
     predicted = (classes[np.arange(len(labels)), tasks] if oracle_task
                  else _routed(classes, scores)[2])
     accuracy, per_task = _accuracies(predicted == labels, tasks, upto)
@@ -525,8 +539,8 @@ def evaluate_closed(model: ModelState, stream, upto: int, detector, scorer,
 def evaluate_open(model: ModelState, stream, upto: int, detector, scorer):
     """System scores split into seen (tasks 1..upto) and unseen populations."""
     _check_compatible(model, stream, upto, open_world=True)
-    classes, scores, _labels, tasks = _columns(model, stream, upto, detector, scorer)
-    system = _routed(classes, scores)[0]
+    classes, scores, _labels, tasks = _columns(model, stream, upto, [detector], [scorer])
+    system = _routed(classes, scores[0, 0])[0]
     return system[tasks < upto], system[tasks >= upto]
 
 
@@ -538,8 +552,8 @@ def mixed_scores(model: ModelState, stream, upto: int, detector, scorer):
     step. Feeds the accuracy-rejection curve.
     """
     _check_compatible(model, stream, upto)
-    classes, scores, labels, tasks = _columns(model, stream, upto, detector, scorer)
-    system, _, predicted = _routed(classes, scores)
+    classes, scores, labels, tasks = _columns(model, stream, upto, [detector], [scorer])
+    system, _, predicted = _routed(classes, scores[0, 0])
     return system, (predicted == labels) & (tasks < upto)
 
 
@@ -559,8 +573,7 @@ def run_sweep(model: ModelState, stream, detectors, scorers) -> metrics.EvalRepo
         )
     detectors = [_as_detector(d) for d in detectors]
     scorers = [_as_scorer(s) for s in scorers]
-    features, labels, tasks = _stack_tests(stream)
-    classes, scores = _forward(model, features, num_tasks, detectors, scorers)
+    classes, scores, labels, tasks = _columns(model, stream, num_tasks, detectors, scorers)
     report = metrics.EvalReport()
     for i, detector in enumerate(detectors):
         for j, scorer in enumerate(scorers):

@@ -45,7 +45,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ModelIOError
+from .errors import ModelError, ModelIOError
 from .model import AdapterBank, ModelState, TaskHead, TrainStats, TrunkParams, _check_model
 
 FORMAT_NAME = "opencil-model"
@@ -91,13 +91,21 @@ class _Writer:
         self.line(f"crc32 {name} {zlib.crc32(arr):08x}")
 
 
+def _check_path(path) -> None:
+    """Refuse a ``path`` that ``open`` would take for a file descriptor, or
+    any other value that names no file."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ModelError(f"model path must be a str, bytes or os.PathLike, got {path!r}")
+
+
 def save_model(model: ModelState, path: str) -> None:
     """Write every weight and statistic of the model to ``path``.
 
-    A model that is not whole (``model._check_model``) fails before the file
-    is opened. Its whitening factors are lower-triangular, so only their lower
-    triangle is stored.
+    A path that names no file, or a model that is not whole
+    (``model._check_model``), fails before the file is opened. Its whitening
+    factors are lower-triangular, so only their lower triangle is stored.
     """
+    _check_path(path)
     _check_model(model)
     lower = np.tri(model.hidden_width, dtype=bool)
     with open(path, "wb") as fh:
@@ -247,8 +255,10 @@ def load_model(path: str) -> ModelState:
     there, and the file must end at its ``end`` record. Every array must
     have the shape that ``dim_in``, ``hidden_width``, ``classes_per_task``
     and the head's OOD flag imply, and every whitening factor a positive
-    diagonal. Only version 5 files load.
+    diagonal. Only version 5 files load. A path that names no file, such as
+    an int, is refused before anything is opened.
     """
+    _check_path(path)
     with open(path, "rb") as fh:
         r = _Reader(path, fh)
         dim_in = r.meta("dim_in", int)

@@ -101,6 +101,21 @@ class TestSaveCsv:
         assert np.array_equal(back.labels, ds.labels)
         np.testing.assert_allclose(back.features, ds.features, rtol=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4).map(tuple),
+                         min_size=1, max_size=5).filter(lambda rows: len(set(map(len, rows))) == 1),
+           labels=st.lists(st.integers(0, 2**62), min_size=5, max_size=5))
+    def test_bytes_equal_the_per_value_formatter(self, bits, labels, tmp_path_factory):
+        # every float64 bit pattern: signed zeros, subnormals, inf and NaN payloads
+        features = np.array(bits, dtype=np.uint64).view(np.float64)
+        ds = oc.Dataset(features, labels[:len(features)])
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        oc.save_csv(ds, str(path))
+        expected = "label," + ",".join(f"f{i}" for i in range(ds.dim)) + "\n"
+        for label, row in zip(ds.labels, ds.features):
+            expected += f"{int(label)}," + ",".join(f"{v:.9g}" for v in row) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_second_round_trip_byte_stable(self, tmp_path):
         rng = np.random.default_rng(1)
         ds = oc.Dataset(rng.normal(size=(30, 4)), np.repeat([0, 1, 2], 10))
@@ -267,6 +282,16 @@ class TestDataset:
         # arrays that own their data, such as another Dataset's, are kept
         again = oc.Dataset(ds.features, ds.labels)
         assert again.features is ds.features and again.labels is ds.labels
+
+    @pytest.mark.parametrize("label, shown", [(np.inf, "inf"), (-np.inf, "-inf"),
+                                              (np.nan, "nan"), (1.5, "1.5"), (2.0**63, "9.22")])
+    def test_float_label_that_no_int64_holds_refused(self, label, shown):
+        with pytest.raises(DataError, match=f"^class labels must be whole numbers, got {shown}"):
+            oc.Dataset(np.zeros((2, 1)), np.array([0.0, label]))
+
+    def test_whole_float_labels_kept(self):
+        ds = oc.Dataset(np.zeros((3, 1)), [0.0, 2.0, -0.0])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 2, 0]
 
 
 _TINY = oc.SynthSpec(num_classes=2, dim=2, per_class=4, mean_separation=3.0, seed=1)

@@ -985,6 +985,25 @@ class TestSerialization:
             assert loaded.stats[t].react_threshold == \
                 small_model.stats[t].react_threshold
 
+    def test_path_that_names_no_file_refused(self, small_model, tmp_path):
+        # open() would take an int or a bool for a file descriptor, and close it
+        target = tmp_path / "descriptor.bin"
+        fd = os.open(target, os.O_RDWR | os.O_CREAT)
+        try:
+            for path in (fd, np.int64(fd), True, None, 2.5):
+                message = (f"^model path must be a str, bytes or os.PathLike, "
+                           f"got {re.escape(repr(path))}$")
+                with pytest.raises(ModelError, match=message):
+                    oc.save_model(small_model, path)
+                with pytest.raises(ModelError, match=message):
+                    oc.load_model(path)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+        assert target.read_bytes() == b""
+        oc.save_model(small_model, tmp_path / "model.bin")  # an os.PathLike
+        assert oc.load_model(tmp_path / "model.bin").trained_tasks == small_model.trained_tasks
+
     def test_save_load_save_byte_identical(self, small_model, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         oc.save_model(small_model, str(p1))

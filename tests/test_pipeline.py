@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,9 +13,13 @@ from opencil.data import task_local
 from opencil.errors import ModelError
 from opencil.model import _shared_adapter, activations
 from opencil import pipeline
-from opencil.pipeline import _forward
 from per_vector import (detector_logits, forward_features, score_combined, score_sm,
                         whitening_factor)
+
+
+def _forward(model, x, upto, detectors, scorers):
+    """One pass of a batch, cut to the first ``upto`` heads, as ``predict`` makes it."""
+    return pipeline._cut(*pipeline._pass(model, x, detectors, scorers), upto)
 
 
 def toy_model():
@@ -468,6 +473,15 @@ class TestPredictTask:
         with pytest.raises(ModelError):
             oc.predict(model, "base", "sm", np.zeros(2))
 
+    @pytest.mark.parametrize("x", [3.0, np.zeros((1, 3)), np.zeros(2), np.zeros(4),
+                                   np.zeros((3, 3)), [[1.0, 2.0, 3.0]]],
+                             ids=["scalar", "one-row-batch", "short", "long", "batch", "nested"])
+    def test_input_that_is_not_one_row_refused(self, x):
+        shape = np.shape(x)
+        with pytest.raises(ModelError, match=fr"^predict takes one row of 3 values, got shape "
+                                             fr"{re.escape(str(shape))}$"):
+            oc.predict(toy_model(), "base", "sm", x)
+
 
 class TestPredictClass:
     def test_global_index_arithmetic(self):
@@ -739,7 +753,13 @@ def memo_case(tmp_path_factory):
 
 
 def _call(model, stream, kind, step, detector, scorer):
-    """The arrays one call of ``kind`` returns."""
+    """The arrays one call of ``kind`` returns; a sweep crosses the pair with
+    base and en and returns its report's figures."""
+    if kind == "sweep":
+        report = oc.run_sweep(model, stream, [detector, oc.Detector("base")], [scorer, "en"])
+        return [np.array([[r.lca, r.aia, r.af, r.auc, r.aupr, *r.step_accuracies, *r.step_auc,
+                           *r.step_aupr, *(a for step in r.per_task_accuracies for a in step)]
+                          for r in report.rows])]
     if kind == "mixed":
         return oc.mixed_scores(model, stream, step, detector, scorer)
     if kind == "closed":
@@ -763,7 +783,8 @@ _DETECTORS = st.one_of(st.sampled_from([oc.Detector("base"), oc.Detector("react"
                        st.builds(oc.Detector, st.sampled_from(["dice", "scale"]), _PERCENTILES))
 _REPLACEMENTS = ["adapter_bias", "projection", "embedding", "head_weights", "class_means",
                  "whitening_factor", "features"]
-_CALLS = st.lists(st.one_of(st.tuples(st.sampled_from(["mixed", "closed", "open", "table"]),
+_CALLS = st.lists(st.one_of(st.tuples(st.sampled_from(["mixed", "closed", "open", "table",
+                                                       "sweep"]),
                                       st.integers(1, 4), _DETECTORS,
                                       st.sampled_from(["sm", "smmd", "en", "enmd"])),
                             st.tuples(st.just("replace"), st.sampled_from(_REPLACEMENTS))),
@@ -870,6 +891,28 @@ class TestColumnMemo:
         oc.score_table(model, stream, "dice", "smmd")  # another pair takes the slot
         oc.evaluate_closed(model, stream, 1, "dice", "enmd")
         assert [p[2].kind for p in passes[1:]] == ["smmd", "enmd"]
+
+    def test_sweep_fills_the_slot(self, memo_case, monkeypatch):
+        # every reader of a pair that a sweep scored reads the sweep's pass
+        path, stream = memo_case
+        model, passes = oc.load_model(path), []
+        heads = pipeline._heads
+        monkeypatch.setattr(pipeline, "_heads", lambda plan, md, relu, detectors, scorers:
+                            passes.append((tuple(detectors), tuple(scorers)))
+                            or heads(plan, md, relu, detectors, scorers))
+        detectors = (oc.Detector("dice", 40.0), oc.Detector("base"), oc.Detector("scale"))
+        scorers = (oc.Scorer("enmd"), oc.Scorer("sm"), oc.Scorer("smmd"))
+        oc.run_sweep(model, stream, detectors, scorers)
+        for detector in detectors:
+            for scorer in scorers:
+                for kind in ("mixed", "closed", "open", "table"):
+                    _call(model, stream, kind, 2, detector, scorer)
+        oc.run_sweep(model, stream, detectors[:0:-1], scorers[1:])  # a part of the product
+        assert passes == [(detectors, scorers)]
+        oc.mixed_scores(model, stream, 2, "react", "sm")  # react is outside the product
+        oc.mixed_scores(model, stream, 2, "base", "sm")  # and took the slot
+        assert passes[1:] == [((oc.Detector("react"),), (oc.Scorer("sm"),)),
+                              ((oc.Detector("base"),), (oc.Scorer("sm"),))]
 
     def test_non_finite_head_fails_only_the_calls_that_return_it(self, memo_case):
         path, stream = memo_case

@@ -188,7 +188,8 @@ def four_task_cases():
 
 def _lone_pass(model, features, upto, detector, scorer):
     """A pass of one detector-scorer pair: classes and (n, upto) scores."""
-    classes, scores = pipeline._forward(model, features, upto, [detector], [scorer])
+    classes, scores = pipeline._cut(*pipeline._pass(model, features, [detector], [scorer]),
+                                    upto)
     return classes, scores[0, 0]
 
 
@@ -226,7 +227,7 @@ class TestRunSweep:
                    oc.Scorer("en"), oc.Scorer("smmd"), oc.Scorer("enmd", 0.5)]
         detectors = [oc.Detector("dice", 40.0), oc.Detector("scale", 60.0), DETECTORS[0]]
         features, _, _ = pipeline._stack_tests(stream)
-        classes, scores = pipeline._forward(model, features, 4, detectors, scorers)
+        classes, scores = pipeline._cut(*pipeline._pass(model, features, detectors, scorers), 4)
         for i, detector in enumerate(detectors):
             for j, scorer in enumerate(scorers):
                 alone_classes, alone = _lone_pass(model, features, 4, detector, scorer)
